@@ -43,7 +43,7 @@ from .serialize import (
     load_instance_file,
     trace_jsonl,
 )
-from .solvers import SearchLimits, solve
+from .solvers import SearchCapExceeded, SearchLimits, solve
 from .dynamics import apply_ordering, run_simultaneous
 from .verification import CHECK_IDS, CorpusError, check_lemma, feasible_snapshots, replay_corpus
 
@@ -69,6 +69,13 @@ def _parse_ids(raw: str) -> list[int]:
         return [int(x) for x in raw.split(",")]
     except ValueError:
         raise InvalidInstanceError([f"expected comma-separated node ids, got {raw!r}"]) from None
+
+
+def _seed_ids(instance: SnapshotInstance, ids: list) -> frozenset[int]:
+    outside = [v for v in ids if type(v) is not int or not 0 <= v < instance.n]
+    if outside:
+        raise InvalidInstanceError([f"seed ids {outside} outside 0..{instance.n - 1}"])
+    return frozenset(ids)
 
 
 def _mode_override(args) -> DynamicsMode | None:
@@ -107,14 +114,18 @@ def _cmd_simulate(args) -> int:
     instance = load_instance_file(args.instance, mode_override=_mode_override(args))
     if args.replay:
         cert = json.loads(Path(args.replay).read_text(encoding="utf-8"))
-        seed = frozenset(cert.get("seed", []))
+        seed = _seed_ids(instance, cert.get("seed", []))
         witness = cert.get("witness", {})
+        problems = []
+        if len(seed) > instance.budget:
+            problems.append(f"certificate seed of size {len(seed)} is over budget {instance.budget}")
         if witness.get("type") == "simultaneous":
             result = run_simultaneous(
                 instance.graph, instance.thresholds, seed, instance.mode,
                 target=instance.snapshot, max_steps=args.max_steps,
             )
-            replay_ok = result.matched and result.trace.match_time == witness["match_time"]
+            if not (result.matched and result.trace.match_time == witness.get("match_time")):
+                problems.append("replay does not first match the snapshot at the certified time")
         elif witness.get("type") == "sequential":
             moves = [Move.from_wire(m) for m in witness.get("ordering", [])]
             prefix = witness.get("match_prefix", len(moves))
@@ -122,14 +133,23 @@ def _cmd_simulate(args) -> int:
                 instance.graph, instance.thresholds, seed,
                 [m.node for m in moves], instance.mode, target=instance.snapshot,
             )
-            replay_ok = result.trace.match_time == prefix
+            if result.trace.match_time != prefix:
+                problems.append("replay does not first match the snapshot at the certified prefix")
+            for move, step in zip(moves, result.trace.steps):
+                if move != step.move:
+                    problems.append(
+                        f"step {step.time} records {move.to_wire()}, replay gives {step.move.to_wire()}"
+                    )
+                    break
         else:
             raise InvalidInstanceError([f"certificate witness type {witness.get('type')!r} unknown"])
         _emit(trace_jsonl(result), args.out)
-        return EXIT_OK if replay_ok else EXIT_FAIL
+        for problem in problems:
+            print(f"error: {problem}", file=sys.stderr)
+        return EXIT_FAIL if problems else EXIT_OK
     if args.seed is None:
         raise InvalidInstanceError(["simulate needs --seed (or --replay CERT)"])
-    seed = frozenset(_parse_ids(args.seed))
+    seed = _seed_ids(instance, _parse_ids(args.seed))
     if instance.mode.simultaneous:
         result = run_simultaneous(
             instance.graph, instance.thresholds, seed, instance.mode,
@@ -407,6 +427,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SearchCapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -8,7 +8,10 @@ the solver's own search, ties broken by ascending node id.
 Seed candidate spaces differ by mode and are the load-bearing prunes:
 
 * monotone simultaneous: seeds are subsets of the snapshot (a committed seed
-  node is still active at match time, so any feasible seed lies inside S);
+  node is still active at match time, so any feasible seed lies inside S),
+  and only supersets of the forced set F = {v in S : |N(v) & S| < t(v)}:
+  before a match every configuration lies inside S, so a node of F can never
+  activate and must be seeded (|F| > k is infeasible without any search);
 * non-monotone simultaneous: seeds range over all of V (a seed can sit at
   distance >= 2 from the snapshot it produces, so no neighborhood prune is
   sound);
@@ -21,8 +24,22 @@ Seed candidate spaces differ by mode and are the load-bearing prunes:
   the restricted space where only snapshot nodes activate and only the seed
   node may ever deactivate. Must agree with the unrestricted solver.
 
+Both simultaneous solvers search on bitmasks of one seed-independent step
+map, ``c -> R(c)`` (monotone: ``c -> c | R(c)``), where R(c) is the set of
+nodes whose best response to c is active; the seed drops out because every
+configuration of a monotone run contains its seed. Runs from different seeds
+therefore walk one functional graph, and one memo per solve maps each mask to
+its fate: the first match with S after d steps, or no match with the repeat
+the reference ``run_simultaneous`` detects at step d. Keeping d for both keeps
+verdicts under an explicit step cap equal to the per-seed reference loop's,
+except that a cap becomes "infeasible" where a forced node or an overshoot
+proves no match: a monotone run stops as soon as it leaves S, because it only
+grows and so can never match after that. A ``Trace`` is built only when a
+certificate is replayed.
+
 "infeasible" is only ever reported after the complete candidate space was
-exhausted; if any search hit a resource cap first, the verdict degrades to
+exhausted (or a forced node or an overshoot proves it for every seed left);
+if any search hit a resource cap first, the verdict degrades to
 "resource_cap_hit" instead of risking a silent false negative.
 
 Everything here is pure over immutable inputs; seed candidates are
@@ -39,8 +56,8 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .dynamics import (
-    RunResult,
     _move_targets,
+    _response_mask,
     _step_mask,
     default_max_steps,
     run_simultaneous,
@@ -54,6 +71,7 @@ from .model import (
     SimultaneousWitness,
     SnapshotInstance,
     closed_neighborhood,
+    iter_bits,
     mask_of,
     nodes_of,
 )
@@ -161,7 +179,7 @@ def _closure_mask(
     while frontier:
         frontier = False
         pending = restrict & ~active
-        for v in _bits(pending):
+        for v in iter_bits(pending):
             if (adj_masks[v] & active).bit_count() >= thresholds[v]:
                 active |= 1 << v
                 frontier = True
@@ -176,20 +194,13 @@ def _closure_order(
     active = seed_mask
     order: list[int] = []
     while True:
-        for v in _bits(restrict & ~active):
+        for v in iter_bits(restrict & ~active):
             if (adj_masks[v] & active).bit_count() >= thresholds[v]:
                 active |= 1 << v
                 order.append(v)
                 break
         else:
             return order
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _bfs_to_target(
@@ -290,27 +301,103 @@ def _outcome(verdict: str, cert: Optional[Certificate], stats: SolveStats, t0: f
     return SolveOutcome(verdict, cert, stats)
 
 
+def _forced_seed_mask(adj_masks: Sequence[int], thresholds: Sequence[int], s_mask: int) -> int:
+    """Snapshot nodes with fewer than their threshold of neighbors inside S.
+
+    Under monotone simultaneous dynamics every configuration before a match
+    lies inside S, so such a node can never activate before the match and
+    must already be in the seed.
+    """
+    return mask_of(
+        v for v in iter_bits(s_mask)
+        if (adj_masks[v] & s_mask).bit_count() < thresholds[v]
+    )
+
+
+def _simultaneous_fate(
+    adj_masks: Sequence[int],
+    thresholds: Sequence[int],
+    s_mask: int,
+    monotone: bool,
+    max_steps: int,
+    fates: dict[int, Optional[int]],
+    start: int,
+) -> tuple[Optional[int], int]:
+    """Fate of the run from ``start`` under the seed-independent step map
+    (``c -> R(c)``, monotone ``c -> c | R(c)``), and the number of masks
+    whose successor this call computed.
+
+    A fate ``d >= 0`` is a first match with S after d steps; ``-d`` is no
+    match, with the repeat that ``run_simultaneous`` detects at step d; None
+    is a monotone run that left S and so can never match. Every mask a walk
+    settles goes into ``fates`` with its fate as a start of its own, so a
+    later seed whose run reaches it stops there; ``fates`` must start as
+    ``{s_mask: 0}``. A walk that has not settled after ``max_steps`` steps
+    stores nothing and reports ``-(max_steps + 1)``, the step cap of the
+    reference run.
+    """
+    path: dict[int, int] = {}
+    cur = start
+    while True:
+        if cur in fates:
+            tail = fates[cur]
+            break
+        if monotone and cur & ~s_mask:
+            tail = None
+            break
+        if cur in path:
+            # the walk closed its own cycle at position j; none of it is S
+            j, length = path[cur], len(path)
+            for mask, i in path.items():
+                fates[mask] = -(length - min(i, j))
+            return fates[start], length
+        if len(path) == max_steps:
+            return -(max_steps + 1), max_steps
+        path[cur] = len(path)
+        responders = _response_mask(adj_masks, thresholds, cur)
+        cur = cur | responders if monotone else responders
+    length = len(path)
+    for mask, i in path.items():
+        if tail is None:
+            fates[mask] = None
+        elif tail >= 0:
+            fates[mask] = tail + length - i
+        else:
+            fates[mask] = tail - (length - i)
+    return fates[start], length
+
+
 def _solve_simultaneous_common(instance: SnapshotInstance, limits: SearchLimits, seed_pool: Sequence[int]) -> SolveOutcome:
     t0 = time.perf_counter()
     stats = SolveStats()
-    graph, thresholds = instance.graph, instance.thresholds
-    target = instance.snapshot
-    max_steps = limits.steps_for(graph.n)
+    adj_masks, thresholds = instance.graph.adj_masks, instance.thresholds
+    s_mask = instance.snapshot_mask()
+    monotone = instance.mode.monotone
+    max_steps = limits.steps_for(instance.graph.n)
+    forced = _forced_seed_mask(adj_masks, thresholds, s_mask) if monotone else 0
+    spare = instance.budget - forced.bit_count()
+    if spare < 0:
+        return _outcome(VERDICT_INFEASIBLE, None, stats, t0)
+    # Supersets of the forced set, enumerated by their free part, come out
+    # in the canonical order of the full space: same size, and the least
+    # element of a symmetric difference is never a forced node.
+    free_pool = [v for v in seed_pool if not forced >> v & 1]
+    fates: dict[int, Optional[int]] = {s_mask: 0}
     capped = False
-    for seed_tuple in canonical_seed_sets(seed_pool, instance.budget):
+    for free in canonical_seed_sets(free_pool, spare):
         stats.seeds_tried += 1
-        result = run_simultaneous(
-            graph, thresholds, frozenset(seed_tuple), instance.mode,
-            target=target, max_steps=max_steps,
+        seed_mask = forced | mask_of(free)
+        fate, expanded = _simultaneous_fate(
+            adj_masks, thresholds, s_mask, monotone, max_steps, fates, seed_mask
         )
-        stats.states_expanded += len(result.trace.steps) + 1
-        if result.matched:
-            cert = Certificate(
-                frozenset(seed_tuple), SimultaneousWitness(result.trace.match_time)
-            )
-            return _outcome(VERDICT_FEASIBLE, cert, stats, t0)
-        if result.termination.kind == "step_cap_hit":
+        stats.states_expanded += expanded
+        if fate is None:
+            continue
+        if abs(fate) > max_steps:
             capped = True
+        elif fate >= 0:
+            cert = Certificate(nodes_of(seed_mask), SimultaneousWitness(fate))
+            return _outcome(VERDICT_FEASIBLE, cert, stats, t0)
     return _outcome(VERDICT_CAP if capped else VERDICT_INFEASIBLE, None, stats, t0)
 
 
@@ -401,7 +488,7 @@ def _restricted_k1_bfs(
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for v in _bits(arena):
+        for v in iter_bits(arena):
             bit = 1 << v
             met = (adj_masks[v] & cur).bit_count() >= thresholds[v]
             if not cur & bit:

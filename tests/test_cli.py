@@ -111,6 +111,52 @@ def test_certificates_replay_through_simulate(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _write(path: Path, doc) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _sequential_star4(tmp_path, **fields) -> str:
+    doc = json.loads(Path(corpus_path("star4.json")).read_text())
+    doc["dynamics"] = {"order": "sequential", "monotone": False}
+    doc.update(fields)
+    return _write(tmp_path / "seq.json", doc)
+
+
+def test_replay_rejects_seed_over_budget(tmp_path, star4_file, capsys):
+    # {0, 1, 2} is the snapshot itself, so it matches at t=0, but budget is 2
+    cert = _write(tmp_path / "cert.json", {
+        "seed": [0, 1, 2], "witness": {"type": "simultaneous", "match_time": 0},
+    })
+    assert run(["simulate", "--instance", star4_file, "--replay", cert]) == 1
+    assert "over budget 2" in capsys.readouterr().err
+
+
+def test_replay_rejects_node_ids_outside_the_graph(tmp_path, star4_file, capsys):
+    for seed in ([-1], [0, 4]):
+        cert = _write(tmp_path / "cert.json", {
+            "seed": seed, "witness": {"type": "simultaneous", "match_time": 1},
+        })
+        assert run(["simulate", "--instance", star4_file, "--replay", cert]) == 2
+        assert "outside 0..3" in capsys.readouterr().err
+
+
+def test_replay_rejects_recorded_move_direction(tmp_path, capsys):
+    inst = _sequential_star4(tmp_path, snapshot=[1, 2], budget=1)
+    # node 2 turns on in the replay; the certificate claims it turned off
+    cert = _write(tmp_path / "cert.json", {
+        "seed": [1], "witness": {"type": "sequential", "ordering": [[2, "off"]], "match_prefix": 1},
+    })
+    assert run(["simulate", "--instance", inst, "--replay", cert]) == 1
+    assert "records [2, 'off']" in capsys.readouterr().err
+
+
+def test_enumerate_cap_exits_one_with_message(tmp_path, capsys):
+    inst = _sequential_star4(tmp_path)
+    assert run(["enumerate", "--instance", inst, "--max-states", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_enumerate_lists_snapshots(star4_file, capsys):
     assert run(["enumerate", "--instance", star4_file, "--budget", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)

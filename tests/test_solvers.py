@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from snapshot_lab import (
     ALL_MODES,
@@ -16,6 +18,7 @@ from snapshot_lab import (
     SnapshotInstance,
     monotone_closure,
     reachable_configs,
+    run_simultaneous,
     seed_feasible,
     solve,
     solve_monotone_sequential,
@@ -24,6 +27,7 @@ from snapshot_lab import (
     solve_sequential_k1,
     solve_simultaneous,
 )
+from snapshot_lab.generator import GeneratorParams, instance_stream
 from snapshot_lab.solvers import canonical_seed_sets
 
 from conftest import assert_certificate_replays, small_instances
@@ -241,3 +245,101 @@ def test_stats_are_populated(star4_instance):
     assert out.stats.seeds_tried >= 1
     assert out.stats.states_expanded >= 1
     assert out.stats.wall_time >= 0.0
+
+
+SIMULTANEOUS_MODES = [MONOTONE_SIMULTANEOUS, PLAIN_SIMULTANEOUS]
+
+
+def _per_seed_reference(instance, max_steps=None):
+    """One reference run per canonical seed: (verdict, seed, match time,
+    seeds whose run hit the step cap)."""
+    pool = sorted(instance.snapshot) if instance.mode.monotone else range(instance.n)
+    capped = []
+    for seed in map(frozenset, canonical_seed_sets(pool, instance.budget)):
+        result = run_simultaneous(
+            instance.graph, instance.thresholds, seed, instance.mode,
+            target=instance.snapshot, max_steps=max_steps,
+        )
+        if result.matched:
+            return "feasible", seed, result.trace.match_time, capped
+        if result.termination.kind == "step_cap_hit":
+            capped.append(seed)
+    return ("resource_cap_hit" if capped else "infeasible"), None, None, capped
+
+
+def _summary(outcome):
+    cert = outcome.certificate
+    return outcome.verdict, cert and cert.seed, cert and cert.witness.match_time
+
+
+def _forced(instance):
+    s = instance.snapshot
+    return frozenset(
+        v for v in s if len(set(instance.graph.adj[v]) & s) < instance.thresholds[v]
+    )
+
+
+@given(small_instances(max_n=7, max_budget=3, modes=SIMULTANEOUS_MODES))
+@settings(max_examples=200, deadline=None)
+def test_simultaneous_solver_matches_per_seed_runs(instance):
+    verdict, seed, match_time, _ = _per_seed_reference(instance)
+    assert _summary(solve(instance)) == (verdict, seed, match_time)
+
+
+@pytest.mark.parametrize("mode", SIMULTANEOUS_MODES)
+@pytest.mark.parametrize("snapshot_mode", ["arbitrary", "reachable"])
+def test_simultaneous_solver_matches_per_seed_runs_on_stream(mode, snapshot_mode):
+    params = GeneratorParams(
+        n_min=6, n_max=12, edge_prob=0.3, threshold_law="le2", budget_min=1,
+        budget_max=3, snapshot_mode=snapshot_mode, mode=mode, rng_seed=11,
+    )
+    for instance in itertools.islice(instance_stream(params), 40):
+        verdict, seed, match_time, _ = _per_seed_reference(instance)
+        assert _summary(solve(instance)) == (verdict, seed, match_time)
+
+
+@given(
+    small_instances(max_n=7, max_budget=3, modes=SIMULTANEOUS_MODES),
+    st.integers(min_value=1, max_value=3),
+)
+@example(  # seed {2} runs into the 2-cycle {0} <-> {1} that seed {0} walked first
+    SnapshotInstance(
+        Graph.from_edges(4, [(0, 1), (1, 2)]), (1, 1, 2, 1), frozenset({1, 3}), 1,
+        PLAIN_SIMULTANEOUS,
+    ),
+    2,
+)
+@settings(max_examples=200, deadline=None)
+def test_simultaneous_solver_under_explicit_step_cap(instance, max_steps):
+    verdict, seed, match_time, capped = _per_seed_reference(instance, max_steps)
+    got = _summary(solve(instance, SearchLimits(max_steps=max_steps)))
+    if verdict == "resource_cap_hit" and got[0] == "infeasible":
+        # allowed only where a forced node or an overshoot proves that no
+        # capped seed can ever match
+        assert instance.mode.monotone
+        forced = _forced(instance)
+        for s in capped:
+            assert not run_simultaneous(
+                instance.graph, instance.thresholds, s, instance.mode, target=instance.snapshot
+            ).matched
+            closure = monotone_closure(instance.graph, instance.thresholds, s)
+            assert not forced <= s or not closure <= instance.snapshot
+    else:
+        assert got == (verdict, seed, match_time)
+
+
+@given(small_instances(max_n=7, max_budget=3, modes=[MONOTONE_SIMULTANEOUS]))
+@settings(max_examples=150, deadline=None)
+def test_every_matching_monotone_seed_contains_forced_nodes(instance):
+    forced = _forced(instance)
+    for seed in map(frozenset, canonical_seed_sets(instance.snapshot, instance.budget)):
+        if run_simultaneous(
+            instance.graph, instance.thresholds, seed, instance.mode, target=instance.snapshot
+        ).matched:
+            assert forced <= seed
+
+
+def test_forced_seed_nodes_over_budget_skip_the_search(star4_instance):
+    # the leaves 0, 2, 3 have no neighbor inside S, so all three are forced
+    out = solve(star4_instance({0, 2, 3}, 2, MONOTONE_SIMULTANEOUS))
+    assert out.verdict == "infeasible" and out.stats.seeds_tried == 0
