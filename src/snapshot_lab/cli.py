@@ -110,12 +110,23 @@ def instance_dot(instance: SnapshotInstance, seed: frozenset[int] = frozenset())
     return "\n".join(lines) + "\n"
 
 
+def _read_certificate(instance: SnapshotInstance, path: str) -> tuple[frozenset[int], dict]:
+    """The seed and the witness object of a certificate file, checked for shape."""
+    cert = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(cert, dict):
+        raise InvalidInstanceError(["certificate must be a JSON object"])
+    seed, witness = cert.get("seed", []), cert.get("witness", {})
+    if not isinstance(seed, list):
+        raise InvalidInstanceError(["certificate 'seed' must be a list of node ids"])
+    if not isinstance(witness, dict):
+        raise InvalidInstanceError(["certificate 'witness' must be an object"])
+    return _seed_ids(instance, seed), witness
+
+
 def _cmd_simulate(args) -> int:
     instance = load_instance_file(args.instance, mode_override=_mode_override(args))
     if args.replay:
-        cert = json.loads(Path(args.replay).read_text(encoding="utf-8"))
-        seed = _seed_ids(instance, cert.get("seed", []))
-        witness = cert.get("witness", {})
+        seed, witness = _read_certificate(instance, args.replay)
         problems = []
         if len(seed) > instance.budget:
             problems.append(f"certificate seed of size {len(seed)} is over budget {instance.budget}")
@@ -127,7 +138,12 @@ def _cmd_simulate(args) -> int:
             if not (result.matched and result.trace.match_time == witness.get("match_time")):
                 problems.append("replay does not first match the snapshot at the certified time")
         elif witness.get("type") == "sequential":
-            moves = [Move.from_wire(m) for m in witness.get("ordering", [])]
+            try:
+                moves = [Move.from_wire(m) for m in witness.get("ordering", [])]
+            except TypeError:
+                raise InvalidInstanceError(
+                    ["certificate 'ordering' must be a list of [node, 'on'|'off'] pairs"]
+                ) from None
             prefix = witness.get("match_prefix", len(moves))
             result = apply_ordering(
                 instance.graph, instance.thresholds, seed,

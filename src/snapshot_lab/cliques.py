@@ -1,9 +1,11 @@
-"""Clique preprocessing rules and an exact count-based clique solver for
+"""Clique preprocessing rules in front of the exact seed search for
 monotone simultaneous dynamics.
 
 On a clique an inactive node sees exactly |active| active neighbors, so the
 whole cascade is driven by active-set counts and threshold values. The five
-rules narrow the seed search:
+rules narrow the seed search, which then runs the generic monotone
+simultaneous check on the surviving candidates, deduplicated by threshold
+multiset:
 
 P1  snapshot nodes whose threshold is at least |S| can never activate by best
     response, so they are forced into the seed;
@@ -28,16 +30,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from .model import (
     Certificate,
-    Graph,
-    SimultaneousWitness,
     SnapshotInstance,
     IdMap,
     induced_subgraph,
+    iter_bits,
     mask_of,
 )
 from .solvers import (
@@ -45,9 +45,11 @@ from .solvers import (
     SearchLimits,
     SolveOutcome,
     SolveStats,
-    VERDICT_FEASIBLE,
     VERDICT_INFEASIBLE,
-    _closure_mask,
+    _closure,
+    _search,
+    _seed_check,
+    _seed_masks,
 )
 
 ACTION_FORCED = "forced_seed"
@@ -219,7 +221,7 @@ def rule_isolated_snapshot(instance: SnapshotInstance) -> RuleReport:
         return RuleReport("P5", ACTION_INAPPLICABLE, f"|S|={len(instance.snapshot)} >= outside minimum {tmin}")
     seed = _k_highest_snapshot_seed(instance)
     s_mask = instance.snapshot_mask()
-    closes = _closure_mask(instance.graph.adj_masks, instance.thresholds, mask_of(seed), s_mask) == s_mask
+    closes = _closure(instance.graph.adj_masks, instance.thresholds, mask_of(seed), s_mask)[0] == s_mask
     names = ",".join(instance.graph.labels[v] for v in seed) or "(empty)"
     return RuleReport(
         "P5", ACTION_REDUCED,
@@ -227,31 +229,6 @@ def rule_isolated_snapshot(instance: SnapshotInstance) -> RuleReport:
         + ("closes over S" if closes else "does not close over S"),
         nodes=seed, feasible=closes,
     )
-
-
-def clique_cascade(
-    thresholds: Sequence[int], seed_mask: int, alive_mask: int
-) -> list[int]:
-    """Monotone simultaneous trajectory on a clique by active-count
-    arithmetic: an inactive node activates once the active count reaches its
-    threshold. Returns the configuration masks from time 0 to the fixed
-    point."""
-    trajectory = [seed_mask]
-    active = seed_mask
-    while True:
-        count = active.bit_count()
-        grown = active
-        pending = alive_mask & ~active
-        while pending:
-            low = pending & -pending
-            v = low.bit_length() - 1
-            if thresholds[v] <= count:
-                grown |= low
-            pending ^= low
-        if grown == active:
-            return trajectory
-        trajectory.append(grown)
-        active = grown
 
 
 @dataclass(frozen=True)
@@ -267,78 +244,69 @@ def clique_analysis(
     limits: SearchLimits = DEFAULT_LIMITS,
     strict_property2: bool = False,
 ) -> CliqueAnalysis:
-    """Run the rule chain, then enumerate the surviving seed candidates with
-    the count-based cascade. Agrees with the generic monotone simultaneous
-    solver on the verdict."""
-    del limits  # rule chain plus count arithmetic never outgrows desk scale
+    """Run the rule chain, then search the surviving seed candidates with the
+    generic monotone simultaneous check. Agrees with the generic monotone
+    simultaneous solver on the verdict."""
     assert_clique(instance)
     if not (instance.mode.simultaneous and instance.mode.monotone):
         raise ValueError("clique rules cover monotone simultaneous dynamics only")
     t0 = time.perf_counter()
-    stats = SolveStats()
     reports: list[RuleReport] = []
 
-    def done(verdict: str, cert: Optional[Certificate]) -> CliqueAnalysis:
-        stats.wall_time = time.perf_counter() - t0
-        return CliqueAnalysis(SolveOutcome(verdict, cert, stats), tuple(reports))
+    def done(outcome: SolveOutcome) -> CliqueAnalysis:
+        outcome.stats.wall_time = time.perf_counter() - t0
+        return CliqueAnalysis(outcome, tuple(reports))
+
+    infeasible = SolveOutcome(VERDICT_INFEASIBLE, None, SolveStats())
 
     r1 = rule_forced_seed(instance)
     reports.append(r1)
     if r1.action == ACTION_INFEASIBLE:
-        return done(VERDICT_INFEASIBLE, None)
+        return done(infeasible)
     forced = frozenset(r1.nodes) if r1.action == ACTION_FORCED else frozenset()
 
     r2 = rule_low_threshold_outside(instance, strict=strict_property2)
     reports.append(r2)
     if r2.action == ACTION_INFEASIBLE:
-        return done(VERDICT_INFEASIBLE, None)
+        return done(infeasible)
     excluded_size = r2.size if r2.action == ACTION_EXCLUDED_SIZE else None
 
     r3 = rule_threshold_collision(instance, already_forced=forced)
     reports.append(r3)
     if r3.action == ACTION_INFEASIBLE:
-        return done(VERDICT_INFEASIBLE, None)
+        return done(infeasible)
     if r3.action == ACTION_FORCED:
         forced |= frozenset(r3.nodes)
 
     r4, work, idmap = rule_prune_outside(instance)
     reports.append(r4)
-    back = (lambda v: v) if idmap is None else idmap.original
-    fwd = (lambda v: v) if idmap is None else idmap.sub
-    forced_w = frozenset(fwd(v) for v in forced)
 
     r5 = rule_isolated_snapshot(work)
     reports.append(r5)
     if r5.action == ACTION_REDUCED:
         if not r5.feasible:
-            return done(VERDICT_INFEASIBLE, None)
-        stats.seeds_tried += 1
-        trajectory = clique_cascade(work.thresholds, mask_of(r5.nodes), work.graph.full_mask())
-        stats.states_expanded += len(trajectory)
-        match_time = trajectory.index(work.snapshot_mask())
-        seed = frozenset(back(v) for v in r5.nodes)
-        return done(VERDICT_FEASIBLE, Certificate(seed, SimultaneousWitness(match_time)))
+            return done(infeasible)
+        seeds: Iterable[int] = [mask_of(r5.nodes)]
+    else:
+        seen_multisets: set[tuple[int, ...]] = set()
 
-    s_mask = work.snapshot_mask()
-    free = sorted(work.snapshot - forced_w)
-    seen_multisets: set[tuple[int, ...]] = set()
-    for size in range(len(forced_w), min(instance.budget, len(work.snapshot)) + 1):
-        if size == excluded_size:
-            continue
-        for extra in combinations(free, size - len(forced_w)):
-            seed_w = forced_w | frozenset(extra)
-            key = tuple(sorted(work.thresholds[v] for v in seed_w))
+        def admissible(seed_mask: int) -> bool:
+            if seed_mask.bit_count() == excluded_size:
+                return False
+            key = tuple(sorted(work.thresholds[v] for v in iter_bits(seed_mask)))
             if key in seen_multisets:
-                continue
+                return False
             seen_multisets.add(key)
-            stats.seeds_tried += 1
-            trajectory = clique_cascade(work.thresholds, mask_of(seed_w), work.graph.full_mask())
-            stats.states_expanded += len(trajectory)
-            if s_mask in trajectory:
-                seed = frozenset(back(v) for v in seed_w)
-                witness = SimultaneousWitness(trajectory.index(s_mask))
-                return done(VERDICT_FEASIBLE, Certificate(seed, witness))
-    return done(VERDICT_INFEASIBLE, None)
+            return True
+
+        forced_w = mask_of(forced if idmap is None else map(idmap.sub, forced))
+        seeds = filter(admissible, _seed_masks(work.snapshot, forced_w, instance.budget))
+    outcome = _search(seeds, _seed_check(work, limits))
+    if outcome.certificate is not None and idmap is not None:
+        seed = frozenset(map(idmap.original, outcome.certificate.seed))
+        cert = Certificate(seed, outcome.certificate.witness)
+        outcome = SolveOutcome(outcome.verdict, cert, outcome.stats)
+    return done(outcome)
 
 
 def solve_clique(

@@ -28,6 +28,7 @@ from .model import (
     Move,
     Trace,
     TraceStep,
+    iter_bits,
     mask_of,
     nodes_of,
 )
@@ -190,23 +191,6 @@ def run_simultaneous(
     return RunResult(trace, termination)
 
 
-def _move_targets(
-    adj_masks: Sequence[int], thresholds: Sequence[int], active: int, monotone: bool
-) -> list[tuple[Move, int]]:
-    """State-changing best responses from ``active``, in ascending node order,
-    paired with the resulting masks."""
-    out = []
-    for v, adj in enumerate(adj_masks):
-        bit = 1 << v
-        met = (adj & active).bit_count() >= thresholds[v]
-        if not active & bit:
-            if met:
-                out.append((Move(v, True), active | bit))
-        elif not met and not monotone:
-            out.append((Move(v, False), active & ~bit))
-    return out
-
-
 def legal_moves(
     graph: Graph, thresholds: Sequence[int], config: Configuration, mode: DynamicsMode
 ) -> list[Move]:
@@ -220,7 +204,10 @@ def legal_moves(
     if not mode.sequential:
         raise ValueError("legal_moves requires sequential order dynamics")
     active = mask_of(config.active)
-    return [m for m, _ in _move_targets(graph.adj_masks, thresholds, active, mode.monotone)]
+    flips = _response_mask(graph.adj_masks, thresholds, active) ^ active
+    if mode.monotone:
+        flips &= ~active
+    return [Move(v, not active >> v & 1) for v in iter_bits(flips)]
 
 
 def apply_ordering(

@@ -24,8 +24,6 @@ disagreement, greedily shrinks the source instance by single-node deletion
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -37,15 +35,20 @@ from .model import (
     PLAIN_SEQUENTIAL,
     PLAIN_SIMULTANEOUS,
     SnapshotInstance,
+    instance_violations,
     mask_of,
     validate_instance,
 )
-from .serialize import instance_to_dict
+from .serialize import document_digest, instance_to_dict
 from .solvers import (
     DEFAULT_LIMITS,
+    VERDICT_CAP,
+    SearchCapExceeded,
     SearchLimits,
-    _closure_mask,
+    SolveOutcome,
+    _closure,
     canonical_seed_sets,
+    solve,
     solve_monotone_simultaneous,
     solve_sequential_k1,
     solve_simultaneous,
@@ -72,26 +75,32 @@ def target_set_to_dict(ts: TargetSetInstance) -> dict:
 
 
 def target_set_from_dict(data: dict) -> TargetSetInstance:
-    for key in ("labels", "edges", "thresholds", "budget"):
-        if key not in data:
-            raise InvalidInstanceError([f"missing field {key!r}"])
-    labels = [str(x) for x in data["labels"]]
-    graph = Graph.from_edges(len(labels), [(int(u), int(v)) for u, v in data["edges"]], labels)
-    thresholds = tuple(int(t) for t in data["thresholds"])
-    if len(thresholds) != graph.n:
-        raise InvalidInstanceError([f"{len(thresholds)} thresholds for {graph.n} nodes"])
-    if any(t < 0 for t in thresholds):
-        raise InvalidInstanceError(["negative threshold"])
-    if not isinstance(data["budget"], int) or data["budget"] < 0:
-        raise InvalidInstanceError(["'budget' must be a non-negative integer"])
-    return TargetSetInstance(graph, thresholds, data["budget"])
+    if not isinstance(data, dict):
+        raise InvalidInstanceError(["target-set document must be a JSON object"])
+    missing = [key for key in ("labels", "edges", "thresholds", "budget") if key not in data]
+    if missing:
+        raise InvalidInstanceError([f"missing field {key!r}" for key in missing])
+    labels, budget = data["labels"], data["budget"]
+    if not isinstance(labels, list):
+        raise InvalidInstanceError(["'labels' must be a list"])
+    if not isinstance(budget, int) or isinstance(budget, bool):
+        raise InvalidInstanceError(["'budget' must be an integer"])
+    try:
+        edges = [(int(u), int(v)) for u, v in data["edges"]]
+        thresholds = tuple(data["thresholds"])
+    except (TypeError, ValueError):
+        raise InvalidInstanceError(["'edges' must be [i, j] pairs and 'thresholds' a list"]) from None
+    violations = instance_violations(len(labels), edges, thresholds, (), budget)
+    if violations:
+        raise InvalidInstanceError(violations)
+    return TargetSetInstance(Graph.from_edges(len(labels), edges, labels), thresholds, budget)
 
 
 def has_target_set(ts: TargetSetInstance) -> bool:
     """Exhaustive oracle: some seed of size <= budget closes over all of V."""
     full = ts.graph.full_mask()
     for seed in canonical_seed_sets(range(ts.graph.n), ts.budget):
-        if _closure_mask(ts.graph.adj_masks, ts.thresholds, mask_of(seed), full) == full:
+        if _closure(ts.graph.adj_masks, ts.thresholds, mask_of(seed), full)[0] == full:
             return True
     return False
 
@@ -225,11 +234,6 @@ def _source_to_dict(source: Source) -> dict:
     return instance_to_dict(source)
 
 
-def _source_digest(source: Source) -> str:
-    payload = json.dumps(_source_to_dict(source), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
-
-
 def _delete_node(source: Source, v: int) -> Source:
     """Drop node v, its incident edges and threshold; reindex densely."""
     graph = source.graph
@@ -250,22 +254,28 @@ def _delete_node(source: Source, v: int) -> Source:
     )
 
 
+def _feasible(outcome: SolveOutcome) -> bool:
+    """The verdict as a bool; a capped search raises instead of reading as
+    infeasible."""
+    if outcome.verdict == VERDICT_CAP:
+        raise SearchCapExceeded("a search hit a resource cap before deciding its side")
+    return outcome.feasible
+
+
 def _sides(gadget: str, source: Source, limits: SearchLimits, mode: Optional[DynamicsMode]):
     if gadget == "embed":
         assert isinstance(source, TargetSetInstance)
         embedded = embed_target_set(source, mode or MONOTONE_SIMULTANEOUS)
-        from .solvers import solve  # dispatches on the embedded mode
-
-        return has_target_set(source), solve(embedded, limits).feasible
+        return has_target_set(source), _feasible(solve(embedded, limits))
     if gadget == "seqk1":
         assert isinstance(source, TargetSetInstance)
         reduced = gadget_sequential_k1(source)
-        return has_target_set(source), solve_sequential_k1(reduced, limits).feasible
+        return has_target_set(source), _feasible(solve_sequential_k1(reduced, limits))
     if gadget == "dummy":
         assert isinstance(source, SnapshotInstance)
         reduced = gadget_deactivation_robust(source)
-        left = solve_monotone_simultaneous(source, limits).feasible
-        return left, solve_simultaneous(reduced, limits).feasible
+        left = _feasible(solve_monotone_simultaneous(source, limits))
+        return left, _feasible(solve_simultaneous(reduced, limits))
     raise ValueError(f"unknown gadget {gadget!r}; expected one of {GADGET_IDS}")
 
 
@@ -285,7 +295,7 @@ def check_equivalence(
         counterexample = _source_to_dict(_shrink(gadget, source, limits, mode))
     return EquivalenceVerdict(
         gadget=gadget,
-        instance_digest=_source_digest(source),
+        instance_digest=document_digest(_source_to_dict(source)),
         left_feasible=left,
         right_feasible=right,
         agree=agree,
@@ -296,12 +306,13 @@ def check_equivalence(
 def _shrink(
     gadget: str, source: Source, limits: SearchLimits, mode: Optional[DynamicsMode]
 ) -> Source:
-    """Greedy single-node deletion while the disagreement persists."""
+    """Greedy single-node deletion while the disagreement persists; a
+    candidate that hits a resource cap does not count as disagreeing."""
 
     def disagrees(candidate: Source) -> bool:
         try:
             left, right = _sides(gadget, candidate, limits, mode)
-        except (ValueError, InvalidInstanceError):
+        except (ValueError, InvalidInstanceError, SearchCapExceeded):
             return False
         return left != right
 

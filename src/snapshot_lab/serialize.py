@@ -87,6 +87,8 @@ def instance_from_dict(
     if not isinstance(data["budget"], int) or isinstance(data["budget"], bool):
         raise InvalidInstanceError(["'budget' must be an integer"])
     for key in ("thresholds", "snapshot"):
+        if not isinstance(data[key], list):
+            raise InvalidInstanceError([f"{key!r} must be a list of integers"])
         bad = [x for x in data[key] if not isinstance(x, int) or isinstance(x, bool)]
         if bad:
             raise InvalidInstanceError([f"{key!r} entries must be integers, got {bad[0]!r}"])
@@ -112,10 +114,14 @@ def load_instance_file(
     return instance_from_dict(data, mode_override=mode_override)
 
 
+def document_digest(doc: dict) -> str:
+    """Stable 12-hex-char content digest of a canonical document."""
+    return hashlib.sha256(compact_json(doc).encode("utf-8")).hexdigest()[:12]
+
+
 def instance_digest(instance: SnapshotInstance) -> str:
-    """Stable 12-hex-char content digest of the canonical instance document."""
-    payload = compact_json(instance_to_dict(instance)).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()[:12]
+    """Stable content digest of the canonical instance document."""
+    return document_digest(instance_to_dict(instance))
 
 
 def trace_jsonl(result) -> str:

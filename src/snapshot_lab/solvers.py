@@ -1,45 +1,63 @@
 """Feasibility deciders for the four dynamics, with replayable certificates.
 
-Every solver enumerates candidate seed sets in one canonical order (by size,
-then lexicographically over sorted ids) and returns the first feasible seed in
-that order, so outputs are fully deterministic. Witnesses are shortest under
-the solver's own search, ties broken by ascending node id.
+Every mode asks the same question, whether some seed of size <= k reaches the
+snapshot S, and answers it the same way: ``_search`` tries candidate seed
+masks in one canonical order (by size, then lexicographically over sorted
+ids) and runs one per-seed check on each, reporting the first seed whose
+check returns a witness, so outputs are fully deterministic. Only the seed
+pool, the check and the move rule differ by mode. ``_search`` is the only
+loop that counts seeds and states.
 
-Seed candidate spaces differ by mode and are the load-bearing prunes:
+Seed pools are the load-bearing prunes; ``_seed_masks`` lists the supersets
+of a forced mask drawn from a pool:
 
-* monotone simultaneous: seeds are subsets of the snapshot (a committed seed
-  node is still active at match time, so any feasible seed lies inside S),
-  and only supersets of the forced set F = {v in S : |N(v) & S| < t(v)}:
-  before a match every configuration lies inside S, so a node of F can never
-  activate and must be seeded (|F| > k is infeasible without any search);
-* non-monotone simultaneous: seeds range over all of V (a seed can sit at
+* monotone dynamics, either order: seeds are subsets of S (a committed seed
+  node is still active at match time), and only supersets of the forced set
+  F = {v in S : |N(v) & S| < t(v)}. Before a match every configuration lies
+  inside S, so a node of F can never activate and must be seeded; |F| > k is
+  infeasible without trying a seed;
+* non-monotone dynamics: seeds range over all of V (a seed can sit at
   distance >= 2 from the snapshot it produces, so no neighborhood prune is
   sound);
-* monotone sequential: subsets of S, decided by monotone closure inside S
-  (never selecting outside nodes is always safe and always sufficient);
-* non-monotone sequential: seeds range over all of V, decided by
-  breadth-first search over the configuration space;
-* non-monotone sequential with budget 1: candidates shrink to the closed
-  neighborhood N[S] plus the empty seed, and the per-candidate search runs in
-  the restricted space where only snapshot nodes activate and only the seed
-  node may ever deactivate. Must agree with the unrestricted solver.
+* non-monotone sequential with budget 1 (``solve_sequential_k1``): candidates
+  shrink to the closed neighborhood N[S] plus the empty seed. Must agree with
+  the unrestricted solver.
 
-Both simultaneous solvers search on bitmasks of one seed-independent step
-map, ``c -> R(c)`` (monotone: ``c -> c | R(c)``), where R(c) is the set of
-nodes whose best response to c is active; the seed drops out because every
-configuration of a monotone run contains its seed. Runs from different seeds
-therefore walk one functional graph, and one memo per solve maps each mask to
-its fate: the first match with S after d steps, or no match with the repeat
-the reference ``run_simultaneous`` detects at step d. Keeping d for both keeps
-verdicts under an explicit step cap equal to the per-seed reference loop's,
-except that a cap becomes "infeasible" where a forced node or an overshoot
-proves no match: a monotone run stops as soon as it leaves S, because it only
-grows and so can never match after that. A ``Trace`` is built only when a
-certificate is replayed.
+Per-seed checks:
 
-"infeasible" is only ever reported after the complete candidate space was
-exhausted (or a forced node or an overshoot proves it for every seed left);
-if any search hit a resource cap first, the verdict degrades to
+* simultaneous, both modes: the run on bitmasks of one seed-independent step
+  map, ``c -> R(c)`` (monotone: ``c -> c | R(c)``), where R(c) is the set of
+  nodes whose best response to c is active; the seed drops out because every
+  configuration of a monotone run contains its seed. Runs from different
+  seeds therefore walk one functional graph, and one memo per solve maps each
+  mask to its fate: the first match with S after d steps, or no match with
+  the repeat the reference ``run_simultaneous`` detects at step d. Keeping d
+  for both keeps verdicts under an explicit step cap equal to the per-seed
+  reference loop's, except that a cap becomes "infeasible" where a forced
+  node or an overshoot proves no match: a monotone run stops as soon as it
+  leaves S, because it only grows and so can never match after that. A
+  ``Trace`` is built only when a certificate is replayed;
+* monotone sequential: the monotone closure of the seed inside S (never
+  selecting outside nodes is always safe and always sufficient), computed
+  with its canonical activation order, lowest-id eligible node first, in one
+  pass (``_closure``);
+* non-monotone sequential: ``_bfs``, the one breadth-first search over single
+  best-response moves. Node v may switch on if bit v of ``on`` is set and off
+  if bit v of ``off`` is set: the plain search uses on = off = V (monotone
+  reachability for the oracles: off = {}), the budget-1 solver and the
+  ``clearing`` check use on = S | seed, off = seed, so only snapshot nodes
+  activate and only the seed may deactivate. Moves expand in ascending node
+  id, so the first shortest witness found is canonical. The searches of one
+  solve share a memo of response masks, since they cross the same states.
+
+One cap rule: a configuration search caps only when a new state arrives
+while ``max_states`` states are already stored, so a reachable set of exactly
+``max_states`` states is enumerated in full; a simultaneous run caps when it
+has not settled after ``max_steps`` steps. A check that caps raises
+``SearchCapExceeded`` carrying the states it stored, and ``_search`` is the
+only place that turns it into a verdict: "infeasible" is only ever reported
+after every candidate was checked (or a forced node or an overshoot proves
+it for every seed left); if any check capped first, the verdict degrades to
 "resource_cap_hit" instead of risking a silent false negative.
 
 Everything here is pure over immutable inputs; seed candidates are
@@ -51,17 +69,13 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from heapq import heappop, heappush
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .dynamics import (
-    _move_targets,
-    _response_mask,
-    _step_mask,
-    default_max_steps,
-    run_simultaneous,
-)
+from .dynamics import _response_mask, _step_mask, default_max_steps
 from .model import (
     Certificate,
     DynamicsMode,
@@ -70,6 +84,7 @@ from .model import (
     SequentialWitness,
     SimultaneousWitness,
     SnapshotInstance,
+    Witness,
     closed_neighborhood,
     iter_bits,
     mask_of,
@@ -82,7 +97,12 @@ VERDICT_CAP = "resource_cap_hit"
 
 
 class SearchCapExceeded(RuntimeError):
-    """A state-space enumeration outgrew its limits before finishing."""
+    """A state-space enumeration outgrew its limits before finishing;
+    ``states`` is the number of states it had stored or stepped through."""
+
+    def __init__(self, message: str, states: int = 0):
+        super().__init__(message)
+        self.states = states
 
 
 @dataclass(frozen=True)
@@ -146,11 +166,52 @@ class SolveOutcome:
         return out
 
 
+# A per-seed check: the witness of a match (or None) and the states it used.
+SeedCheck = Callable[[int], tuple[Optional[Witness], int]]
+
+
 def canonical_seed_sets(candidates: Iterable[int], max_size: int) -> Iterator[tuple[int, ...]]:
     """Seed sets by increasing size, lexicographic within a size."""
     pool = sorted(candidates)
     for size in range(0, min(max_size, len(pool)) + 1):
         yield from combinations(pool, size)
+
+
+def _seed_masks(pool: Iterable[int], forced: int, budget: int) -> Iterator[int]:
+    """Seed masks of size <= budget that contain ``forced`` and draw the rest
+    from ``pool``, in canonical order.
+
+    Enumerating by the free part keeps the canonical order of the full space:
+    same size, and the least element of a symmetric difference is never a
+    forced node. A forced mask over budget yields nothing.
+    """
+    free_pool = [v for v in pool if not forced >> v & 1]
+    for free in canonical_seed_sets(free_pool, budget - forced.bit_count()):
+        yield forced | mask_of(free)
+
+
+def _search(seeds: Iterable[int], check: SeedCheck) -> SolveOutcome:
+    """Run ``check`` on each seed mask in order and report the first seed
+    whose check returns a witness. A seed whose check raises
+    SearchCapExceeded counts as capped, and a search that finds no seed then
+    reads ``resource_cap_hit`` rather than ``infeasible``."""
+    t0 = time.perf_counter()
+    stats = SolveStats()
+    verdict, cert = VERDICT_INFEASIBLE, None
+    for seed_mask in seeds:
+        stats.seeds_tried += 1
+        try:
+            witness, states = check(seed_mask)
+        except SearchCapExceeded as cap:
+            stats.states_expanded += cap.states
+            verdict = VERDICT_CAP
+            continue
+        stats.states_expanded += states
+        if witness is not None:
+            verdict, cert = VERDICT_FEASIBLE, Certificate(nodes_of(seed_mask), witness)
+            break
+    stats.wall_time = time.perf_counter() - t0
+    return SolveOutcome(verdict, cert, stats)
 
 
 def monotone_closure(
@@ -168,145 +229,139 @@ def monotone_closure(
     seed_mask = mask_of(seed)
     if seed_mask & ~restrict:
         raise ValueError("seed must lie inside restrict_to")
-    return nodes_of(_closure_mask(graph.adj_masks, thresholds, seed_mask, restrict))
+    return nodes_of(_closure(graph.adj_masks, thresholds, seed_mask, restrict)[0])
 
 
-def _closure_mask(
+def _closure(
     adj_masks: Sequence[int], thresholds: Sequence[int], seed_mask: int, restrict: int
-) -> int:
-    active = seed_mask
-    frontier = True
-    while frontier:
-        frontier = False
-        pending = restrict & ~active
-        for v in iter_bits(pending):
-            if (adj_masks[v] & active).bit_count() >= thresholds[v]:
-                active |= 1 << v
-                frontier = True
-    return active
+) -> tuple[int, list[int]]:
+    """Monotone closure of the seed inside ``restrict``, and the canonical
+    order that realizes it: the lowest-id eligible node activates first.
 
-
-def _closure_order(
-    adj_masks: Sequence[int], thresholds: Sequence[int], seed_mask: int, restrict: int
-) -> list[int]:
-    """A canonical activation order realizing the closure: repeatedly activate
-    the lowest-id eligible node."""
+    Eligibility only grows, so a heap of eligible nodes, fed by the
+    neighbours of each node it activates, pops them in that order in one
+    pass.
+    """
     active = seed_mask
+    heap = [
+        v for v in iter_bits(restrict & ~active)
+        if (adj_masks[v] & active).bit_count() >= thresholds[v]
+    ]
+    queued = mask_of(heap)
     order: list[int] = []
-    while True:
-        for v in iter_bits(restrict & ~active):
-            if (adj_masks[v] & active).bit_count() >= thresholds[v]:
-                active |= 1 << v
-                order.append(v)
-                break
-        else:
-            return order
+    while heap:
+        v = heappop(heap)
+        active |= 1 << v
+        order.append(v)
+        for u in iter_bits(adj_masks[v] & restrict & ~active & ~queued):
+            if (adj_masks[u] & active).bit_count() >= thresholds[u]:
+                heappush(heap, u)
+                queued |= 1 << u
+    return active, order
 
 
-def _bfs_to_target(
+def _bfs(
     adj_masks: Sequence[int],
     thresholds: Sequence[int],
-    seed_mask: int,
-    target_mask: int,
-    monotone: bool,
+    start: int,
+    target: int,
+    on: int,
+    off: int,
     max_states: int,
-) -> tuple[Optional[list[Move]], int, bool]:
-    """Shortest move sequence from the seed configuration to the target, by
-    breadth-first search over reachable configurations.
+    responses: dict[int, int],
+) -> dict[int, Optional[int]]:
+    """Breadth-first search over single best-response moves from ``start``:
+    node v may switch on if bit v of ``on`` is set, and off if bit v of
+    ``off`` is set.
 
-    Returns (moves or None, states visited, cap hit). Move expansion order is
-    ascending node id, so the first shortest witness found is canonical.
+    Returns the parent of every stored state (``start`` maps to None); the
+    move into a state flips the one bit of ``parent ^ state``. Stops once
+    ``target`` is stored (-1 enumerates every reachable state). Raises
+    SearchCapExceeded when a new state arrives while ``max_states`` states
+    are already stored. ``responses`` memoizes the response mask of up to
+    ``max_states`` states for every search on the same graph that shares it;
+    searches from different seeds of one instance cross the same states.
     """
-    if seed_mask == target_mask:
-        return [], 1, False
-    parents: dict[int, tuple[int, Move]] = {seed_mask: (-1, Move(0, True))}
-    queue = deque([seed_mask])
+    parents: dict[int, Optional[int]] = {start: None}
+    if start == target:
+        return parents
+    queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for move, nxt in _move_targets(adj_masks, thresholds, cur, monotone):
+        response = responses.get(cur)
+        if response is None:
+            response = _response_mask(adj_masks, thresholds, cur)
+            if len(responses) < max_states:
+                responses[cur] = response
+        flips = (response ^ cur) & (on & ~cur | off & cur)
+        while flips:
+            bit = flips & -flips
+            flips ^= bit
+            nxt = cur ^ bit
             if nxt in parents:
                 continue
-            parents[nxt] = (cur, move)
-            if nxt == target_mask:
-                moves: list[Move] = []
-                node = nxt
-                while node != seed_mask:
-                    prev, mv = parents[node]
-                    moves.append(mv)
-                    node = prev
-                moves.reverse()
-                return moves, len(parents), False
             if len(parents) >= max_states:
-                return None, len(parents), True
+                raise SearchCapExceeded(
+                    f"configuration search exceeded max_states={max_states}", len(parents)
+                )
+            parents[nxt] = cur
+            if nxt == target:
+                return parents
             queue.append(nxt)
-    return None, len(parents), False
+    return parents
 
 
-def _reachable_mask_set(
-    graph: Graph,
+def _moves_to(parents: dict[int, Optional[int]], state: int) -> tuple[Move, ...]:
+    """The moves of the stored path from the search's start to ``state``."""
+    moves: list[Move] = []
+    prev = parents[state]
+    while prev is not None:
+        bit = prev ^ state
+        moves.append(Move(bit.bit_length() - 1, bool(state & bit)))
+        state, prev = prev, parents[prev]
+    moves.reverse()
+    return tuple(moves)
+
+
+def _bfs_check(
+    adj_masks: Sequence[int],
     thresholds: Sequence[int],
+    s_mask: int,
+    max_states: int,
+    restricted: bool,
+    responses: dict[int, int],
     seed_mask: int,
-    mode: DynamicsMode,
-    limits: SearchLimits,
-) -> set[int]:
-    """All configuration masks a run from the seed can visit. Raises
-    SearchCapExceeded when the enumeration outgrows the limits."""
-    adj_masks = graph.adj_masks
-    if mode.simultaneous:
-        seen = {seed_mask}
-        cur = seed_mask
-        for _ in range(limits.steps_for(graph.n)):
-            cur = _step_mask(adj_masks, thresholds, cur, seed_mask, mode.monotone)
-            if cur in seen:
-                return seen
-            seen.add(cur)
-        raise SearchCapExceeded("simultaneous trajectory exceeded the step cap")
-    seen = {seed_mask}
-    queue = deque([seed_mask])
-    while queue:
-        cur = queue.popleft()
-        for _, nxt in _move_targets(adj_masks, thresholds, cur, mode.monotone):
-            if nxt not in seen:
-                if len(seen) >= limits.max_states:
-                    raise SearchCapExceeded("sequential reachability exceeded max_states")
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
+) -> tuple[Optional[SequentialWitness], int]:
+    """Non-monotone sequential check: a shortest move sequence from the seed
+    to S, over all moves or, ``restricted``, over the clearing-restricted
+    moves (only S activates, only the seed deactivates)."""
+    if restricted:
+        on, off = s_mask | seed_mask, seed_mask
+    else:
+        on = off = (1 << len(adj_masks)) - 1
+    parents = _bfs(adj_masks, thresholds, seed_mask, s_mask, on, off, max_states, responses)
+    if s_mask not in parents:
+        return None, len(parents)
+    moves = _moves_to(parents, s_mask)
+    return SequentialWitness(moves, len(moves)), len(parents)
 
 
-def reachable_configs(
-    graph: Graph,
-    thresholds: Sequence[int],
-    seed: Iterable[int],
-    mode: DynamicsMode,
-    limits: SearchLimits = DEFAULT_LIMITS,
-) -> set[frozenset[int]]:
-    """Every configuration reachable from the seed under the mode: the whole
-    move-reachable space for sequential dynamics, the trajectory up to cycle
-    closure for simultaneous dynamics."""
-    masks = _reachable_mask_set(graph, thresholds, mask_of(seed), mode, limits)
-    return {nodes_of(m) for m in masks}
-
-
-def _require_mode(instance: SnapshotInstance, order: str, monotone: bool, who: str) -> None:
-    if instance.mode.order != order or instance.mode.monotone != monotone:
-        raise ValueError(
-            f"{who} handles {('monotone ' if monotone else '')}{order} dynamics, "
-            f"instance mode is {instance.mode.describe()}"
-        )
-
-
-def _outcome(verdict: str, cert: Optional[Certificate], stats: SolveStats, t0: float) -> SolveOutcome:
-    stats.wall_time = time.perf_counter() - t0
-    return SolveOutcome(verdict, cert, stats)
+def _closure_check(
+    adj_masks: Sequence[int], thresholds: Sequence[int], s_mask: int, seed_mask: int
+) -> tuple[Optional[SequentialWitness], int]:
+    """Monotone sequential check: the closure of the seed inside S is S."""
+    closure, order = _closure(adj_masks, thresholds, seed_mask, s_mask)
+    if closure != s_mask:
+        return None, len(order) + 1
+    return SequentialWitness(tuple(Move(v, True) for v in order), len(order)), len(order) + 1
 
 
 def _forced_seed_mask(adj_masks: Sequence[int], thresholds: Sequence[int], s_mask: int) -> int:
     """Snapshot nodes with fewer than their threshold of neighbors inside S.
 
-    Under monotone simultaneous dynamics every configuration before a match
-    lies inside S, so such a node can never activate before the match and
-    must already be in the seed.
+    Under monotone dynamics, simultaneous or sequential, every configuration
+    before a match lies inside S, so such a node can never activate before
+    the match and must already be in the seed.
     """
     return mask_of(
         v for v in iter_bits(s_mask)
@@ -322,10 +377,11 @@ def _simultaneous_fate(
     max_steps: int,
     fates: dict[int, Optional[int]],
     start: int,
-) -> tuple[Optional[int], int]:
-    """Fate of the run from ``start`` under the seed-independent step map
-    (``c -> R(c)``, monotone ``c -> c | R(c)``), and the number of masks
-    whose successor this call computed.
+) -> tuple[Optional[SimultaneousWitness], int]:
+    """Simultaneous check: the fate of the run from ``start`` under the
+    seed-independent step map (``c -> R(c)``, monotone ``c -> c | R(c)``),
+    as a witness when it is a match, and the number of masks whose successor
+    this call computed.
 
     A fate ``d >= 0`` is a first match with S after d steps; ``-d`` is no
     match, with the repeat that ``run_simultaneous`` detects at step d; None
@@ -333,8 +389,8 @@ def _simultaneous_fate(
     settles goes into ``fates`` with its fate as a start of its own, so a
     later seed whose run reaches it stops there; ``fates`` must start as
     ``{s_mask: 0}``. A walk that has not settled after ``max_steps`` steps
-    stores nothing and reports ``-(max_steps + 1)``, the step cap of the
-    reference run.
+    stores nothing, and it and a fate beyond ``max_steps`` raise
+    SearchCapExceeded, as the reference run hits its step cap first.
     """
     path: dict[int, int] = {}
     cur = start
@@ -350,9 +406,9 @@ def _simultaneous_fate(
             j, length = path[cur], len(path)
             for mask, i in path.items():
                 fates[mask] = -(length - min(i, j))
-            return fates[start], length
+            return None, length
         if len(path) == max_steps:
-            return -(max_steps + 1), max_steps
+            raise SearchCapExceeded("simultaneous run hit the step cap", max_steps)
         path[cur] = len(path)
         responders = _response_mask(adj_masks, thresholds, cur)
         cur = cur | responders if monotone else responders
@@ -364,49 +420,101 @@ def _simultaneous_fate(
             fates[mask] = tail + length - i
         else:
             fates[mask] = tail - (length - i)
-    return fates[start], length
+    if tail is None:
+        return None, length
+    fate = tail + length if tail >= 0 else tail - length
+    if abs(fate) > max_steps:
+        raise SearchCapExceeded("simultaneous run hit the step cap", length)
+    return (SimultaneousWitness(fate) if fate >= 0 else None), length
 
 
-def _solve_simultaneous_common(instance: SnapshotInstance, limits: SearchLimits, seed_pool: Sequence[int]) -> SolveOutcome:
-    t0 = time.perf_counter()
-    stats = SolveStats()
+def _seeds(instance: SnapshotInstance) -> Iterator[int]:
+    """Candidate seed masks of the instance's mode: all of V, or under
+    monotone dynamics the supersets of the forced set inside S."""
+    if not instance.mode.monotone:
+        return _seed_masks(range(instance.n), 0, instance.budget)
+    s_mask = instance.snapshot_mask()
+    forced = _forced_seed_mask(instance.graph.adj_masks, instance.thresholds, s_mask)
+    return _seed_masks(instance.snapshot, forced, instance.budget)
+
+
+def _seed_check(
+    instance: SnapshotInstance, limits: SearchLimits, restricted: bool = False
+) -> SeedCheck:
+    """The per-seed check of the instance's mode. It keeps one memo for all
+    the seeds it is called on: of fates (simultaneous) or of response masks
+    (non-monotone sequential)."""
     adj_masks, thresholds = instance.graph.adj_masks, instance.thresholds
     s_mask = instance.snapshot_mask()
-    monotone = instance.mode.monotone
-    max_steps = limits.steps_for(instance.graph.n)
-    forced = _forced_seed_mask(adj_masks, thresholds, s_mask) if monotone else 0
-    spare = instance.budget - forced.bit_count()
-    if spare < 0:
-        return _outcome(VERDICT_INFEASIBLE, None, stats, t0)
-    # Supersets of the forced set, enumerated by their free part, come out
-    # in the canonical order of the full space: same size, and the least
-    # element of a symmetric difference is never a forced node.
-    free_pool = [v for v in seed_pool if not forced >> v & 1]
-    fates: dict[int, Optional[int]] = {s_mask: 0}
-    capped = False
-    for free in canonical_seed_sets(free_pool, spare):
-        stats.seeds_tried += 1
-        seed_mask = forced | mask_of(free)
-        fate, expanded = _simultaneous_fate(
-            adj_masks, thresholds, s_mask, monotone, max_steps, fates, seed_mask
+    if instance.mode.simultaneous:
+        return partial(
+            _simultaneous_fate, adj_masks, thresholds, s_mask, instance.mode.monotone,
+            limits.steps_for(instance.n), {s_mask: 0},
         )
-        stats.states_expanded += expanded
-        if fate is None:
-            continue
-        if abs(fate) > max_steps:
-            capped = True
-        elif fate >= 0:
-            cert = Certificate(nodes_of(seed_mask), SimultaneousWitness(fate))
-            return _outcome(VERDICT_FEASIBLE, cert, stats, t0)
-    return _outcome(VERDICT_CAP if capped else VERDICT_INFEASIBLE, None, stats, t0)
+    if instance.mode.monotone:
+        return partial(_closure_check, adj_masks, thresholds, s_mask)
+    return partial(_bfs_check, adj_masks, thresholds, s_mask, limits.max_states, restricted, {})
+
+
+def _reachable_mask_set(
+    graph: Graph,
+    thresholds: Sequence[int],
+    seed_mask: int,
+    mode: DynamicsMode,
+    limits: SearchLimits,
+    responses: dict[int, int],
+) -> set[int]:
+    """All configuration masks a run from the seed can visit. Raises
+    SearchCapExceeded when the enumeration outgrows the limits. Sequential
+    enumerations on one graph may share the ``responses`` memo."""
+    if mode.simultaneous:
+        seen = {seed_mask}
+        cur = seed_mask
+        for _ in range(limits.steps_for(graph.n)):
+            cur = _step_mask(graph.adj_masks, thresholds, cur, seed_mask, mode.monotone)
+            if cur in seen:
+                return seen
+            seen.add(cur)
+        raise SearchCapExceeded("simultaneous trajectory exceeded the step cap")
+    everything = graph.full_mask()
+    off = 0 if mode.monotone else everything
+    parents = _bfs(graph.adj_masks, thresholds, seed_mask, -1, everything, off, limits.max_states, responses)
+    return set(parents)
+
+
+def reachable_configs(
+    graph: Graph,
+    thresholds: Sequence[int],
+    seed: Iterable[int],
+    mode: DynamicsMode,
+    limits: SearchLimits = DEFAULT_LIMITS,
+) -> set[frozenset[int]]:
+    """Every configuration reachable from the seed under the mode: the whole
+    move-reachable space for sequential dynamics, the trajectory up to cycle
+    closure for simultaneous dynamics."""
+    masks = _reachable_mask_set(graph, thresholds, mask_of(seed), mode, limits, {})
+    return {nodes_of(m) for m in masks}
+
+
+def _require_mode(instance: SnapshotInstance, order: str, monotone: bool, who: str) -> None:
+    if instance.mode.order != order or instance.mode.monotone != monotone:
+        raise ValueError(
+            f"{who} handles {('monotone ' if monotone else '')}{order} dynamics, "
+            f"instance mode is {instance.mode.describe()}"
+        )
+
+
+def solve(instance: SnapshotInstance, limits: SearchLimits = DEFAULT_LIMITS) -> SolveOutcome:
+    """Decide the instance under its own dynamics mode."""
+    return _search(_seeds(instance), _seed_check(instance, limits))
 
 
 def solve_monotone_simultaneous(
     instance: SnapshotInstance, limits: SearchLimits = DEFAULT_LIMITS
 ) -> SolveOutcome:
-    """Monotone simultaneous feasibility; seeds enumerated inside S only."""
+    """Monotone simultaneous feasibility; seeds inside S that contain F."""
     _require_mode(instance, "simultaneous", True, "solve_monotone_simultaneous")
-    return _solve_simultaneous_common(instance, limits, sorted(instance.snapshot))
+    return solve(instance, limits)
 
 
 def solve_simultaneous(
@@ -414,29 +522,16 @@ def solve_simultaneous(
 ) -> SolveOutcome:
     """Non-monotone simultaneous feasibility; seeds enumerated over all of V."""
     _require_mode(instance, "simultaneous", False, "solve_simultaneous")
-    return _solve_simultaneous_common(instance, limits, range(instance.graph.n))
+    return solve(instance, limits)
 
 
 def solve_monotone_sequential(
     instance: SnapshotInstance, limits: SearchLimits = DEFAULT_LIMITS
 ) -> SolveOutcome:
-    """Monotone sequential feasibility: some seed inside S has monotone
-    closure exactly S when activation is confined to S."""
+    """Monotone sequential feasibility: some seed inside S that contains F
+    has monotone closure exactly S when activation is confined to S."""
     _require_mode(instance, "sequential", True, "solve_monotone_sequential")
-    t0 = time.perf_counter()
-    stats = SolveStats()
-    adj_masks, thresholds = instance.graph.adj_masks, instance.thresholds
-    s_mask = instance.snapshot_mask()
-    for seed_tuple in canonical_seed_sets(sorted(instance.snapshot), instance.budget):
-        stats.seeds_tried += 1
-        seed_mask = mask_of(seed_tuple)
-        closure = _closure_mask(adj_masks, thresholds, seed_mask, s_mask)
-        stats.states_expanded += (closure ^ seed_mask).bit_count() + 1
-        if closure == s_mask:
-            order = _closure_order(adj_masks, thresholds, seed_mask, s_mask)
-            witness = SequentialWitness(tuple(Move(v, True) for v in order), len(order))
-            return _outcome(VERDICT_FEASIBLE, Certificate(frozenset(seed_tuple), witness), stats, t0)
-    return _outcome(VERDICT_INFEASIBLE, None, stats, t0)
+    return solve(instance, limits)
 
 
 def solve_sequential(
@@ -445,76 +540,7 @@ def solve_sequential(
     """Non-monotone sequential feasibility by breadth-first search over the
     configuration space, per seed over all of V."""
     _require_mode(instance, "sequential", False, "solve_sequential")
-    t0 = time.perf_counter()
-    stats = SolveStats()
-    adj_masks, thresholds = instance.graph.adj_masks, instance.thresholds
-    target_mask = instance.snapshot_mask()
-    capped = False
-    for seed_tuple in canonical_seed_sets(range(instance.graph.n), instance.budget):
-        stats.seeds_tried += 1
-        moves, visited, cap = _bfs_to_target(
-            adj_masks, thresholds, mask_of(seed_tuple), target_mask,
-            monotone=False, max_states=limits.max_states,
-        )
-        stats.states_expanded += visited
-        capped = capped or cap
-        if moves is not None:
-            witness = SequentialWitness(tuple(moves), len(moves))
-            return _outcome(VERDICT_FEASIBLE, Certificate(frozenset(seed_tuple), witness), stats, t0)
-    return _outcome(VERDICT_CAP if capped else VERDICT_INFEASIBLE, None, stats, t0)
-
-
-def _restricted_k1_bfs(
-    adj_masks: Sequence[int],
-    thresholds: Sequence[int],
-    s_mask: int,
-    u0: Optional[int],
-    max_states: int,
-) -> tuple[Optional[list[Move]], int, bool]:
-    """Search the clearing-restricted space for one seed candidate.
-
-    States are configurations over S plus the candidate u0; moves are
-    activations of snapshot nodes and best-response toggles of u0 only, so no
-    node other than u0 ever deactivates. Neighbor counts only ever see active
-    nodes inside S union {u0}, which equals counting inside the induced
-    subgraph on S union {u0}.
-    """
-    u0_bit = 0 if u0 is None else 1 << u0
-    arena = s_mask | u0_bit
-    start = u0_bit
-    if start == s_mask:
-        return [], 1, False
-    parents: dict[int, tuple[int, Move]] = {start: (-1, Move(0, True))}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for v in iter_bits(arena):
-            bit = 1 << v
-            met = (adj_masks[v] & cur).bit_count() >= thresholds[v]
-            if not cur & bit:
-                if not met:
-                    continue
-                nxt = cur | bit
-            elif v == u0 and not met:
-                nxt = cur & ~bit
-            else:
-                continue
-            if nxt in parents:
-                continue
-            parents[nxt] = (cur, Move(v, bool(nxt & bit)))
-            if nxt == s_mask:
-                moves: list[Move] = []
-                node = nxt
-                while node != start:
-                    prev, mv = parents[node]
-                    moves.append(mv)
-                    node = prev
-                moves.reverse()
-                return moves, len(parents), False
-            if len(parents) >= max_states:
-                return None, len(parents), True
-            queue.append(nxt)
-    return None, len(parents), False
+    return solve(instance, limits)
 
 
 def solve_sequential_k1(
@@ -527,36 +553,8 @@ def solve_sequential_k1(
     _require_mode(instance, "sequential", False, "solve_sequential_k1")
     if instance.budget != 1:
         raise ValueError(f"solve_sequential_k1 requires budget 1, got {instance.budget}")
-    t0 = time.perf_counter()
-    stats = SolveStats()
-    adj_masks, thresholds = instance.graph.adj_masks, instance.thresholds
-    s_mask = instance.snapshot_mask()
-    candidates: list[Optional[int]] = [None]
-    candidates.extend(sorted(closed_neighborhood(instance.graph, instance.snapshot)))
-    capped = False
-    for u0 in candidates:
-        stats.seeds_tried += 1
-        moves, visited, cap = _restricted_k1_bfs(
-            adj_masks, thresholds, s_mask, u0, limits.max_states
-        )
-        stats.states_expanded += visited
-        capped = capped or cap
-        if moves is not None:
-            seed = frozenset() if u0 is None else frozenset({u0})
-            witness = SequentialWitness(tuple(moves), len(moves))
-            return _outcome(VERDICT_FEASIBLE, Certificate(seed, witness), stats, t0)
-    return _outcome(VERDICT_CAP if capped else VERDICT_INFEASIBLE, None, stats, t0)
-
-
-def solve(instance: SnapshotInstance, limits: SearchLimits = DEFAULT_LIMITS) -> SolveOutcome:
-    """Dispatch to the solver for the instance's dynamics mode."""
-    if instance.mode.simultaneous:
-        if instance.mode.monotone:
-            return solve_monotone_simultaneous(instance, limits)
-        return solve_simultaneous(instance, limits)
-    if instance.mode.monotone:
-        return solve_monotone_sequential(instance, limits)
-    return solve_sequential(instance, limits)
+    pool = closed_neighborhood(instance.graph, instance.snapshot)
+    return _search(_seed_masks(pool, 0, 1), _seed_check(instance, limits, restricted=True))
 
 
 def seed_feasible(
@@ -567,31 +565,5 @@ def seed_feasible(
     """Check one specific seed set under the instance's mode; a certificate on
     success, None otherwise. Raises SearchCapExceeded on resource caps."""
     seed_set = frozenset(seed)
-    graph, thresholds = instance.graph, instance.thresholds
-    if instance.mode.simultaneous:
-        result = run_simultaneous(
-            graph, thresholds, seed_set, instance.mode,
-            target=instance.snapshot, max_steps=limits.steps_for(graph.n),
-        )
-        if result.termination.kind == "step_cap_hit":
-            raise SearchCapExceeded("simultaneous run hit the step cap")
-        if result.matched:
-            return Certificate(seed_set, SimultaneousWitness(result.trace.match_time))
-        return None
-    if instance.mode.monotone:
-        if not seed_set <= instance.snapshot:
-            return None
-        s_mask = instance.snapshot_mask()
-        if _closure_mask(graph.adj_masks, thresholds, mask_of(seed_set), s_mask) != s_mask:
-            return None
-        order = _closure_order(graph.adj_masks, thresholds, mask_of(seed_set), s_mask)
-        return Certificate(seed_set, SequentialWitness(tuple(Move(v, True) for v in order), len(order)))
-    moves, _, cap = _bfs_to_target(
-        graph.adj_masks, thresholds, mask_of(seed_set), instance.snapshot_mask(),
-        monotone=False, max_states=limits.max_states,
-    )
-    if cap:
-        raise SearchCapExceeded("sequential seed search hit max_states")
-    if moves is None:
-        return None
-    return Certificate(seed_set, SequentialWitness(tuple(moves), len(moves)))
+    witness, _ = _seed_check(instance, limits)(mask_of(seed_set))
+    return None if witness is None else Certificate(seed_set, witness)

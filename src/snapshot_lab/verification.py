@@ -36,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .cliques import solve_clique
 from .model import (
@@ -55,8 +55,8 @@ from .solvers import (
     DEFAULT_LIMITS,
     SearchCapExceeded,
     SearchLimits,
+    _bfs,
     _reachable_mask_set,
-    _restricted_k1_bfs,
     canonical_seed_sets,
     seed_feasible,
     solve,
@@ -75,8 +75,9 @@ def _feasible_masks(
     limits: SearchLimits,
 ) -> set[int]:
     out: set[int] = set()
+    responses: dict[int, int] = {}
     for seed in canonical_seed_sets(range(graph.n), k):
-        out |= _reachable_mask_set(graph, thresholds, mask_of(seed), mode, limits)
+        out |= _reachable_mask_set(graph, thresholds, mask_of(seed), mode, limits, responses)
     return out
 
 
@@ -154,9 +155,11 @@ def _check_feasible_sim_2(instance: SnapshotInstance, limits: SearchLimits) -> l
 
 def _check_neighbor(instance: SnapshotInstance, limits: SearchLimits) -> list[dict]:
     g, t = instance.graph, instance.thresholds
-    reach_empty = _reachable_mask_set(g, t, 0, PLAIN_SEQUENTIAL, limits)
+    responses: dict[int, int] = {}
+    reach_empty = _reachable_mask_set(g, t, 0, PLAIN_SEQUENTIAL, limits, responses)
     reach = [
-        _reachable_mask_set(g, t, 1 << u, PLAIN_SEQUENTIAL, limits) for u in range(g.n)
+        _reachable_mask_set(g, t, 1 << u, PLAIN_SEQUENTIAL, limits, responses)
+        for u in range(g.n)
     ]
     feasible = set(reach_empty)
     for r in reach:
@@ -175,13 +178,15 @@ def _check_neighbor(instance: SnapshotInstance, limits: SearchLimits) -> list[di
 def _check_clearing(instance: SnapshotInstance, limits: SearchLimits) -> list[dict]:
     g, t = instance.graph, instance.thresholds
     violations = []
+    responses: dict[int, int] = {}
     for u0 in range(g.n):
-        reach_full = _reachable_mask_set(g, t, 1 << u0, PLAIN_SEQUENTIAL, limits)
+        u0_bit = 1 << u0
+        reach_full = _reachable_mask_set(g, t, u0_bit, PLAIN_SEQUENTIAL, limits, responses)
         for s_mask in range(1 << g.n):
-            moves, _, capped = _restricted_k1_bfs(g.adj_masks, t, s_mask, u0, limits.max_states)
-            if capped:
-                raise SearchCapExceeded("restricted search hit max_states")
-            restricted = moves is not None
+            restricted = s_mask in _bfs(
+                g.adj_masks, t, u0_bit, s_mask, s_mask | u0_bit, u0_bit,
+                limits.max_states, responses,
+            )
             full = s_mask in reach_full
             if restricted != full:
                 violations.append(

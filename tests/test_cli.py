@@ -157,6 +157,59 @@ def test_enumerate_cap_exits_one_with_message(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_enumerate_state_cap_boundary(tmp_path, capsys):
+    # one seed of this star reaches exactly 65 states, so a cap of 65 holds
+    star7 = _write(tmp_path / "star7.json", {
+        "labels": [f"s{i}" for i in range(7)],
+        "edges": [[0, i] for i in range(1, 7)],
+        "thresholds": [1] * 7,
+        "snapshot": [1, 2],
+        "budget": 1,
+        "dynamics": {"order": "sequential", "monotone": False},
+    })
+    assert run(["enumerate", "--instance", star7, "--max-states", "65"]) == 0
+    capsys.readouterr()
+    assert run(["enumerate", "--instance", star7, "--max-states", "64"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_reduce_check_cap_is_an_error_not_a_disagreement(tmp_path, capsys):
+    path7 = _write(tmp_path / "path7.json", {
+        "labels": [f"p{i}" for i in range(7)],
+        "edges": [[i, i + 1] for i in range(6)],
+        "thresholds": [1] * 7,
+        "budget": 1,
+    })
+    argv = ["reduce", "--gadget", "seqk1", "--instance", path7, "--check"]
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["agree"] is True
+    assert run(argv + ["--max-states", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("replay", {"seed": 5, "witness": {"type": "simultaneous", "match_time": 1}}),
+        ("replay", {"seed": [0, 2], "witness": 3}),
+        ("replay", [1]),
+        ("replay", {"seed": [0], "witness": {"type": "sequential", "ordering": [5]}}),
+        ("embed", 5),
+        ("embed", {"labels": ["a"], "edges": [], "thresholds": [1], "budget": True}),
+    ],
+    ids=["int-seed", "int-witness", "list-document", "int-move", "int-document", "bool-budget"],
+)
+def test_malformed_documents_exit_two(tmp_path, star4_file, capsys, command, doc):
+    path = _write(tmp_path / "doc.json", doc)
+    if command == "replay":
+        argv = ["simulate", "--instance", star4_file, "--replay", path]
+    else:
+        argv = ["reduce", "--gadget", "embed", "--instance", path]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_enumerate_lists_snapshots(star4_file, capsys):
     assert run(["enumerate", "--instance", star4_file, "--budget", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)

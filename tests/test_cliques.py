@@ -16,12 +16,9 @@ from snapshot_lab import (
     rule_low_threshold_outside,
     rule_prune_outside,
     rule_threshold_collision,
-    run_simultaneous,
     solve_clique,
     solve_monotone_simultaneous,
 )
-from snapshot_lab.cliques import clique_cascade
-from snapshot_lab.model import Graph, mask_of, nodes_of
 
 from conftest import assert_certificate_replays
 
@@ -120,19 +117,6 @@ def test_solve_clique_match_at_time_zero(clique):
 def test_solve_clique_rejects_non_monotone(clique):
     with pytest.raises(ValueError):
         solve_clique(clique(3, (1, 1, 1), {0}, 1, PLAIN_SIMULTANEOUS))
-
-
-def test_cascade_matches_generic_engine_on_cliques(clique):
-    rng = random.Random(23)
-    for _ in range(60):
-        n = rng.randint(1, 8)
-        t = tuple(rng.randint(0, n) for _ in range(n))
-        seed = frozenset(v for v in range(n) if rng.random() < 0.4)
-        inst = clique(n, t, seed, n, MONOTONE_SIMULTANEOUS)
-        masks = clique_cascade(t, mask_of(seed), inst.graph.full_mask())
-        result = run_simultaneous(inst.graph, t, seed, MONOTONE_SIMULTANEOUS)
-        engine = [frozenset(seed)] + [s.config.active for s in result.trace.steps]
-        assert [nodes_of(m) for m in masks] == engine
 
 
 def test_rule_soundness_against_brute_force(clique):

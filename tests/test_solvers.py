@@ -28,7 +28,8 @@ from snapshot_lab import (
     solve_simultaneous,
 )
 from snapshot_lab.generator import GeneratorParams, instance_stream
-from snapshot_lab.solvers import canonical_seed_sets
+from snapshot_lab.model import mask_of, nodes_of
+from snapshot_lab.solvers import _closure, canonical_seed_sets
 
 from conftest import assert_certificate_replays, small_instances
 
@@ -75,6 +76,47 @@ def test_monotone_closure_is_order_independent(instance):
                 break
             active.add(rng.choice(eligible))
         assert frozenset(active) == expected
+
+
+def _rescan_closure(graph, thresholds, seed, restrict):
+    """Reference closure order: rescan for the lowest-id eligible node after
+    every activation."""
+    active, order = set(seed), []
+    while True:
+        eligible = [
+            v for v in sorted(restrict - active)
+            if len(set(graph.adj[v]) & active) >= thresholds[v]
+        ]
+        if not eligible:
+            return frozenset(active), order
+        active.add(eligible[0])
+        order.append(eligible[0])
+
+
+@given(small_instances(max_n=8), st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_pass_closure_matches_rescan_order(instance, data):
+    graph, thresholds = instance.graph, instance.thresholds
+    seed = data.draw(st.frozensets(st.integers(min_value=0, max_value=graph.n - 1)))
+    restrict = data.draw(st.sampled_from([instance.snapshot | seed, frozenset(range(graph.n))]))
+    mask, order = _closure(graph.adj_masks, thresholds, mask_of(seed), mask_of(restrict))
+    assert (nodes_of(mask), order) == _rescan_closure(graph, thresholds, seed, restrict)
+
+
+@given(small_instances(max_n=7, max_budget=3, modes=[MONOTONE_SEQUENTIAL]))
+@settings(max_examples=200, deadline=None)
+def test_monotone_sequential_matches_brute_force(instance):
+    graph, thresholds, s = instance.graph, instance.thresholds, instance.snapshot
+    expected = next(
+        (
+            seed for seed in map(frozenset, canonical_seed_sets(s, instance.budget))
+            if monotone_closure(graph, thresholds, seed, restrict_to=s) == s
+        ),
+        None,
+    )
+    out = solve(instance)
+    assert out.verdict == ("infeasible" if expected is None else "feasible")
+    assert (out.certificate.seed if out.certificate else None) == expected
 
 
 def test_solve_star4_canonical_outcomes(star4_instance):
@@ -231,6 +273,10 @@ def test_resource_cap_reported_not_infeasible():
     assert solve_sequential(inst).verdict == "infeasible"
     capped = solve_sequential(inst, SearchLimits(max_states=2))
     assert capped.verdict == "resource_cap_hit"
+    # the largest reachable set of one seed has exactly 65 states: a cap of
+    # 65 enumerates it in full, a cap of 64 trips
+    assert solve_sequential(inst, SearchLimits(max_states=65)).verdict == "infeasible"
+    assert solve_sequential(inst, SearchLimits(max_states=64)).verdict == "resource_cap_hit"
 
 
 def test_solver_rejects_wrong_mode(star4_instance):
@@ -260,6 +306,11 @@ def _per_seed_reference(instance, max_steps=None):
             instance.graph, instance.thresholds, seed, instance.mode,
             target=instance.snapshot, max_steps=max_steps,
         )
+        if max_steps is None:
+            cert = seed_feasible(instance, seed)
+            assert (cert and cert.witness.match_time) == (
+                result.trace.match_time if result.matched else None
+            )
         if result.matched:
             return "feasible", seed, result.trace.match_time, capped
         if result.termination.kind == "step_cap_hit":
@@ -341,5 +392,6 @@ def test_every_matching_monotone_seed_contains_forced_nodes(instance):
 
 def test_forced_seed_nodes_over_budget_skip_the_search(star4_instance):
     # the leaves 0, 2, 3 have no neighbor inside S, so all three are forced
-    out = solve(star4_instance({0, 2, 3}, 2, MONOTONE_SIMULTANEOUS))
-    assert out.verdict == "infeasible" and out.stats.seeds_tried == 0
+    for mode in (MONOTONE_SIMULTANEOUS, MONOTONE_SEQUENTIAL):
+        out = solve(star4_instance({0, 2, 3}, 2, mode))
+        assert out.verdict == "infeasible" and out.stats.seeds_tried == 0
