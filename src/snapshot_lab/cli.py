@@ -87,10 +87,8 @@ def _mode_override(args) -> DynamicsMode | None:
 
 
 def _limits(args) -> SearchLimits:
-    return SearchLimits(
-        max_states=getattr(args, "max_states", None) or SearchLimits().max_states,
-        max_steps=getattr(args, "max_steps", None),
-    )
+    given = {key: getattr(args, key, None) for key in ("max_states", "max_steps")}
+    return SearchLimits(**{key: value for key, value in given.items() if value is not None})
 
 
 def instance_dot(instance: SnapshotInstance, seed: frozenset[int] = frozenset()) -> str:

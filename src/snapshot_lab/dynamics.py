@@ -96,6 +96,24 @@ def _response_mask(adj_masks: Sequence[int], thresholds: Sequence[int], active: 
     return out
 
 
+def _response_after_flip(
+    adj_masks: Sequence[int], thresholds: Sequence[int], active: int, node: int, response: int
+) -> int:
+    """The response mask of ``active``, given ``response``, the response mask
+    of ``active`` with bit ``node`` flipped. Adjacency is symmetric and has no
+    self-loops, so only the neighbours of ``node`` see a different count, and
+    only they are re-evaluated."""
+    nbrs = adj_masks[node]
+    out = response & ~nbrs
+    while nbrs:
+        bit = nbrs & -nbrs
+        nbrs ^= bit
+        u = bit.bit_length() - 1
+        if (adj_masks[u] & active).bit_count() >= thresholds[u]:
+            out |= bit
+    return out
+
+
 def _step_mask(
     adj_masks: Sequence[int],
     thresholds: Sequence[int],

@@ -39,7 +39,7 @@ from .model import (
     mask_of,
     validate_instance,
 )
-from .serialize import document_digest, instance_to_dict
+from .serialize import document_digest, edge_pairs, instance_to_dict
 from .solvers import (
     DEFAULT_LIMITS,
     VERDICT_CAP,
@@ -85,11 +85,11 @@ def target_set_from_dict(data: dict) -> TargetSetInstance:
         raise InvalidInstanceError(["'labels' must be a list"])
     if not isinstance(budget, int) or isinstance(budget, bool):
         raise InvalidInstanceError(["'budget' must be an integer"])
+    edges = edge_pairs(data["edges"])
     try:
-        edges = [(int(u), int(v)) for u, v in data["edges"]]
         thresholds = tuple(data["thresholds"])
-    except (TypeError, ValueError):
-        raise InvalidInstanceError(["'edges' must be [i, j] pairs and 'thresholds' a list"]) from None
+    except TypeError:
+        raise InvalidInstanceError(["'thresholds' must be a list"]) from None
     violations = instance_violations(len(labels), edges, thresholds, (), budget)
     if violations:
         raise InvalidInstanceError(violations)

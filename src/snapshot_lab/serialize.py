@@ -42,6 +42,19 @@ def mode_from_dict(data: dict) -> DynamicsMode:
     return DynamicsMode(order=data["order"], monotone=data["monotone"])
 
 
+def edge_pairs(raw) -> list[tuple[int, int]]:
+    """The [i, j] pairs of an 'edges' field. Endpoints must be integers;
+    booleans, strings and floats are rejected, not coerced."""
+    try:
+        edges = [(u, v) for u, v in raw]
+    except (TypeError, ValueError):
+        raise InvalidInstanceError(["'edges' must be a list of [i, j] pairs"]) from None
+    bad = [x for edge in edges for x in edge if not isinstance(x, int) or isinstance(x, bool)]
+    if bad:
+        raise InvalidInstanceError([f"'edges' endpoints must be integers, got {bad[0]!r}"])
+    return edges
+
+
 def instance_to_dict(instance: SnapshotInstance) -> dict:
     return {
         "labels": list(instance.graph.labels),
@@ -69,11 +82,7 @@ def instance_from_dict(
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise InvalidInstanceError(["'labels' must be a list of strings"])
     n = len(labels)
-    try:
-        edges = [(int(u), int(v)) for u, v in data["edges"]]
-    except (TypeError, ValueError):
-        raise InvalidInstanceError(["'edges' must be a list of [i, j] pairs"]) from None
-    graph = Graph.from_edges(n, edges, labels=labels)
+    graph = Graph.from_edges(n, edge_pairs(data["edges"]), labels=labels)
     if "dynamics" in data and data["dynamics"] is not None:
         if mode_override is not None:
             raise InvalidInstanceError(

@@ -48,17 +48,30 @@ Per-seed checks:
   ``clearing`` check use on = S | seed, off = seed, so only snapshot nodes
   activate and only the seed may deactivate. Moves expand in ascending node
   id, so the first shortest witness found is canonical. The searches of one
-  solve share a memo of response masks, since they cross the same states.
+  solve share a memo of response masks, since they cross the same states; a
+  state missing from it takes its parent's response and re-evaluates only
+  the neighbours of the flipped node. The unrestricted move rule does not
+  depend on the seed, so the plain searches of one solve also share a dead
+  set: a search that runs to the end without storing S adds its states,
+  since none of them can reach S, and later searches neither store nor
+  expand a dead state (a dead seed is settled with no search). Every BFS
+  parent of a state that can reach S can reach S too, so the search tree
+  over S's ancestors, and its first shortest witness, are unchanged. The
+  restricted searches and the enumerations never use it.
 
 One cap rule: a configuration search caps only when a new state arrives
 while ``max_states`` states are already stored, so a reachable set of exactly
-``max_states`` states is enumerated in full; a simultaneous run caps when it
-has not settled after ``max_steps`` steps. A check that caps raises
-``SearchCapExceeded`` carrying the states it stored, and ``_search`` is the
-only place that turns it into a verdict: "infeasible" is only ever reported
-after every candidate was checked (or a forced node or an overshoot proves
-it for every seed left); if any check capped first, the verdict degrades to
-"resource_cap_hit" instead of risking a silent false negative.
+``max_states`` states is enumerated in full; dead states are never stored,
+so a plain search can fit under a cap that its seed's whole reachable set
+exceeds. A capped search proves nothing and adds nothing to the dead set,
+which, like the response memo, holds at most ``max_states`` entries. A
+simultaneous run caps when it has not settled after ``max_steps`` steps. A
+check that caps raises ``SearchCapExceeded`` carrying the states it stored,
+and ``_search`` is the only place that turns it into a verdict:
+"infeasible" is only ever reported after every candidate was checked (or a
+forced node or an overshoot proves it for every seed left); if any check
+capped first, the verdict degrades to "resource_cap_hit" instead of risking
+a silent false negative.
 
 Everything here is pure over immutable inputs; seed candidates are
 independent work units, and the canonical ordering (not completion order)
@@ -72,10 +85,10 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
-from itertools import combinations
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from itertools import combinations, islice
+from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Sequence
 
-from .dynamics import _response_mask, _step_mask, default_max_steps
+from .dynamics import _response_after_flip, _response_mask, _step_mask, default_max_steps
 from .model import (
     Certificate,
     DynamicsMode,
@@ -269,6 +282,7 @@ def _bfs(
     off: int,
     max_states: int,
     responses: dict[int, int],
+    dead: AbstractSet[int] = frozenset(),
 ) -> dict[int, Optional[int]]:
     """Breadth-first search over single best-response moves from ``start``:
     node v may switch on if bit v of ``on`` is set, and off if bit v of
@@ -280,7 +294,12 @@ def _bfs(
     SearchCapExceeded when a new state arrives while ``max_states`` states
     are already stored. ``responses`` memoizes the response mask of up to
     ``max_states`` states for every search on the same graph that shares it;
-    searches from different seeds of one instance cross the same states.
+    searches from different seeds of one instance cross the same states. A
+    state missing from it gets its response from its parent's memoized one,
+    re-evaluating only the neighbours of the flipped node. States in
+    ``dead`` are known not to reach ``target`` under this move rule; they are
+    neither stored nor expanded, which leaves the search tree over the
+    states that can reach ``target`` unchanged.
     """
     parents: dict[int, Optional[int]] = {start: None}
     if start == target:
@@ -290,7 +309,13 @@ def _bfs(
         cur = queue.popleft()
         response = responses.get(cur)
         if response is None:
-            response = _response_mask(adj_masks, thresholds, cur)
+            prev = parents[cur]
+            prev_response = None if prev is None else responses.get(prev)
+            if prev_response is None:
+                response = _response_mask(adj_masks, thresholds, cur)
+            else:
+                node = (prev ^ cur).bit_length() - 1
+                response = _response_after_flip(adj_masks, thresholds, cur, node, prev_response)
             if len(responses) < max_states:
                 responses[cur] = response
         flips = (response ^ cur) & (on & ~cur | off & cur)
@@ -298,7 +323,7 @@ def _bfs(
             bit = flips & -flips
             flips ^= bit
             nxt = cur ^ bit
-            if nxt in parents:
+            if nxt in parents or nxt in dead:
                 continue
             if len(parents) >= max_states:
                 raise SearchCapExceeded(
@@ -330,17 +355,30 @@ def _bfs_check(
     max_states: int,
     restricted: bool,
     responses: dict[int, int],
+    dead: AbstractSet[int],
     seed_mask: int,
 ) -> tuple[Optional[SequentialWitness], int]:
     """Non-monotone sequential check: a shortest move sequence from the seed
     to S, over all moves or, ``restricted``, over the clearing-restricted
-    moves (only S activates, only the seed deactivates)."""
+    moves (only S activates, only the seed deactivates).
+
+    The unrestricted move rule does not depend on the seed, so a search that
+    runs to the end without storing S proves that none of its states can
+    reach S: they go into ``dead`` (up to ``max_states`` entries), which later
+    searches neither store nor expand, and a seed inside it is settled with
+    no search. A capped search raises before it adds anything, and the
+    restricted searches get an empty frozenset, which they never feed.
+    """
+    if seed_mask in dead:
+        return None, 0
     if restricted:
         on, off = s_mask | seed_mask, seed_mask
     else:
         on = off = (1 << len(adj_masks)) - 1
-    parents = _bfs(adj_masks, thresholds, seed_mask, s_mask, on, off, max_states, responses)
+    parents = _bfs(adj_masks, thresholds, seed_mask, s_mask, on, off, max_states, responses, dead)
     if s_mask not in parents:
+        if not restricted:
+            dead.update(islice(parents, max_states - len(dead)))
         return None, len(parents)
     moves = _moves_to(parents, s_mask)
     return SequentialWitness(moves, len(moves)), len(parents)
@@ -442,8 +480,8 @@ def _seed_check(
     instance: SnapshotInstance, limits: SearchLimits, restricted: bool = False
 ) -> SeedCheck:
     """The per-seed check of the instance's mode. It keeps one memo for all
-    the seeds it is called on: of fates (simultaneous) or of response masks
-    (non-monotone sequential)."""
+    the seeds it is called on: of fates (simultaneous), or of response masks
+    and of the states that cannot reach S (non-monotone sequential)."""
     adj_masks, thresholds = instance.graph.adj_masks, instance.thresholds
     s_mask = instance.snapshot_mask()
     if instance.mode.simultaneous:
@@ -453,7 +491,10 @@ def _seed_check(
         )
     if instance.mode.monotone:
         return partial(_closure_check, adj_masks, thresholds, s_mask)
-    return partial(_bfs_check, adj_masks, thresholds, s_mask, limits.max_states, restricted, {})
+    dead = frozenset() if restricted else set()
+    return partial(
+        _bfs_check, adj_masks, thresholds, s_mask, limits.max_states, restricted, {}, dead
+    )
 
 
 def _reachable_mask_set(

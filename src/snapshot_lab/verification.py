@@ -91,6 +91,8 @@ def feasible_snapshots(
     """The complete set of valid snapshots for budget k under the mode: the
     union over all seeds of size 0..k of the configurations their runs can
     visit."""
+    if k < 0:
+        raise ValueError(f"budget must be non-negative, got {k}")
     if graph.n > ORACLE_MAX_N:
         raise ValueError(f"feasible_snapshots is an exhaustive oracle; n={graph.n} is too large")
     return {nodes_of(m) for m in _feasible_masks(graph, thresholds, k, mode, limits)}

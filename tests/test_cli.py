@@ -55,6 +55,17 @@ def test_malformed_file_exit_two(tmp_path, capsys):
     assert run(["solve", "--instance", str(bad)]) == 2
 
 
+def test_zero_search_limits_exit_two(star4_file, capsys):
+    for flag in ("--max-states", "--max-steps"):
+        assert run(["solve", "--instance", star4_file, flag, "0"]) == 2
+        assert "search limits must be positive" in capsys.readouterr().err
+
+
+def test_enumerate_negative_budget_exits_two(star4_file, capsys):
+    assert run(["enumerate", "--instance", star4_file, "--budget", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_mode_override_only_without_dynamics(tmp_path, star4_file, capsys):
     doc = json.loads(Path(star4_file).read_text())
     del doc["dynamics"]
@@ -188,6 +199,12 @@ def test_reduce_check_cap_is_an_error_not_a_disagreement(tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+def _star4_doc(**fields) -> dict:
+    doc = json.loads(Path(corpus_path("star4.json")).read_text())
+    doc.update(fields)
+    return doc
+
+
 @pytest.mark.parametrize(
     "command, doc",
     [
@@ -197,15 +214,23 @@ def test_reduce_check_cap_is_an_error_not_a_disagreement(tmp_path, capsys):
         ("replay", {"seed": [0], "witness": {"type": "sequential", "ordering": [5]}}),
         ("embed", 5),
         ("embed", {"labels": ["a"], "edges": [], "thresholds": [1], "budget": True}),
+        ("embed", {"labels": ["a", "b"], "edges": [[0, True]], "thresholds": [1, 1], "budget": 1}),
+        ("solve", _star4_doc(edges=[[0, True], [1, 2], [1, 3]])),
+        ("solve", _star4_doc(edges=[["0", 1], [1, 2], [1, 3]])),
+        ("solve", _star4_doc(edges=[[0, 1.0], [1, 2], [1, 3]])),
     ],
-    ids=["int-seed", "int-witness", "list-document", "int-move", "int-document", "bool-budget"],
+    ids=[
+        "int-seed", "int-witness", "list-document", "int-move", "int-document", "bool-budget",
+        "bool-edge-target-set", "bool-edge", "str-edge", "float-edge",
+    ],
 )
 def test_malformed_documents_exit_two(tmp_path, star4_file, capsys, command, doc):
     path = _write(tmp_path / "doc.json", doc)
-    if command == "replay":
-        argv = ["simulate", "--instance", star4_file, "--replay", path]
-    else:
-        argv = ["reduce", "--gadget", "embed", "--instance", path]
+    argv = {
+        "replay": ["simulate", "--instance", star4_file, "--replay", path],
+        "embed": ["reduce", "--gadget", "embed", "--instance", path],
+        "solve": ["solve", "--instance", path],
+    }[command]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,13 +10,17 @@ from hypothesis import strategies as st
 
 from snapshot_lab import (
     ALL_MODES,
+    Configuration,
     Graph,
     MONOTONE_SEQUENTIAL,
     MONOTONE_SIMULTANEOUS,
     PLAIN_SEQUENTIAL,
     PLAIN_SIMULTANEOUS,
+    SearchCapExceeded,
     SearchLimits,
     SnapshotInstance,
+    feasible_snapshots,
+    legal_moves,
     monotone_closure,
     reachable_configs,
     run_simultaneous,
@@ -28,6 +33,7 @@ from snapshot_lab import (
     solve_simultaneous,
 )
 from snapshot_lab.generator import GeneratorParams, instance_stream
+from snapshot_lab.dynamics import _response_after_flip, _response_mask
 from snapshot_lab.model import mask_of, nodes_of
 from snapshot_lab.solvers import _closure, canonical_seed_sets
 
@@ -273,10 +279,11 @@ def test_resource_cap_reported_not_infeasible():
     assert solve_sequential(inst).verdict == "infeasible"
     capped = solve_sequential(inst, SearchLimits(max_states=2))
     assert capped.verdict == "resource_cap_hit"
-    # the largest reachable set of one seed has exactly 65 states: a cap of
-    # 65 enumerates it in full, a cap of 64 trips
-    assert solve_sequential(inst, SearchLimits(max_states=65)).verdict == "infeasible"
-    assert solve_sequential(inst, SearchLimits(max_states=64)).verdict == "resource_cap_hit"
+    # the largest reachable set of one seed (the center) has 65 states, but
+    # the empty seed proves the state {} dead before it is searched, so that
+    # search stores 64: a cap of 64 enumerates it in full, a cap of 63 trips
+    assert solve_sequential(inst, SearchLimits(max_states=64)).verdict == "infeasible"
+    assert solve_sequential(inst, SearchLimits(max_states=63)).verdict == "resource_cap_hit"
 
 
 def test_solver_rejects_wrong_mode(star4_instance):
@@ -395,3 +402,116 @@ def test_forced_seed_nodes_over_budget_skip_the_search(star4_instance):
     for mode in (MONOTONE_SIMULTANEOUS, MONOTONE_SEQUENTIAL):
         out = solve(star4_instance({0, 2, 3}, 2, mode))
         assert out.verdict == "infeasible" and out.stats.seeds_tried == 0
+
+
+def _bfs_moves(instance, seed, max_states=None):
+    """Reference forward BFS from one seed over ``legal_moves``: the first
+    shortest move sequence to S (moves in ascending node id), or None. Raises
+    SearchCapExceeded when a new state arrives while ``max_states`` states
+    are stored."""
+    graph, thresholds, target = instance.graph, instance.thresholds, instance.snapshot
+    parents = {seed: None}
+    queue = deque([seed])
+    while queue and target not in parents:
+        cur = queue.popleft()
+        for move in legal_moves(graph, thresholds, Configuration(cur), instance.mode):
+            nxt = cur ^ {move.node}
+            if nxt in parents:
+                continue
+            if max_states is not None and len(parents) >= max_states:
+                raise SearchCapExceeded("reference search capped", len(parents))
+            parents[nxt] = (cur, move)
+            if nxt == target:
+                break
+            queue.append(nxt)
+    if target not in parents:
+        return None
+    moves, state = [], target
+    while parents[state] is not None:
+        state, move = parents[state]
+        moves.append(move)
+    return tuple(reversed(moves))
+
+
+def _sequential_reference(instance, max_states=None):
+    """One reference BFS per canonical seed, sharing nothing between seeds:
+    (verdict, seed, moves, seeds whose search capped)."""
+    capped = []
+    for seed in map(frozenset, canonical_seed_sets(range(instance.n), instance.budget)):
+        try:
+            moves = _bfs_moves(instance, seed, max_states)
+        except SearchCapExceeded:
+            capped.append(seed)
+            continue
+        if moves is not None:
+            return "feasible", seed, moves, capped
+    return ("resource_cap_hit" if capped else "infeasible"), None, None, capped
+
+
+def _assert_matches_sequential_reference(instance):
+    verdict, seed, moves, _ = _sequential_reference(instance)
+    out = solve_sequential(instance)
+    cert = out.certificate
+    assert (out.verdict, cert and cert.seed, cert and cert.witness.ordering) == (verdict, seed, moves)
+    if out.feasible:
+        assert cert.witness.match_prefix == len(moves)
+    feasible = feasible_snapshots(
+        instance.graph, instance.thresholds, instance.budget, PLAIN_SEQUENTIAL
+    )
+    assert out.feasible == (instance.snapshot in feasible)
+
+
+@given(small_instances(max_n=8, max_budget=3, modes=[PLAIN_SEQUENTIAL]))
+@settings(max_examples=150, deadline=None)
+def test_sequential_solver_matches_per_seed_bfs(instance):
+    _assert_matches_sequential_reference(instance)
+
+
+@pytest.mark.parametrize("snapshot_mode", ["arbitrary", "reachable"])
+def test_sequential_solver_matches_per_seed_bfs_on_stream(snapshot_mode):
+    params = GeneratorParams(
+        n_min=5, n_max=8, edge_prob=0.35, threshold_law="le2", budget_min=1,
+        budget_max=3, snapshot_mode=snapshot_mode, mode=PLAIN_SEQUENTIAL, rng_seed=13,
+    )
+    for instance in itertools.islice(instance_stream(params), 30):
+        _assert_matches_sequential_reference(instance)
+
+
+@given(
+    small_instances(max_n=7, max_budget=3, modes=[PLAIN_SEQUENTIAL]),
+    st.integers(min_value=1, max_value=20),
+)
+@example(  # {} is dead, so seed {0} fits the cap and reaches S; the reference caps
+    SnapshotInstance(Graph.from_edges(2, []), (1, 0), frozenset({0, 1}), 1, PLAIN_SEQUENTIAL), 2
+)
+@example(  # every seed falls to the dead {} at once; the reference caps on each
+    SnapshotInstance(Graph.from_edges(2, []), (1, 1), frozenset({0, 1}), 1, PLAIN_SEQUENTIAL), 1
+)
+@settings(max_examples=300, deadline=None)
+def test_state_cap_never_reads_as_infeasible(instance, max_states):
+    out = solve_sequential(instance, SearchLimits(max_states=max_states))
+    if out.verdict == "infeasible":
+        assert _sequential_reference(instance)[0] == "infeasible"
+    # Against the reference under the same cap: a search that skips dead
+    # states stores a subset of the reference's states, so it caps no more
+    # often, and every seed the reference settles it settles the same way.
+    verdict, seed, moves, capped = _sequential_reference(instance, max_states)
+    if verdict == "infeasible":
+        assert out.verdict == "infeasible"
+    elif verdict == "feasible":
+        assert out.feasible
+        assert_certificate_replays(instance, out)
+        if out.certificate.seed == seed:
+            assert out.certificate.witness.ordering == moves
+        else:  # an earlier seed the reference capped on
+            assert out.certificate.seed in capped
+
+
+@given(small_instances(max_n=9), st.data())
+@settings(max_examples=200, deadline=None)
+def test_response_after_flip_matches_full_recompute(instance, data):
+    adj, t = instance.graph.adj_masks, instance.thresholds
+    active = data.draw(st.integers(min_value=0, max_value=(1 << instance.n) - 1))
+    node = data.draw(st.integers(min_value=0, max_value=instance.n - 1))
+    before = _response_mask(adj, t, active ^ (1 << node))
+    assert _response_after_flip(adj, t, active, node, before) == _response_mask(adj, t, active)
