@@ -87,8 +87,7 @@ def _mode_override(args) -> DynamicsMode | None:
 
 
 def _limits(args) -> SearchLimits:
-    given = {key: getattr(args, key, None) for key in ("max_states", "max_steps")}
-    return SearchLimits(**{key: value for key, value in given.items() if value is not None})
+    return SearchLimits() if args.max_states is None else SearchLimits(max_states=args.max_states)
 
 
 def instance_dot(instance: SnapshotInstance, seed: frozenset[int] = frozenset()) -> str:
@@ -121,6 +120,13 @@ def _read_certificate(instance: SnapshotInstance, path: str) -> tuple[frozenset[
     return _seed_ids(instance, seed), witness
 
 
+def _witness_int(witness: dict, key: str, default=None) -> int:
+    value = witness.get(key, default)
+    if type(value) is not int:
+        raise InvalidInstanceError([f"certificate {key!r} must be an integer, got {value!r}"])
+    return value
+
+
 def _cmd_simulate(args) -> int:
     instance = load_instance_file(args.instance, mode_override=_mode_override(args))
     if args.replay:
@@ -129,11 +135,12 @@ def _cmd_simulate(args) -> int:
         if len(seed) > instance.budget:
             problems.append(f"certificate seed of size {len(seed)} is over budget {instance.budget}")
         if witness.get("type") == "simultaneous":
+            match_time = _witness_int(witness, "match_time")
             result = run_simultaneous(
                 instance.graph, instance.thresholds, seed, instance.mode,
                 target=instance.snapshot, max_steps=args.max_steps,
             )
-            if not (result.matched and result.trace.match_time == witness.get("match_time")):
+            if not (result.matched and result.trace.match_time == match_time):
                 problems.append("replay does not first match the snapshot at the certified time")
         elif witness.get("type") == "sequential":
             try:
@@ -142,7 +149,7 @@ def _cmd_simulate(args) -> int:
                 raise InvalidInstanceError(
                     ["certificate 'ordering' must be a list of [node, 'on'|'off'] pairs"]
                 ) from None
-            prefix = witness.get("match_prefix", len(moves))
+            prefix = _witness_int(witness, "match_prefix", len(moves))
             result = apply_ordering(
                 instance.graph, instance.thresholds, seed,
                 [m.node for m in moves], instance.mode, target=instance.snapshot,
@@ -362,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="decide snapshot feasibility and emit a certificate")
     p.add_argument("--instance", required=True)
     p.add_argument("--max-states", type=int)
-    p.add_argument("--max-steps", type=int)
     p.add_argument("--timings", action="store_true")
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--out")
@@ -421,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", required=True)
     p.add_argument("--out")
     p.add_argument("--max-states", type=int)
-    p.add_argument("--max-steps", type=int)
     p.add_argument("--timings", action="store_true")
     p.set_defaults(func=_cmd_bench)
 

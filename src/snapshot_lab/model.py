@@ -111,9 +111,6 @@ class Graph:
         """Canonical edge list: i<j pairs, sorted."""
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
-    def node_set(self) -> frozenset[int]:
-        return frozenset(range(self.n))
-
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
@@ -229,9 +226,11 @@ class Move:
     @staticmethod
     def from_wire(pair) -> "Move":
         node, state = pair
+        if not isinstance(node, int) or isinstance(node, bool):
+            raise ValueError(f"move node must be an integer, got {node!r}")
         if state not in ("on", "off"):
             raise ValueError(f"move state must be 'on' or 'off', got {state!r}")
-        return Move(int(node), state == "on")
+        return Move(node, state == "on")
 
 
 @dataclass(frozen=True)
@@ -261,9 +260,6 @@ class Trace:
         yield Configuration(self.seed, 0)
         for step in self.steps:
             yield step.config
-
-    def final(self) -> Configuration:
-        return self.steps[-1].config if self.steps else Configuration(self.seed, 0)
 
 
 @dataclass(frozen=True)

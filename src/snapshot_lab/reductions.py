@@ -112,7 +112,7 @@ def embed_target_set(ts: TargetSetInstance, mode: DynamicsMode) -> SnapshotInsta
     return validate_instance(
         graph=ts.graph,
         thresholds=ts.thresholds,
-        snapshot=ts.graph.node_set(),
+        snapshot=frozenset(range(ts.graph.n)),
         budget=ts.budget,
         mode=mode,
     )

@@ -29,13 +29,13 @@ Per-seed checks:
   map, ``c -> R(c)`` (monotone: ``c -> c | R(c)``), where R(c) is the set of
   nodes whose best response to c is active; the seed drops out because every
   configuration of a monotone run contains its seed. Runs from different
-  seeds therefore walk one functional graph, and one memo per solve maps each
-  mask to its fate: the first match with S after d steps, or no match with
-  the repeat the reference ``run_simultaneous`` detects at step d. Keeping d
-  for both keeps verdicts under an explicit step cap equal to the per-seed
-  reference loop's, except that a cap becomes "infeasible" where a forced
-  node or an overshoot proves no match: a monotone run stops as soon as it
-  leaves S, because it only grows and so can never match after that. A
+  seeds therefore walk one functional graph. A run's fate is its first
+  match with S or never: it never matches once it closes a cycle without
+  meeting S, or, monotone, as soon as it leaves S, because it only grows.
+  The masks of such a run go into a dead set shared by the seeds of one
+  solve, so a later run that reaches one stops there; a match ends the
+  search, so nothing else needs storing. The configuration space is finite,
+  so exact repeat detection settles every run and no step cap is needed. A
   ``Trace`` is built only when a certificate is replayed;
 * monotone sequential: the monotone closure of the seed inside S (never
   selecting outside nodes is always safe and always sufficient), computed
@@ -64,14 +64,13 @@ while ``max_states`` states are already stored, so a reachable set of exactly
 ``max_states`` states is enumerated in full; dead states are never stored,
 so a plain search can fit under a cap that its seed's whole reachable set
 exceeds. A capped search proves nothing and adds nothing to the dead set,
-which, like the response memo, holds at most ``max_states`` entries. A
-simultaneous run caps when it has not settled after ``max_steps`` steps. A
-check that caps raises ``SearchCapExceeded`` carrying the states it stored,
-and ``_search`` is the only place that turns it into a verdict:
-"infeasible" is only ever reported after every candidate was checked (or a
-forced node or an overshoot proves it for every seed left); if any check
-capped first, the verdict degrades to "resource_cap_hit" instead of risking
-a silent false negative.
+which, like the response memo, holds at most ``max_states`` entries. This is
+the only cap, so only sequential searches can hit it. A check that caps
+raises ``SearchCapExceeded`` carrying the states it stored, and ``_search``
+is the only place that turns it into a verdict: "infeasible" is only ever
+reported after every candidate was checked (or a forced node proves it for
+every seed); if any check capped first, the verdict degrades to
+"resource_cap_hit" instead of risking a silent false negative.
 
 Everything here is pure over immutable inputs; seed candidates are
 independent work units, and the canonical ordering (not completion order)
@@ -88,7 +87,7 @@ from heapq import heappop, heappush
 from itertools import combinations, islice
 from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Sequence
 
-from .dynamics import _response_after_flip, _response_mask, _step_mask, default_max_steps
+from .dynamics import _response_after_flip, _response_mask, _step_mask
 from .model import (
     Certificate,
     DynamicsMode,
@@ -110,8 +109,8 @@ VERDICT_CAP = "resource_cap_hit"
 
 
 class SearchCapExceeded(RuntimeError):
-    """A state-space enumeration outgrew its limits before finishing;
-    ``states`` is the number of states it had stored or stepped through."""
+    """A configuration search outgrew ``max_states`` before finishing;
+    ``states`` is the number of states it had stored."""
 
     def __init__(self, message: str, states: int = 0):
         super().__init__(message)
@@ -120,18 +119,13 @@ class SearchCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Resource caps: max distinct states stored per seed search, and max
-    simultaneous steps per run (default 2^n per run when None)."""
+    """The resource cap: max distinct states stored per configuration search."""
 
     max_states: int = 1 << 20
-    max_steps: Optional[int] = None
 
     def __post_init__(self):
-        if self.max_states < 1 or (self.max_steps is not None and self.max_steps < 1):
+        if self.max_states < 1:
             raise ValueError("search limits must be positive")
-
-    def steps_for(self, n: int) -> int:
-        return self.max_steps if self.max_steps is not None else default_max_steps(n)
 
 
 DEFAULT_LIMITS = SearchLimits()
@@ -412,58 +406,29 @@ def _simultaneous_fate(
     thresholds: Sequence[int],
     s_mask: int,
     monotone: bool,
-    max_steps: int,
-    fates: dict[int, Optional[int]],
+    dead: set[int],
     start: int,
 ) -> tuple[Optional[SimultaneousWitness], int]:
     """Simultaneous check: the fate of the run from ``start`` under the
     seed-independent step map (``c -> R(c)``, monotone ``c -> c | R(c)``),
-    as a witness when it is a match, and the number of masks whose successor
-    this call computed.
+    its first match with S as a witness or None for never, and the number of
+    masks whose successor this call computed.
 
-    A fate ``d >= 0`` is a first match with S after d steps; ``-d`` is no
-    match, with the repeat that ``run_simultaneous`` detects at step d; None
-    is a monotone run that left S and so can never match. Every mask a walk
-    settles goes into ``fates`` with its fate as a start of its own, so a
-    later seed whose run reaches it stops there; ``fates`` must start as
-    ``{s_mask: 0}``. A walk that has not settled after ``max_steps`` steps
-    stores nothing, and it and a fate beyond ``max_steps`` raise
-    SearchCapExceeded, as the reference run hits its step cap first.
+    A run never matches once it closes a cycle without meeting S, reaches a
+    mask of ``dead``, or, monotone, leaves S. Its masks then go into
+    ``dead``, so a later seed whose run reaches one stops there. A match ends
+    the seed search, so the masks of a matching run are never stored.
     """
-    path: dict[int, int] = {}
+    path: set[int] = set()
     cur = start
-    while True:
-        if cur in fates:
-            tail = fates[cur]
-            break
-        if monotone and cur & ~s_mask:
-            tail = None
-            break
-        if cur in path:
-            # the walk closed its own cycle at position j; none of it is S
-            j, length = path[cur], len(path)
-            for mask, i in path.items():
-                fates[mask] = -(length - min(i, j))
-            return None, length
-        if len(path) == max_steps:
-            raise SearchCapExceeded("simultaneous run hit the step cap", max_steps)
-        path[cur] = len(path)
+    while cur != s_mask:
+        if cur in dead or cur in path or monotone and cur & ~s_mask:
+            dead.update(path)
+            return None, len(path)
+        path.add(cur)
         responders = _response_mask(adj_masks, thresholds, cur)
         cur = cur | responders if monotone else responders
-    length = len(path)
-    for mask, i in path.items():
-        if tail is None:
-            fates[mask] = None
-        elif tail >= 0:
-            fates[mask] = tail + length - i
-        else:
-            fates[mask] = tail - (length - i)
-    if tail is None:
-        return None, length
-    fate = tail + length if tail >= 0 else tail - length
-    if abs(fate) > max_steps:
-        raise SearchCapExceeded("simultaneous run hit the step cap", length)
-    return (SimultaneousWitness(fate) if fate >= 0 else None), length
+    return SimultaneousWitness(len(path)), len(path)
 
 
 def _seeds(instance: SnapshotInstance) -> Iterator[int]:
@@ -480,14 +445,14 @@ def _seed_check(
     instance: SnapshotInstance, limits: SearchLimits, restricted: bool = False
 ) -> SeedCheck:
     """The per-seed check of the instance's mode. It keeps one memo for all
-    the seeds it is called on: of fates (simultaneous), or of response masks
-    and of the states that cannot reach S (non-monotone sequential)."""
+    the seeds it is called on: of the masks whose run never matches
+    (simultaneous), or of response masks and of the states that cannot reach
+    S (non-monotone sequential)."""
     adj_masks, thresholds = instance.graph.adj_masks, instance.thresholds
     s_mask = instance.snapshot_mask()
     if instance.mode.simultaneous:
         return partial(
-            _simultaneous_fate, adj_masks, thresholds, s_mask, instance.mode.monotone,
-            limits.steps_for(instance.n), {s_mask: 0},
+            _simultaneous_fate, adj_masks, thresholds, s_mask, instance.mode.monotone, set()
         )
     if instance.mode.monotone:
         return partial(_closure_check, adj_masks, thresholds, s_mask)
@@ -505,18 +470,17 @@ def _reachable_mask_set(
     limits: SearchLimits,
     responses: dict[int, int],
 ) -> set[int]:
-    """All configuration masks a run from the seed can visit. Raises
-    SearchCapExceeded when the enumeration outgrows the limits. Sequential
-    enumerations on one graph may share the ``responses`` memo."""
+    """All configuration masks a run from the seed can visit. A sequential
+    enumeration raises SearchCapExceeded when it outgrows ``max_states``;
+    those on one graph may share the ``responses`` memo. A simultaneous run
+    is followed to its first repeat."""
     if mode.simultaneous:
-        seen = {seed_mask}
+        seen: set[int] = set()
         cur = seed_mask
-        for _ in range(limits.steps_for(graph.n)):
-            cur = _step_mask(graph.adj_masks, thresholds, cur, seed_mask, mode.monotone)
-            if cur in seen:
-                return seen
+        while cur not in seen:
             seen.add(cur)
-        raise SearchCapExceeded("simultaneous trajectory exceeded the step cap")
+            cur = _step_mask(graph.adj_masks, thresholds, cur, seed_mask, mode.monotone)
+        return seen
     everything = graph.full_mask()
     off = 0 if mode.monotone else everything
     parents = _bfs(graph.adj_masks, thresholds, seed_mask, -1, everything, off, limits.max_states, responses)

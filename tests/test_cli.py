@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import argparse
 import json
+import re
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from snapshot_lab.cli import main
+from snapshot_lab.cli import build_parser, main
 from snapshot_lab.serialize import canonical_json
 
 CORPUS = resources.files("snapshot_lab").joinpath("corpus")
@@ -56,9 +58,19 @@ def test_malformed_file_exit_two(tmp_path, capsys):
 
 
 def test_zero_search_limits_exit_two(star4_file, capsys):
-    for flag in ("--max-states", "--max-steps"):
-        assert run(["solve", "--instance", star4_file, flag, "0"]) == 2
-        assert "search limits must be positive" in capsys.readouterr().err
+    assert run(["solve", "--instance", star4_file, "--max-states", "0"]) == 2
+    assert "search limits must be positive" in capsys.readouterr().err
+    assert run(["simulate", "--instance", star4_file, "--seed", "0", "--max-steps", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_solvers_take_no_step_cap(tmp_path, star4_file, capsys, command):
+    target = ["--instance", star4_file] if command == "solve" else ["--dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as exit_info:
+        run([command, *target, "--max-steps", "5"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --max-steps" in capsys.readouterr().err
 
 
 def test_enumerate_negative_budget_exits_two(star4_file, capsys):
@@ -118,6 +130,11 @@ def test_certificates_replay_through_simulate(tmp_path, capsys):
     inst.write_text(json.dumps(doc))
     cert2 = tmp_path / "cert2.json"
     assert run(["solve", "--instance", str(inst), "--out", str(cert2)]) == 0
+    assert run(["simulate", "--instance", str(inst), "--replay", str(cert2)]) == 0
+    # a missing match_prefix defaults to the whole ordering
+    cert = json.loads(cert2.read_text())
+    del cert["witness"]["match_prefix"]
+    cert2.write_text(json.dumps(cert))
     assert run(["simulate", "--instance", str(inst), "--replay", str(cert2)]) == 0
     capsys.readouterr()
 
@@ -199,6 +216,16 @@ def test_reduce_check_cap_is_an_error_not_a_disagreement(tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+def _cert(seed, **witness) -> dict:
+    return {"seed": seed, "witness": witness}
+
+
+def _seq_cert(**fields) -> dict:
+    """The certificate of seed [1] then [2, "on"] on the plain sequential
+    star4 with snapshot [1, 2], with ``fields`` replaced in its witness."""
+    return _cert([1], **{"type": "sequential", "ordering": [[2, "on"]], "match_prefix": 1, **fields})
+
+
 def _star4_doc(**fields) -> dict:
     doc = json.loads(Path(corpus_path("star4.json")).read_text())
     doc.update(fields)
@@ -218,16 +245,26 @@ def _star4_doc(**fields) -> dict:
         ("solve", _star4_doc(edges=[[0, True], [1, 2], [1, 3]])),
         ("solve", _star4_doc(edges=[["0", 1], [1, 2], [1, 3]])),
         ("solve", _star4_doc(edges=[[0, 1.0], [1, 2], [1, 3]])),
+        ("replay", _cert([0, 2], type="simultaneous", match_time=True)),
+        ("replay", _cert([0, 2], type="simultaneous", match_time=1.0)),
+        ("replay-seq", _seq_cert(match_prefix=True)),
+        ("replay-seq", _seq_cert(match_prefix=1.0)),
+        ("replay-seq", _seq_cert(ordering=[["2", "on"]])),
+        ("replay-seq", _seq_cert(ordering=[[2.0, "on"]])),
     ],
     ids=[
         "int-seed", "int-witness", "list-document", "int-move", "int-document", "bool-budget",
         "bool-edge-target-set", "bool-edge", "str-edge", "float-edge",
+        "bool-match-time", "float-match-time", "bool-match-prefix", "float-match-prefix",
+        "str-move-node", "float-move-node",
     ],
 )
 def test_malformed_documents_exit_two(tmp_path, star4_file, capsys, command, doc):
     path = _write(tmp_path / "doc.json", doc)
+    seq_star4 = _sequential_star4(tmp_path, snapshot=[1, 2], budget=1)
     argv = {
         "replay": ["simulate", "--instance", star4_file, "--replay", path],
+        "replay-seq": ["simulate", "--instance", seq_star4, "--replay", path],
         "embed": ["reduce", "--gadget", "embed", "--instance", path],
         "solve": ["solve", "--instance", path],
     }[command]
@@ -382,3 +419,30 @@ def test_verify_lemma_violation_files_are_replayable(tmp_path, capsys, monkeypat
     stored = json.loads(files[0].read_text())
     assert len(stored["witnesses"]) == 2
     assert instance_from_dict(stored).snapshot == frozenset({0, 1, 2})  # revalidates on reload
+
+
+def _readme_synopsis() -> dict[str, set[str]]:
+    """The --flags of every ``snapshot-lab <cmd>`` line of the README,
+    indented continuation lines included, by command."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    flags: dict[str, set[str]] = {}
+    command = None
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        head = re.match(r"snapshot-lab (\w+)", line)
+        if head:
+            command = head.group(1)
+        elif not (command and line.startswith(" ")):
+            command = None
+            continue
+        flags.setdefault(command, set()).update(re.findall(r"--[a-z][a-z0-9-]*", line))
+    return flags
+
+
+def test_readme_synopsis_flags_exist():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    synopsis = _readme_synopsis()
+    assert set(synopsis) == set(subparsers.choices)
+    for command, flags in synopsis.items():
+        accepted = subparsers.choices[command]._option_string_actions
+        assert flags <= set(accepted), (command, sorted(flags - set(accepted)))

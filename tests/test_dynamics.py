@@ -17,6 +17,7 @@ from snapshot_lab import (
     simultaneous_step,
 )
 from snapshot_lab.dynamics import EngineInvariantError, default_max_steps
+from snapshot_lab.model import nodes_of
 from snapshot_lab.serialize import trace_jsonl
 
 from conftest import small_instances
@@ -154,17 +155,23 @@ def test_monotone_runs_grow_monotonically(instance):
     configs = list(result.trace.configurations())
     for before, after in zip(configs, configs[1:]):
         assert before.active <= after.active
+    # every recorded step activates at least one node, so a run settles
+    # within n steps
+    assert len(result.trace.steps) <= instance.graph.n
 
 
 @given(small_instances(max_n=12, modes=[PLAIN_SIMULTANEOUS]))
 @settings(max_examples=80, deadline=None)
 def test_non_monotone_simultaneous_terminates_in_fixed_point_or_cycle(instance):
-    # exact repeat detection bounds every trajectory by 2^n steps
+    # exact repeat detection bounds every trajectory by 2^n steps; symmetric
+    # threshold networks only reach periods 1 and 2 (Goles & Olivos, 1980)
     result = run_simultaneous(
         instance.graph, instance.thresholds, instance.snapshot, instance.mode,
         max_steps=default_max_steps(instance.graph.n),
     )
     assert result.termination.kind in ("fixed_point", "cycle_detected")
+    if result.termination.kind == "cycle_detected":
+        assert result.termination.period <= 2
 
 
 @given(small_instances(modes=[PLAIN_SIMULTANEOUS, MONOTONE_SIMULTANEOUS]))
@@ -187,6 +194,37 @@ def test_applied_moves_stop_being_legal(instance):
     for move in legal_moves(instance.graph, instance.thresholds, config, instance.mode):
         after = apply_ordering(
             instance.graph, instance.thresholds, instance.snapshot, [move.node], instance.mode
-        ).trace.final()
+        ).trace.steps[-1].config
         assert after.active != config.active
         assert move not in legal_moves(instance.graph, instance.thresholds, after, instance.mode)
+
+
+@given(small_instances(max_n=8, modes=[PLAIN_SEQUENTIAL]))
+@settings(max_examples=80, deadline=None)
+def test_plain_sequential_move_graph_is_acyclic(instance):
+    # every state-changing best-response move strictly lowers an energy
+    # function (Goles, Fogelman-Soulie & Pellegrin, 1985), so no sequence of
+    # legal moves returns to a configuration it left
+    graph, thresholds = instance.graph, instance.thresholds
+
+    def successors(mask):
+        config = Configuration(nodes_of(mask), 0)
+        return [mask ^ 1 << m.node for m in legal_moves(graph, thresholds, config, instance.mode)]
+
+    finished: set[int] = set()
+    for root in range(1 << graph.n):
+        if root in finished:
+            continue
+        on_path = {root}
+        stack = [(root, iter(successors(root)))]
+        while stack:
+            mask, children = stack[-1]
+            child = next(children, None)
+            if child is None:
+                stack.pop()
+                on_path.discard(mask)
+                finished.add(mask)
+            elif child not in finished:
+                assert child not in on_path, f"move cycle through {sorted(nodes_of(child))}"
+                on_path.add(child)
+                stack.append((child, iter(successors(child))))
