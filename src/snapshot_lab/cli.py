@@ -26,6 +26,7 @@ from .model import (
     InvalidInstanceError,
     Move,
     SnapshotInstance,
+    is_int,
 )
 from .reductions import (
     GADGET_IDS,
@@ -122,7 +123,7 @@ def _read_certificate(instance: SnapshotInstance, path: str) -> tuple[frozenset[
 
 def _witness_int(witness: dict, key: str, default=None) -> int:
     value = witness.get(key, default)
-    if type(value) is not int:
+    if not is_int(value):
         raise InvalidInstanceError([f"certificate {key!r} must be an integer, got {value!r}"])
     return value
 

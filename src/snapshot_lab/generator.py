@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .model import ALL_MODES, DynamicsMode, Graph, SnapshotInstance
+from .model import ALL_MODES, DynamicsMode, Graph, SnapshotInstance, validate_instance
 from .solvers import DEFAULT_LIMITS, SearchLimits, reachable_configs
 
 THRESHOLD_LAWS = ("uniform0", "uniform1", "le2", "mixed")
@@ -92,7 +92,7 @@ def instance_stream(
                 sorted(c) for c in reachable_configs(graph, thresholds, seed, mode, limits)
             )
             snapshot = frozenset(rng.choice(configs))
-        yield SnapshotInstance(graph, thresholds, snapshot, budget, mode)
+        yield validate_instance(graph, thresholds, snapshot, budget, mode)
         index += 1
 
 

@@ -8,6 +8,7 @@ work on ids (and on int bitmasks internally); every file format carries labels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Union
 
 SIMULTANEOUS = "simultaneous"
@@ -24,6 +25,12 @@ class InvalidInstanceError(ValueError):
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
         self.violations = violations
+
+
+def is_int(x) -> bool:
+    """The integer rule of every id, count and budget: exactly ``int``
+    (booleans, strings and floats are rejected, not coerced)."""
+    return type(x) is int
 
 
 def mask_of(nodes: Iterable[int]) -> int:
@@ -49,22 +56,29 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph on nodes 0..n-1.
+    """Undirected simple graph on nodes 0..n-1, checked once, at construction.
 
     ``adj`` holds sorted neighbor tuples; ``adj_masks`` the same adjacency as
-    int bitmasks (``adj_masks[v] >> u & 1`` tests the edge u-v).
+    int bitmasks (``adj_masks[v] >> u & 1`` tests the edge u-v), derived by
+    the constructor. Built directly, ``Graph(n, adj, labels)`` rejects
+    neighbours outside 0..n-1, self-loops, rows that are not sorted and
+    unique, edges without their reverse and a label count other than n.
+    ``from_edges`` checks an edge list instead, and no later step checks the
+    graph again.
     """
 
     n: int
     adj: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
-    adj_masks: tuple[int, ...] = field(repr=False, compare=False, default=())
+    adj_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.adj_masks:
-            object.__setattr__(
-                self, "adj_masks", tuple(mask_of(nbrs) for nbrs in self.adj)
-            )
+        masks, violations = _adjacency_masks(self.n, self.adj)
+        if len(self.labels) != self.n:
+            violations.append(f"{len(self.labels)} labels for {self.n} nodes")
+        if violations:
+            raise InvalidInstanceError(violations)
+        object.__setattr__(self, "adj_masks", masks)
 
     @staticmethod
     def from_edges(
@@ -72,37 +86,44 @@ class Graph:
         edges: Iterable[tuple[int, int]],
         labels: Optional[Iterable[str]] = None,
     ) -> "Graph":
-        """Build a graph from an edge list, enforcing all structural invariants."""
+        """Build a graph from an edge list, enforcing all structural invariants:
+        ``int`` endpoints in 0..n-1, no self-loops, no duplicates, n labels."""
         if n < 0:
             raise InvalidInstanceError([f"node count {n} is negative"])
-        nbrs: list[set[int]] = [set() for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
+        masks = [0] * n
+        nbrs: list[list[int]] = [[] for _ in range(n)]
         violations: list[str] = []
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
+            if type(u) is not int or type(v) is not int:  # is_int, inlined: runs per edge
+                violations.append(f"edge ({u!r},{v!r}) endpoints must be integers")
+            elif not (0 <= u < n and 0 <= v < n):
                 violations.append(f"edge ({u},{v}) outside node range 0..{n - 1}")
-                continue
-            if u == v:
+            elif u == v:
                 violations.append(f"self-loop at node {u}")
-                continue
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                violations.append(f"duplicate edge ({key[0]},{key[1]})")
-                continue
-            seen.add(key)
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+            elif masks[u] >> v & 1:
+                violations.append(f"duplicate edge ({min(u, v)},{max(u, v)})")
+            else:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+                nbrs[u].append(v)
+                nbrs[v].append(u)
         if violations:
             raise InvalidInstanceError(violations)
         if labels is None:
-            label_tuple = tuple(f"v{i}" for i in range(n))
+            label_tuple = default_labels(n)
         else:
-            label_tuple = tuple(str(x) for x in labels)
+            label_tuple = tuple(map(str, labels))
             if len(label_tuple) != n:
-                raise InvalidInstanceError(
-                    [f"{len(label_tuple)} labels for {n} nodes"]
-                )
-        return Graph(n=n, adj=tuple(tuple(sorted(s)) for s in nbrs), labels=label_tuple)
+                raise InvalidInstanceError([f"{len(label_tuple)} labels for {n} nodes"])
+        for row in nbrs:
+            row.sort()
+        # the edge loop above has checked everything __post_init__ would
+        graph = object.__new__(Graph)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "adj", tuple(map(tuple, nbrs)))
+        object.__setattr__(graph, "labels", label_tuple)
+        object.__setattr__(graph, "adj_masks", tuple(masks))
+        return graph
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -113,6 +134,38 @@ class Graph:
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
+
+
+@lru_cache(maxsize=256)
+def default_labels(n: int) -> tuple[str, ...]:
+    """The labels v0..v{n-1}: one shared tuple per node count."""
+    return tuple(f"v{i}" for i in range(n))
+
+
+def _adjacency_masks(n: int, adj) -> tuple[tuple[int, ...], list[str]]:
+    """The neighbour masks of a directly given adjacency, and every way it
+    fails to be a simple undirected graph on 0..n-1."""
+    if not is_int(n) or len(adj) != n:
+        return (), [f"{len(adj)} adjacency rows for {n!r} nodes"]
+    masks = [0] * n
+    violations: list[str] = []
+    for u, row in enumerate(adj):
+        last = -1
+        for v in row:
+            if not is_int(v) or not 0 <= v < n:
+                violations.append(f"neighbour {v!r} of node {u} outside node range 0..{n - 1}")
+                continue
+            if v == u:
+                violations.append(f"self-loop at node {u}")
+            elif v <= last:
+                violations.append(f"neighbours of node {u} are not sorted and unique")
+            masks[u] |= 1 << v
+            last = v
+    for u, mask in enumerate(masks):
+        for v in iter_bits(mask):
+            if v != u and not masks[v] >> u & 1:
+                violations.append(f"edge ({u},{v}) has no reverse ({v},{u})")
+    return tuple(masks), violations
 
 
 @dataclass(frozen=True)
@@ -226,7 +279,7 @@ class Move:
     @staticmethod
     def from_wire(pair) -> "Move":
         node, state = pair
-        if not isinstance(node, int) or isinstance(node, bool):
+        if not is_int(node):
             raise ValueError(f"move node must be an integer, got {node!r}")
         if state not in ("on", "off"):
             raise ValueError(f"move state must be 'on' or 'off', got {state!r}")
@@ -336,22 +389,38 @@ def instance_violations(
     snapshot: Iterable[int],
     budget: int,
 ) -> list[str]:
-    """All model-invariant violations in a raw description; empty if clean."""
-    violations: list[str] = []
+    """All model-invariant violations in a raw description; empty if clean.
+
+    For a raw edge list only: a ``Graph`` is checked at construction, and
+    ``validate_instance`` checks the rest of an instance against it.
+    """
     try:
         Graph.from_edges(n, edges)
+        violations = []
     except InvalidInstanceError as exc:
-        violations.extend(exc.violations)
+        violations = list(exc.violations)
+    return violations + value_violations(n, thresholds, snapshot, budget)
+
+
+def value_violations(
+    n: int, thresholds: Iterable[int], snapshot: Iterable[int], budget: int
+) -> list[str]:
+    """The violations of thresholds, snapshot and budget on n nodes."""
+    violations: list[str] = []
     tvec = list(thresholds)
     if len(tvec) != n:
         violations.append(f"{len(tvec)} thresholds for {n} nodes")
     for v, t in enumerate(tvec):
-        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+        if not is_int(t) or t < 0:
             violations.append(f"threshold of node {v} is {t!r}, must be a non-negative integer")
     for v in snapshot:
-        if not (0 <= v < n):
+        if not is_int(v):
+            violations.append(f"snapshot node {v!r} must be an integer")
+        elif not 0 <= v < n:
             violations.append(f"snapshot node {v} outside V (0..{n - 1})")
-    if budget < 0:
+    if not is_int(budget):
+        violations.append(f"budget {budget!r} must be an integer")
+    elif budget < 0:
         violations.append(f"budget {budget} is negative")
     return violations
 
@@ -363,19 +432,21 @@ def validate_instance(
     budget: int,
     mode: DynamicsMode,
 ) -> SnapshotInstance:
-    """Check a parsed instance against every invariant and return it.
+    """Check thresholds, snapshot and budget against ``graph`` and return the
+    instance. The graph itself was checked when it was built and is not
+    rebuilt here.
 
     Empty snapshots and budget 0 are both legal: the time-0 configuration of
     the empty seed counts as produced.
     """
-    violations = instance_violations(
-        graph.n, graph.edges(), thresholds, snapshot, budget
-    )
+    thresholds = tuple(thresholds)
+    snapshot = tuple(snapshot)
+    violations = value_violations(graph.n, thresholds, snapshot, budget)
     if violations:
         raise InvalidInstanceError(violations)
     return SnapshotInstance(
         graph=graph,
-        thresholds=tuple(thresholds),
+        thresholds=thresholds,
         snapshot=frozenset(snapshot),
         budget=budget,
         mode=mode,

@@ -35,9 +35,9 @@ from .model import (
     PLAIN_SEQUENTIAL,
     PLAIN_SIMULTANEOUS,
     SnapshotInstance,
-    instance_violations,
     mask_of,
     validate_instance,
+    value_violations,
 )
 from .serialize import document_digest, edge_pairs, instance_to_dict
 from .solvers import (
@@ -83,17 +83,20 @@ def target_set_from_dict(data: dict) -> TargetSetInstance:
     labels, budget = data["labels"], data["budget"]
     if not isinstance(labels, list):
         raise InvalidInstanceError(["'labels' must be a list"])
-    if not isinstance(budget, int) or isinstance(budget, bool):
-        raise InvalidInstanceError(["'budget' must be an integer"])
     edges = edge_pairs(data["edges"])
     try:
         thresholds = tuple(data["thresholds"])
     except TypeError:
         raise InvalidInstanceError(["'thresholds' must be a list"]) from None
-    violations = instance_violations(len(labels), edges, thresholds, (), budget)
+    graph, violations = None, []
+    try:
+        graph = Graph.from_edges(len(labels), edges, labels)
+    except InvalidInstanceError as exc:
+        violations = list(exc.violations)
+    violations += value_violations(len(labels), thresholds, (), budget)
     if violations:
         raise InvalidInstanceError(violations)
-    return TargetSetInstance(Graph.from_edges(len(labels), edges, labels), thresholds, budget)
+    return TargetSetInstance(graph, thresholds, budget)
 
 
 def has_target_set(ts: TargetSetInstance) -> bool:

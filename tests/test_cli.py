@@ -251,12 +251,16 @@ def _star4_doc(**fields) -> dict:
         ("replay-seq", _seq_cert(match_prefix=1.0)),
         ("replay-seq", _seq_cert(ordering=[["2", "on"]])),
         ("replay-seq", _seq_cert(ordering=[[2.0, "on"]])),
+        ("solve", _star4_doc(snapshot=[0, 1.0])),
+        ("solve", _star4_doc(budget=True)),
+        ("solve", _star4_doc(thresholds=[1, 2, 1, True])),
     ],
     ids=[
         "int-seed", "int-witness", "list-document", "int-move", "int-document", "bool-budget",
         "bool-edge-target-set", "bool-edge", "str-edge", "float-edge",
         "bool-match-time", "float-match-time", "bool-match-prefix", "float-match-prefix",
-        "str-move-node", "float-move-node",
+        "str-move-node", "float-move-node", "float-snapshot-node", "bool-instance-budget",
+        "bool-threshold",
     ],
 )
 def test_malformed_documents_exit_two(tmp_path, star4_file, capsys, command, doc):

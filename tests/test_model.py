@@ -11,11 +11,18 @@ from snapshot_lab import (
     MONOTONE_SIMULTANEOUS,
     Move,
     PLAIN_SEQUENTIAL,
+    PLAIN_SIMULTANEOUS,
+    TargetSetInstance,
     closed_neighborhood,
+    embed_target_set,
+    gadget_deactivation_robust,
+    gadget_sequential_k1,
     induced_subgraph,
     validate_instance,
 )
 from snapshot_lab.model import DynamicsMode, instance_violations, mask_of, nodes_of
+from snapshot_lab.reductions import target_set_from_dict, target_set_to_dict
+from snapshot_lab.serialize import instance_from_dict, instance_to_dict
 
 from conftest import small_instances
 
@@ -41,6 +48,12 @@ def test_duplicate_and_out_of_range_edges_rejected():
         Graph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(InvalidInstanceError, match="outside node range"):
         Graph.from_edges(2, [(0, 5)])
+
+
+@pytest.mark.parametrize("endpoint", [True, 1.0, "1"])
+def test_edge_endpoints_follow_the_integer_rule(endpoint):
+    with pytest.raises(InvalidInstanceError, match="endpoints must be integers"):
+        Graph.from_edges(2, [(0, endpoint)])
 
 
 def test_negative_threshold_and_budget_rejected(star4):
@@ -134,3 +147,97 @@ def test_sequential_mode_flags():
     assert PLAIN_SEQUENTIAL.sequential and not PLAIN_SEQUENTIAL.monotone
     assert PLAIN_SEQUENTIAL.describe() == "sequential"
     assert MONOTONE_SIMULTANEOUS.describe() == "monotone simultaneous"
+
+
+@pytest.mark.parametrize(
+    "adj, labels, message",
+    [
+        (((1,), (), ()), ("a", "b", "c"), r"edge \(0,1\) has no reverse"),
+        (((0, 1), (0,)), ("a", "b"), "self-loop at node 0"),
+        (((1,), (0,)), ("a", "b", "c"), "3 labels for 2 nodes"),
+        (((), (), (-1,)), ("a", "b", "c"), "neighbour -1 of node 2 outside node range"),
+        (((1,), (0, 0)), ("a", "b"), "neighbours of node 1 are not sorted and unique"),
+        (((2, 1), (0,), (0,)), ("a", "b", "c"), "neighbours of node 0 are not sorted"),
+    ],
+    ids=["asymmetric", "self-loop", "label-count", "out-of-range", "duplicate", "unsorted"],
+)
+def test_directly_built_bad_graph_is_rejected(adj, labels, message):
+    with pytest.raises(InvalidInstanceError, match=message):
+        validate_instance(Graph(len(adj), adj, labels), (1,) * len(adj), {0}, 1, PLAIN_SIMULTANEOUS)
+
+
+@given(small_instances(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_direct_graph_equals_edge_list_graph(instance, data):
+    graph = instance.graph
+    edges = data.draw(st.permutations(graph.edges()))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
+    shuffled = Graph.from_edges(graph.n, edges, graph.labels)
+    direct = Graph(graph.n, shuffled.adj, shuffled.labels)
+    assert shuffled == graph == direct
+    assert shuffled.adj_masks == direct.adj_masks == tuple(mask_of(row) for row in graph.adj)
+
+
+@pytest.mark.parametrize(
+    "snapshot, budget, message",
+    [
+        ({1.0}, 1, "snapshot node 1.0 must be an integer"),
+        ({True}, 1, "snapshot node True must be an integer"),
+        ({1}, True, "budget True must be an integer"),
+        ({1}, 1.0, "budget 1.0 must be an integer"),
+    ],
+    ids=["float-node", "bool-node", "bool-budget", "float-budget"],
+)
+def test_snapshot_ids_and_budget_follow_the_integer_rule(snapshot, budget, message):
+    graph = Graph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(InvalidInstanceError, match=message):
+        validate_instance(graph, (1, 1, 1), snapshot, budget, PLAIN_SIMULTANEOUS)
+    assert message in instance_violations(3, graph.edges(), (1, 1, 1), snapshot, budget)
+
+
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """Counts the graphs built, through ``from_edges`` or the constructor."""
+    builds = []
+    from_edges, post_init = Graph.from_edges, Graph.__post_init__
+
+    def counted_from_edges(*args, **kwargs):
+        builds.append("from_edges")
+        return from_edges(*args, **kwargs)
+
+    def counted_post_init(self):
+        builds.append("constructor")
+        post_init(self)
+
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(counted_from_edges))
+    monkeypatch.setattr(Graph, "__post_init__", counted_post_init)
+    return builds
+
+
+def _star4_instance(star4):
+    return validate_instance(star4, (1, 2, 1, 1), {0, 1, 2}, 2, MONOTONE_SIMULTANEOUS)
+
+
+@pytest.mark.parametrize(
+    "build, graphs",
+    [
+        (_star4_instance, 0),
+        (lambda g: instance_from_dict(instance_to_dict(_star4_instance(g))), 1),
+        (lambda g: target_set_from_dict(target_set_to_dict(TargetSetInstance(g, (1, 2, 1, 1), 1))), 1),
+        (lambda g: embed_target_set(TargetSetInstance(g, (1, 2, 1, 1), 1), MONOTONE_SIMULTANEOUS), 0),
+        (lambda g: gadget_sequential_k1(TargetSetInstance(g, (1, 2, 1, 1), 1)), 1),
+        (lambda g: gadget_deactivation_robust(_star4_instance(g)), 1),
+    ],
+    ids=["validate_instance", "instance_from_dict", "target_set_from_dict", "embed", "seqk1", "dummy"],
+)
+def test_each_instance_builds_its_graph_once(star4, graph_builds, build, graphs):
+    build(star4)
+    assert len(graph_builds) == graphs, graph_builds
+
+
+def test_default_labels_are_shared_per_node_count():
+    first, second = Graph.from_edges(5, []), Graph.from_edges(5, [(0, 1)])
+    assert first.labels == ("v0", "v1", "v2", "v3", "v4")
+    assert first.labels is second.labels
+    assert Graph.from_edges(4, []).labels == ("v0", "v1", "v2", "v3")
