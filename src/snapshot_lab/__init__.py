@@ -6,7 +6,6 @@ preprocessing, and reduction gadgets."""
 from .model import (
     ALL_MODES,
     Certificate,
-    Configuration,
     DynamicsMode,
     Graph,
     InvalidInstanceError,
@@ -25,13 +24,11 @@ from .model import (
 )
 from .dynamics import (
     RunResult,
-    StepOutcome,
     Termination,
     apply_ordering,
     best_response,
     legal_moves,
     run_simultaneous,
-    simultaneous_step,
 )
 from .solvers import (
     SearchCapExceeded,

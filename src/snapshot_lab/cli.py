@@ -316,6 +316,8 @@ def _cmd_clique(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if not Path(args.dir).is_dir():
+        raise InvalidInstanceError([f"bench --dir {args.dir!r} is not a directory"])
     rows = []
     for path in sorted(Path(args.dir).glob("*.json")):
         instance = load_instance_file(path)
@@ -444,7 +446,7 @@ def main(argv=None) -> int:
     except (InvalidInstanceError, NotACliqueError, CorpusError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SearchCapExceeded as exc:

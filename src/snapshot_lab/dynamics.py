@@ -13,16 +13,17 @@ what happens after the first match is irrelevant to feasibility, so later
 over-activation never invalidates an earlier exact hit.
 
 All functions are pure over immutable inputs. Hot paths work on int bitmasks;
-the public surface speaks Configuration/frozenset.
+the public surface speaks frozenset: a configuration is the frozenset of its
+active nodes, and a trace step carries its own time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Optional, Sequence
 
 from .model import (
-    Configuration,
     DynamicsMode,
     Graph,
     Move,
@@ -33,20 +34,8 @@ from .model import (
     nodes_of,
 )
 
-MAX_STEP_DEFAULT_CAP = 10**6
-
-
 class EngineInvariantError(RuntimeError):
     """A dynamics invariant failed; signals an engine bug, not a user error."""
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """Result of one simultaneous sweep: new configuration plus the nodes that
-    flipped state."""
-
-    configuration: Configuration
-    changed: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -73,19 +62,13 @@ class RunResult:
         return self.termination.kind == "matched"
 
 
-def default_max_steps(n: int) -> int:
-    """Any simultaneous trajectory repeats within 2^n steps; cap generously."""
-    return min(1 << n, MAX_STEP_DEFAULT_CAP)
-
-
 def best_response(
-    graph: Graph, thresholds: Sequence[int], config: Configuration, node: int
+    graph: Graph, thresholds: Sequence[int], active: frozenset[int], node: int
 ) -> bool:
     """True iff the node's best response is to be active: at least
-    ``thresholds[node]`` of its neighbors are active. Threshold 0 means the
-    active state is always the best response."""
-    active = mask_of(config.active)
-    return (graph.adj_masks[node] & active).bit_count() >= thresholds[node]
+    ``thresholds[node]`` of its neighbors are in ``active``. Threshold 0 means
+    the active state is always the best response."""
+    return (graph.adj_masks[node] & mask_of(active)).bit_count() >= thresholds[node]
 
 
 def _response_mask(adj_masks: Sequence[int], thresholds: Sequence[int], active: int) -> int:
@@ -121,7 +104,10 @@ def _step_mask(
     seed: int,
     monotone: bool,
 ) -> int:
-    """One simultaneous sweep on bitmasks."""
+    """The one simultaneous step map, on bitmasks: c -> R(c), or monotone
+    c -> c | R(c). A monotone run always contains its seed; ``seed`` serves
+    only the check that no other active node has lost its support, which no
+    monotone run can violate."""
     responders = _response_mask(adj_masks, thresholds, active)
     if not monotone:
         return responders
@@ -130,32 +116,7 @@ def _step_mask(
         raise EngineInvariantError(
             f"monotone step would drop best response of active nodes {sorted(nodes_of(stale))}"
         )
-    return active | responders | seed
-
-
-def simultaneous_step(
-    graph: Graph,
-    thresholds: Sequence[int],
-    config: Configuration,
-    seed: frozenset[int],
-    mode: DynamicsMode,
-) -> StepOutcome:
-    """One simultaneous sweep from ``config``.
-
-    Non-monotone: every node's new state is its best response against the old
-    configuration, seed nodes included. Monotone: the old active set grows by
-    the responders (committed seeds never drop out); the step checks that no
-    formerly-active non-seed node's best response flipped to inactive, which
-    holds on every configuration a monotone run can produce.
-    """
-    if not mode.simultaneous:
-        raise ValueError("simultaneous_step requires simultaneous order dynamics")
-    active = mask_of(config.active)
-    new = _step_mask(graph.adj_masks, thresholds, active, mask_of(seed), mode.monotone)
-    return StepOutcome(
-        configuration=Configuration(nodes_of(new), config.time + 1),
-        changed=nodes_of(active ^ new),
-    )
+    return active | responders
 
 
 def run_simultaneous(
@@ -170,13 +131,13 @@ def run_simultaneous(
 
     Stops at the first of: target matched (time 0 included), configuration
     repeat (fixed point or cycle; all visited configurations are stored for
-    exact detection), or the step cap. Deterministic.
+    exact detection), or the step cap ``max_steps`` if one is given: the
+    state space is finite, so every uncapped run ends. Deterministic; this
+    is the reference run that ``simulate`` and certificate replay use.
     """
     if not mode.simultaneous:
         raise ValueError("run_simultaneous requires simultaneous order dynamics")
-    if max_steps is None:
-        max_steps = default_max_steps(graph.n)
-    if max_steps < 1:
+    if max_steps is not None and max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     adj_masks, seed_mask = graph.adj_masks, mask_of(seed)
     target_mask = None if target is None else mask_of(target)
@@ -189,12 +150,13 @@ def run_simultaneous(
         return RunResult(trace, Termination("matched"))
     first_seen = {cur: 0}
     termination = Termination("step_cap_hit")
-    for t in range(1, max_steps + 1):
+    times = count(1) if max_steps is None else range(1, max_steps + 1)
+    for t in times:
         new = _step_mask(adj_masks, thresholds, cur, seed_mask, mode.monotone)
         if new == cur:
             termination = Termination("fixed_point")
             break
-        steps.append(TraceStep(t, None, Configuration(nodes_of(new), t)))
+        steps.append(TraceStep(t, None, nodes_of(new)))
         if target_mask is not None and new == target_mask:
             match_time = t
             termination = Termination("matched")
@@ -210,9 +172,10 @@ def run_simultaneous(
 
 
 def legal_moves(
-    graph: Graph, thresholds: Sequence[int], config: Configuration, mode: DynamicsMode
+    graph: Graph, thresholds: Sequence[int], active: frozenset[int], mode: DynamicsMode
 ) -> list[Move]:
-    """All state-changing best responses available to a single agent.
+    """All state-changing best responses available to a single agent in the
+    configuration whose active nodes are ``active``.
 
     Activations for inactive nodes whose threshold is met; in non-monotone
     mode also deactivations for active nodes whose threshold is unmet (seed
@@ -221,11 +184,11 @@ def legal_moves(
     """
     if not mode.sequential:
         raise ValueError("legal_moves requires sequential order dynamics")
-    active = mask_of(config.active)
-    flips = _response_mask(graph.adj_masks, thresholds, active) ^ active
+    mask = mask_of(active)
+    flips = _response_mask(graph.adj_masks, thresholds, mask) ^ mask
     if mode.monotone:
-        flips &= ~active
-    return [Move(v, not active >> v & 1) for v in iter_bits(flips)]
+        flips &= ~mask
+    return [Move(v, not mask >> v & 1) for v in iter_bits(flips)]
 
 
 def apply_ordering(
@@ -262,9 +225,7 @@ def apply_ordering(
             active |= bit
         elif not (mode.monotone and active & bit):
             active &= ~bit
-        steps.append(
-            TraceStep(t, Move(v, bool(active & bit)), Configuration(nodes_of(active), t))
-        )
+        steps.append(TraceStep(t, Move(v, bool(active & bit)), nodes_of(active)))
         if match_time is None and target_mask is not None and active == target_mask:
             match_time = t
     trace = Trace(seed=frozenset(seed), mode=mode, steps=tuple(steps), match_time=match_time)

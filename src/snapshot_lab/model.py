@@ -241,31 +241,6 @@ class SnapshotInstance:
         return SnapshotInstance(**fields)
 
 
-class Configuration:
-    """A set of active nodes at one instant.
-
-    Equality and hashing look at the active set only; the time index is
-    metadata (the match condition is pure set equality).
-    """
-
-    __slots__ = ("active", "time")
-
-    def __init__(self, active: frozenset[int], time: int = 0):
-        self.active = frozenset(active)
-        self.time = time
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Configuration):
-            return self.active == other.active
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.active)
-
-    def __repr__(self) -> str:
-        return f"Configuration(active={sorted(self.active)}, time={self.time})"
-
-
 @dataclass(frozen=True)
 class Move:
     """One agent's state change. ``activate=True`` turns the node on."""
@@ -289,16 +264,17 @@ class Move:
 @dataclass(frozen=True)
 class TraceStep:
     """One recorded step: the move taken (None for a simultaneous sweep) and
-    the configuration it produced."""
+    the active set of the configuration it produced."""
 
     time: int
     move: Optional[Move]
-    config: Configuration
+    active: frozenset[int]
 
 
 @dataclass(frozen=True)
 class Trace:
-    """A replayable run: seed configuration at time 0, then steps at 1,2,...
+    """A replayable run: the seed at time 0, then steps at 1, 2, ..., each
+    with its time and active set (a configuration is a frozenset of nodes).
 
     ``match_time`` is the first time (0 included) the active set equalled the
     run's target, if any.
@@ -309,10 +285,11 @@ class Trace:
     steps: tuple[TraceStep, ...]
     match_time: Optional[int] = None
 
-    def configurations(self) -> Iterator[Configuration]:
-        yield Configuration(self.seed, 0)
+    def configurations(self) -> Iterator[frozenset[int]]:
+        """The active set at times 0, 1, 2, ...: the seed, then each step's."""
+        yield self.seed
         for step in self.steps:
-            yield step.config
+            yield step.active
 
 
 @dataclass(frozen=True)

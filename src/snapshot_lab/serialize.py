@@ -142,7 +142,7 @@ def trace_jsonl(result) -> str:
             move = {"node": step.move.node, "to": "on" if step.move.activate else "off"}
         lines.append(
             compact_json(
-                {"t": step.time, "move": move, "active": sorted(step.config.active)}
+                {"t": step.time, "move": move, "active": sorted(step.active)}
             )
         )
     lines.append(

@@ -410,9 +410,9 @@ def _simultaneous_fate(
     start: int,
 ) -> tuple[Optional[SimultaneousWitness], int]:
     """Simultaneous check: the fate of the run from ``start`` under the
-    seed-independent step map (``c -> R(c)``, monotone ``c -> c | R(c)``),
-    its first match with S as a witness or None for never, and the number of
-    masks whose successor this call computed.
+    seed-independent step map ``_step_mask``, its first match with S as a
+    witness or None for never, and the number of masks whose successor this
+    call computed.
 
     A run never matches once it closes a cycle without meeting S, reaches a
     mask of ``dead``, or, monotone, leaves S. Its masks then go into
@@ -426,8 +426,7 @@ def _simultaneous_fate(
             dead.update(path)
             return None, len(path)
         path.add(cur)
-        responders = _response_mask(adj_masks, thresholds, cur)
-        cur = cur | responders if monotone else responders
+        cur = _step_mask(adj_masks, thresholds, cur, start, monotone)
     return SimultaneousWitness(len(path)), len(path)
 
 

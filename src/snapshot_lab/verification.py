@@ -224,6 +224,8 @@ def check_lemma(
     """
     if lemma not in _CHECKS:
         raise ValueError(f"unknown check {lemma!r}; expected one of {CHECK_IDS}")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     check = _CHECKS[lemma]
     verdict = LemmaVerdict(lemma=lemma)
     start = time.perf_counter()

@@ -78,6 +78,36 @@ def test_enumerate_negative_budget_exits_two(star4_file, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "--instance", "{dir}"],
+        ["solve", "--instance", "{star4}", "--out", "{dir}"],
+        ["simulate", "--instance", "{star4}", "--replay", "{dir}"],
+        ["simulate", "--instance", "{star4}", "--seed", "0,2", "--out", "{dir}"],
+    ],
+    ids=["solve-instance", "solve-out", "simulate-replay", "simulate-out"],
+)
+def test_unreadable_or_unwritable_paths_exit_two(tmp_path, star4_file, capsys, args):
+    # a directory where a file belongs raises IsADirectoryError, an OSError
+    # other than FileNotFoundError
+    argv = [a.format(dir=tmp_path, star4=star4_file) for a in args]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bench_missing_dir_exits_two(tmp_path, capsys):
+    assert run(["bench", "--dir", str(tmp_path / "missing")]) == 2
+    captured = capsys.readouterr()
+    assert "is not a directory" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_negative_trials_exits_two(capsys):
+    assert run(["verify", "--lemma", "serial", "--trials", "-1"]) == 2
+    assert "trials must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_mode_override_only_without_dynamics(tmp_path, star4_file, capsys):
     doc = json.loads(Path(star4_file).read_text())
     del doc["dynamics"]
@@ -113,6 +143,45 @@ def test_simulate_sequential_needs_ordering(tmp_path, capsys):
     assert run(["simulate", "--instance", str(inst), "--seed", "1", "--ordering", "2"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert json.loads(lines[1]) == {"t": 1, "move": {"node": 2, "to": "on"}, "active": [1, 2]}
+
+
+def _jsonl(*records) -> str:
+    return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
+
+
+def test_simulate_trace_wire_format(tmp_path, star4_file, capsys):
+    # the whole JSONL of three runs, byte for byte: a plain 2-cycle, a
+    # monotone match, and a sequential ordering with a no-op selection
+    doc = json.loads(Path(star4_file).read_text())
+    plain = _write(tmp_path / "plain.json", dict(doc, dynamics={"order": "simultaneous", "monotone": False}))
+    seq = _write(
+        tmp_path / "seq.json",
+        dict(doc, dynamics={"order": "sequential", "monotone": False}, snapshot=[0, 1, 2]),
+    )
+    cases = [
+        (["--instance", plain, "--seed", "1"], 1, _jsonl(
+            {"t": 0, "move": None, "active": [1]},
+            {"t": 1, "move": "sim", "active": [0, 2, 3]},
+            {"t": 2, "move": "sim", "active": [1]},
+            {"match_time": None, "termination": "cycle_detected"},
+        )),
+        (["--instance", star4_file, "--seed", "0,2"], 0, _jsonl(
+            {"t": 0, "move": None, "active": [0, 2]},
+            {"t": 1, "move": "sim", "active": [0, 1, 2]},
+            {"match_time": 1, "termination": "matched"},
+        )),
+        (["--instance", seq, "--seed", "1", "--ordering", "0,0,2,3"], 0, _jsonl(
+            {"t": 0, "move": None, "active": [1]},
+            {"t": 1, "move": {"node": 0, "to": "on"}, "active": [0, 1]},
+            {"t": 2, "move": {"node": 0, "to": "on"}, "active": [0, 1]},
+            {"t": 3, "move": {"node": 2, "to": "on"}, "active": [0, 1, 2]},
+            {"t": 4, "move": {"node": 3, "to": "on"}, "active": [0, 1, 2, 3]},
+            {"match_time": 3, "termination": "matched"},
+        )),
+    ]
+    for args, code, expected in cases:
+        assert run(["simulate", *args]) == code
+        assert capsys.readouterr().out == expected
 
 
 def test_certificates_replay_through_simulate(tmp_path, capsys):

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 
 from snapshot_lab import (
-    Configuration,
     MONOTONE_SEQUENTIAL,
     MONOTONE_SIMULTANEOUS,
     Move,
@@ -14,10 +13,9 @@ from snapshot_lab import (
     best_response,
     legal_moves,
     run_simultaneous,
-    simultaneous_step,
 )
-from snapshot_lab.dynamics import EngineInvariantError, default_max_steps
-from snapshot_lab.model import nodes_of
+from snapshot_lab.dynamics import EngineInvariantError, _step_mask
+from snapshot_lab.model import mask_of, nodes_of
 from snapshot_lab.serialize import trace_jsonl
 
 from conftest import small_instances
@@ -26,7 +24,11 @@ T4 = (1, 2, 1, 1)
 
 
 def cfg(*nodes):
-    return Configuration(frozenset(nodes), 0)
+    return frozenset(nodes)
+
+
+def step(graph, nodes, seed, monotone):
+    return _step_mask(graph.adj_masks, T4, mask_of(nodes), mask_of(seed), monotone)
 
 
 def test_best_response_star4(star4):
@@ -40,27 +42,25 @@ def test_best_response_zero_threshold(star4):
 
 
 def test_simultaneous_step_non_monotone_center_drops_out(star4):
-    out = simultaneous_step(star4, T4, cfg(1), frozenset({1}), PLAIN_SIMULTANEOUS)
-    assert out.configuration.active == frozenset({0, 2, 3})
-    assert out.changed == frozenset({0, 1, 2, 3})
+    new = step(star4, {1}, {1}, monotone=False)
+    assert nodes_of(new) == frozenset({0, 2, 3})
+    assert nodes_of(new ^ mask_of({1})) == frozenset({0, 1, 2, 3})  # every node flips
 
 
 def test_simultaneous_step_monotone_keeps_seed(star4):
-    out = simultaneous_step(star4, T4, cfg(1), frozenset({1}), MONOTONE_SIMULTANEOUS)
-    assert out.configuration.active == frozenset({0, 1, 2, 3})
+    assert nodes_of(step(star4, {1}, {1}, monotone=True)) == frozenset({0, 1, 2, 3})
 
 
 def test_simultaneous_step_empty_fixed_point(star4):
-    out = simultaneous_step(star4, T4, cfg(), frozenset(), PLAIN_SIMULTANEOUS)
-    assert out.configuration.active == frozenset()
-    assert out.changed == frozenset()
+    assert step(star4, set(), set(), monotone=False) == 0
+    assert step(star4, set(), set(), monotone=True) == 0
 
 
 def test_monotone_invariant_guards_engine(star4):
     # an active non-seed node without support cannot arise in a monotone run;
     # feeding one in trips the engine invariant
     with pytest.raises(EngineInvariantError):
-        simultaneous_step(star4, T4, cfg(0), frozenset(), MONOTONE_SIMULTANEOUS)
+        step(star4, {0}, set(), monotone=True)
 
 
 def test_run_simultaneous_matches_at_first_hit(star4):
@@ -69,7 +69,7 @@ def test_run_simultaneous_matches_at_first_hit(star4):
     )
     assert result.matched and result.trace.match_time == 1
     # the run stops at the match even though u4 would join at t=2
-    assert result.trace.steps[-1].config.active == frozenset({0, 1, 2})
+    assert result.trace.steps[-1].active == frozenset({0, 1, 2})
 
 
 def test_run_simultaneous_double_diamond(double_diamond):
@@ -78,7 +78,7 @@ def test_run_simultaneous_double_diamond(double_diamond):
         double_diamond, t, frozenset({0}), PLAIN_SIMULTANEOUS, target=frozenset({3, 6})
     )
     assert result.matched and result.trace.match_time == 2
-    assert [sorted(s.config.active) for s in result.trace.steps] == [[1, 2, 4, 5], [3, 6]]
+    assert [sorted(s.active) for s in result.trace.steps] == [[1, 2, 4, 5], [3, 6]]
 
 
 def test_run_simultaneous_detects_two_cycle(star4):
@@ -131,19 +131,14 @@ def test_apply_ordering_examples(star4):
 
 def test_apply_ordering_monotone_never_deactivates(star4):
     r = apply_ordering(star4, T4, frozenset({1}), [1, 2], MONOTONE_SEQUENTIAL)
-    assert r.trace.steps[0].config.active == frozenset({1})  # no-op step, time advances
-    assert r.trace.steps[1].config.active == frozenset({1, 2})
+    assert r.trace.steps[0].active == frozenset({1})  # no-op step, time advances
+    assert r.trace.steps[1].active == frozenset({1, 2})
     assert r.termination.kind == "ordering_exhausted"
 
 
 def test_apply_ordering_rejects_bad_node(star4):
     with pytest.raises(ValueError):
         apply_ordering(star4, T4, frozenset(), [7], PLAIN_SEQUENTIAL)
-
-
-def test_default_max_steps_cap():
-    assert default_max_steps(4) == 16
-    assert default_max_steps(64) == 10**6
 
 
 @given(small_instances(modes=[MONOTONE_SIMULTANEOUS]))
@@ -154,7 +149,7 @@ def test_monotone_runs_grow_monotonically(instance):
     )
     configs = list(result.trace.configurations())
     for before, after in zip(configs, configs[1:]):
-        assert before.active <= after.active
+        assert before <= after
     # every recorded step activates at least one node, so a run settles
     # within n steps
     assert len(result.trace.steps) <= instance.graph.n
@@ -163,11 +158,11 @@ def test_monotone_runs_grow_monotonically(instance):
 @given(small_instances(max_n=12, modes=[PLAIN_SIMULTANEOUS]))
 @settings(max_examples=80, deadline=None)
 def test_non_monotone_simultaneous_terminates_in_fixed_point_or_cycle(instance):
-    # exact repeat detection bounds every trajectory by 2^n steps; symmetric
-    # threshold networks only reach periods 1 and 2 (Goles & Olivos, 1980)
+    # exact repeat detection bounds every uncapped trajectory by 2^n steps;
+    # symmetric threshold networks only reach periods 1 and 2 (Goles & Olivos,
+    # 1980)
     result = run_simultaneous(
-        instance.graph, instance.thresholds, instance.snapshot, instance.mode,
-        max_steps=default_max_steps(instance.graph.n),
+        instance.graph, instance.thresholds, instance.snapshot, instance.mode
     )
     assert result.termination.kind in ("fixed_point", "cycle_detected")
     if result.termination.kind == "cycle_detected":
@@ -190,12 +185,11 @@ def test_simultaneous_runs_are_deterministic(instance):
 @given(small_instances(modes=[PLAIN_SEQUENTIAL, MONOTONE_SEQUENTIAL]))
 @settings(max_examples=80, deadline=None)
 def test_applied_moves_stop_being_legal(instance):
-    config = Configuration(instance.snapshot, 0)
-    for move in legal_moves(instance.graph, instance.thresholds, config, instance.mode):
+    for move in legal_moves(instance.graph, instance.thresholds, instance.snapshot, instance.mode):
         after = apply_ordering(
             instance.graph, instance.thresholds, instance.snapshot, [move.node], instance.mode
-        ).trace.steps[-1].config
-        assert after.active != config.active
+        ).trace.steps[-1].active
+        assert after != instance.snapshot
         assert move not in legal_moves(instance.graph, instance.thresholds, after, instance.mode)
 
 
@@ -208,8 +202,8 @@ def test_plain_sequential_move_graph_is_acyclic(instance):
     graph, thresholds = instance.graph, instance.thresholds
 
     def successors(mask):
-        config = Configuration(nodes_of(mask), 0)
-        return [mask ^ 1 << m.node for m in legal_moves(graph, thresholds, config, instance.mode)]
+        active = nodes_of(mask)
+        return [mask ^ 1 << m.node for m in legal_moves(graph, thresholds, active, instance.mode)]
 
     finished: set[int] = set()
     for root in range(1 << graph.n):

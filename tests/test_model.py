@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snapshot_lab import (
-    Configuration,
     Graph,
     InvalidInstanceError,
     MONOTONE_SIMULTANEOUS,
@@ -103,12 +102,6 @@ def test_induced_subgraph_clique10_prefix(clique10):
     sub, sub_t, _ = induced_subgraph(inst.graph, inst.thresholds, range(7))
     assert sub_t == (1, 1, 2, 2, 3, 4, 5)
     assert len(sub.edges()) == 7 * 6 // 2
-
-
-def test_configuration_compares_by_active_set_only():
-    assert Configuration(frozenset({1, 2}), time=0) == Configuration(frozenset({1, 2}), time=9)
-    assert Configuration(frozenset({1}), 0) != Configuration(frozenset({2}), 0)
-    assert len({Configuration(frozenset({1}), 0), Configuration(frozenset({1}), 5)}) == 1
 
 
 def test_move_wire_roundtrip():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from snapshot_lab import (
     ALL_MODES,
-    Configuration,
     Graph,
     MONOTONE_SEQUENTIAL,
     MONOTONE_SIMULTANEOUS,
@@ -389,7 +388,7 @@ def _bfs_moves(instance, seed, max_states=None):
     queue = deque([seed])
     while queue and target not in parents:
         cur = queue.popleft()
-        for move in legal_moves(graph, thresholds, Configuration(cur), instance.mode):
+        for move in legal_moves(graph, thresholds, cur, instance.mode):
             nxt = cur ^ {move.node}
             if nxt in parents:
                 continue
