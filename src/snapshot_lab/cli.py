@@ -5,7 +5,8 @@ Machine-readable outputs are canonical (sorted keys and id lists) so repeated
 runs with identical flags produce byte-identical files; wall-clock timings
 are only included behind --timings. Exit codes: 0 feasible/pass, 1
 infeasible/fail/cap, 2 usage or input error. ``SNAPSHOT_LAB_LOG`` sets the
-logging level.
+logging level; at INFO every command logs one line with its exit code, and
+``solve`` adds its verdict and search counters.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .cliques import NotACliqueError, clique_analysis
+from .cliques import clique_analysis
 from .generator import GeneratorParams, instance_stream
 from .model import (
     DynamicsMode,
@@ -130,6 +131,8 @@ def _witness_int(witness: dict, key: str, default=None) -> int:
 
 def _cmd_simulate(args) -> int:
     instance = load_instance_file(args.instance, mode_override=_mode_override(args))
+    if args.max_steps is not None and not instance.mode.simultaneous:
+        raise InvalidInstanceError(["--max-steps applies only to simultaneous dynamics"])
     if args.replay:
         seed, witness = _read_certificate(instance, args.replay)
         problems = []
@@ -184,9 +187,9 @@ def _cmd_simulate(args) -> int:
             instance.graph, instance.thresholds, seed,
             _parse_ids(args.ordering), instance.mode, target=instance.snapshot,
         )
-    _emit(trace_jsonl(result), args.out)
     if args.dot:
         Path(args.dot).write_text(instance_dot(instance, seed), encoding="utf-8")
+    _emit(trace_jsonl(result), args.out)
     return EXIT_OK if result.matched else EXIT_FAIL
 
 
@@ -194,6 +197,10 @@ def _cmd_solve(args) -> int:
     instance = load_instance_file(args.instance, mode_override=_mode_override(args))
     outcome = solve(instance, _limits(args))
     payload = outcome.to_dict(include_timings=args.timings)
+    args.log_fields.update(verdict=payload["verdict"], **payload["stats"])
+    if args.dot:
+        seed = frozenset(outcome.certificate.seed) if outcome.certificate else frozenset()
+        Path(args.dot).write_text(instance_dot(instance, seed), encoding="utf-8")
     if args.format == "text":
         lines = [f"verdict: {payload['verdict']}"]
         if "seed" in payload:
@@ -202,9 +209,6 @@ def _cmd_solve(args) -> int:
         _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(canonical_json(payload), args.out)
-    if args.dot:
-        seed = frozenset(outcome.certificate.seed) if outcome.certificate else frozenset()
-        Path(args.dot).write_text(instance_dot(instance, seed), encoding="utf-8")
     return EXIT_OK if outcome.feasible else EXIT_FAIL
 
 
@@ -351,14 +355,7 @@ def _add_mode_flags(p: argparse.ArgumentParser) -> None:
                    help="seed-commitment override (only when the file omits dynamics)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="snapshot-lab",
-        description="Feasibility of diffusion snapshots under threshold best-response dynamics.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run dynamics from a given seed, or replay a certificate")
+def _add_simulate(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", required=True)
     p.add_argument("--seed", help="comma-separated node ids (empty string for the empty seed)")
     p.add_argument("--ordering", help="sequential selection order, comma-separated node ids")
@@ -367,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--dot", help="write a DOT rendering with snapshot/seed coloring")
     _add_mode_flags(p)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("solve", help="decide snapshot feasibility and emit a certificate")
+
+def _add_solve(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", required=True)
     p.add_argument("--max-states", type=int)
     p.add_argument("--timings", action="store_true")
@@ -377,17 +374,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--dot")
     _add_mode_flags(p)
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("enumerate", help="list every feasible snapshot for a budget")
+
+def _add_enumerate(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", required=True)
     p.add_argument("--budget", type=int)
     p.add_argument("--max-states", type=int)
     p.add_argument("--out")
     _add_mode_flags(p)
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("reduce", help="build a reduction gadget instance, optionally checking equivalence")
+
+def _add_reduce(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gadget", choices=list(GADGET_IDS), required=True)
     p.add_argument("--instance", required=True)
     p.add_argument("--order", choices=["simultaneous", "sequential"],
@@ -395,9 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true")
     p.add_argument("--max-states", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("verify", help="run structural checks on random instances, or replay the corpus")
+
+def _add_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lemma", choices=list(CHECK_IDS))
     p.add_argument("--corpus", action="store_true")
     p.add_argument("--trials", type=int, default=100)
@@ -413,9 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timings", action="store_true")
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("clique", help="apply the clique preprocessing rules and solve")
+
+def _add_clique(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", required=True)
     p.add_argument("--explain", action="store_true")
     p.add_argument("--strict-p2", action="store_true",
@@ -424,34 +421,77 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--out")
     _add_mode_flags(p)
-    p.set_defaults(func=_cmd_clique)
 
-    p = sub.add_parser("bench", help="solve every instance in a directory, emit CSV")
+
+def _add_bench(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dir", required=True)
     p.add_argument("--out")
     p.add_argument("--max-states", type=int)
     p.add_argument("--timings", action="store_true")
-    p.set_defaults(func=_cmd_bench)
 
+
+# name -> (help, argument adder, handler), in the order the help lists them
+COMMANDS = {
+    "simulate": ("run dynamics from a given seed, or replay a certificate", _add_simulate, _cmd_simulate),
+    "solve": ("decide snapshot feasibility and emit a certificate", _add_solve, _cmd_solve),
+    "enumerate": ("list every feasible snapshot for a budget", _add_enumerate, _cmd_enumerate),
+    "reduce": ("build a reduction gadget instance, optionally checking equivalence",
+               _add_reduce, _cmd_reduce),
+    "verify": ("run structural checks on random instances, or replay the corpus",
+               _add_verify, _cmd_verify),
+    "clique": ("apply the clique preprocessing rules and solve", _add_clique, _cmd_clique),
+    "bench": ("solve every instance in a directory, emit CSV", _add_bench, _cmd_bench),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; with a known ``command``, only that subcommand's.
+
+    Building all seven subparsers costs about five times as much as building
+    one, and more than a small solve, so ``main`` builds only the one it
+    needs, afresh on each call. Its usage line still lists every command, so
+    an "unrecognized arguments" error reads as the full parser's; the full
+    parser keeps argparse's own metavar, which "invalid choice" and
+    "required: command" errors print.
+    """
+    parser = argparse.ArgumentParser(
+        prog="snapshot-lab",
+        description="Feasibility of diffusion snapshots under threshold best-response dynamics.",
+    )
+    if command in COMMANDS:
+        sub = parser.add_subparsers(
+            dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}"
+        )
+        names = [command]
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = list(COMMANDS)
+    for name in names:
+        help_text, add_arguments, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
     level = os.environ.get("SNAPSHOT_LAB_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args.log_fields = {}
     try:
-        return args.func(args)
-    except (InvalidInstanceError, NotACliqueError, CorpusError, ValueError) as exc:
+        code = args.func(args)
+    except (CorpusError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code = EXIT_USAGE
     except SearchCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        code = EXIT_FAIL
+    log.info("%s exit %d%s", args.command, code,
+             "".join(f" {key}={value}" for key, value in args.log_fields.items()))
+    return code
 
 
 if __name__ == "__main__":

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import re
+import shlex
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from snapshot_lab.cli import build_parser, main
+from snapshot_lab.cli import COMMANDS, build_parser, main
 from snapshot_lab.serialize import canonical_json
 
 CORPUS = resources.files("snapshot_lab").joinpath("corpus")
@@ -494,28 +497,137 @@ def test_verify_lemma_violation_files_are_replayable(tmp_path, capsys, monkeypat
     assert instance_from_dict(stored).snapshot == frozenset({0, 1, 2})  # revalidates on reload
 
 
-def _readme_synopsis() -> dict[str, set[str]]:
-    """The --flags of every ``snapshot-lab <cmd>`` line of the README,
-    indented continuation lines included, by command."""
+def _readme_synopsis() -> list[str]:
+    """Every ``snapshot-lab <cmd> ...`` line of the README, indented
+    continuation lines joined to it, without the program name."""
     readme = Path(__file__).resolve().parent.parent / "README.md"
-    flags: dict[str, set[str]] = {}
-    command = None
+    entries: list[str] = []
+    continuing = False
     for line in readme.read_text(encoding="utf-8").splitlines():
-        head = re.match(r"snapshot-lab (\w+)", line)
-        if head:
-            command = head.group(1)
-        elif not (command and line.startswith(" ")):
-            command = None
-            continue
-        flags.setdefault(command, set()).update(re.findall(r"--[a-z][a-z0-9-]*", line))
-    return flags
+        if line.startswith("snapshot-lab "):
+            entries.append(line[len("snapshot-lab "):])
+            continuing = True
+        elif continuing and line.startswith(" "):
+            entries[-1] += " " + line.strip()
+        else:
+            continuing = False
+    return entries
+
+
+def _synopsis_argvs(entry: str) -> list[list[str]]:
+    """The argv lists one synopsis entry stands for: optional brackets
+    dropped, each ``|`` alternative its own argv, the first of each
+    ``a|b`` choice and ``1`` for each one-letter placeholder."""
+    command, *tokens = shlex.split(entry.replace("[", "").replace("]", ""))
+    argvs, argv = [], [command]
+    for token in tokens + ["|"]:
+        if token == "|":
+            argvs.append(argv)
+            argv = [command]
+        else:
+            argv.append("1" if re.fullmatch(r"[A-Z]", token) else token.split("|")[0])
+    return argvs
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def test_readme_synopsis_flags_exist():
-    parser = build_parser()
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     synopsis = _readme_synopsis()
-    assert set(synopsis) == set(subparsers.choices)
-    for command, flags in synopsis.items():
-        accepted = subparsers.choices[command]._option_string_actions
-        assert flags <= set(accepted), (command, sorted(flags - set(accepted)))
+    assert {entry.split()[0] for entry in synopsis} == set(_subcommands(build_parser()))
+    for entry in synopsis:
+        command = entry.split()[0]
+        flags = set(re.findall(r"--[a-z][a-z0-9-]*", entry))
+        for parser in (build_parser(), build_parser(command)):
+            accepted = _subcommands(parser)[command]._option_string_actions
+            assert flags <= set(accepted), (command, sorted(flags - set(accepted)))
+
+
+def test_build_parser_builds_one_known_subcommand():
+    assert set(_subcommands(build_parser())) == set(COMMANDS)
+    for command in COMMANDS:
+        assert list(_subcommands(build_parser(command))) == [command]
+    for argv0 in (None, "nope", "--help"):
+        assert set(_subcommands(build_parser(argv0))) == set(COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_one_subcommand_parser_help_matches_full_parser(command):
+    alone = _subcommands(build_parser(command))[command].format_help()
+    assert alone == _subcommands(build_parser())[command].format_help()
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for entry in _readme_synopsis() for argv in _synopsis_argvs(entry)],
+    ids=" ".join,
+)
+def test_one_subcommand_parser_parses_readme_synopsis_alike(argv):
+    assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+
+
+def test_main_reads_sys_argv(monkeypatch, star4_file, capsys):
+    monkeypatch.setattr(sys, "argv", ["snapshot-lab", "solve", "--instance", star4_file])
+    assert main(None) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == [0, 2]
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        ([], "snapshot-lab: error: the following arguments are required: command\n"),
+        (["nope"], "snapshot-lab: error: argument command: invalid choice: 'nope'"),
+        (["solve", "--bogus"], "snapshot-lab solve: error: the following arguments are required: --instance\n"),
+        (["solve", "--instance", "{star4}", "--bogus"], "snapshot-lab: error: unrecognized arguments: --bogus\n"),
+    ],
+    ids=["no-command", "unknown-command", "solve-bogus", "solve-instance-bogus"],
+)
+def test_usage_errors_read_as_the_full_parser(monkeypatch, star4_file, capsys, argv, fragment):
+    # the full parser (all seven subcommands, argparse's own usage metavar)
+    # is the reference for how a usage error reads
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [a.format(star4=star4_file) for a in argv]
+    codes, errors = [], []
+    for parse in (main, build_parser().parse_args):
+        with pytest.raises(SystemExit) as exit_info:
+            parse(argv)
+        codes.append(exit_info.value.code)
+        errors.append(capsys.readouterr().err)
+    assert codes == [2, 2]
+    assert errors[0] == errors[1]
+    assert fragment in errors[0]
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_bad_dot_path_writes_no_main_output(tmp_path, star4_file, capsys, command):
+    out = tmp_path / "out"
+    argv = {
+        "solve": ["solve", "--instance", star4_file],
+        "simulate": ["simulate", "--instance", star4_file, "--seed", "0,2"],
+    }[command]
+    assert run([*argv, "--out", str(out), "--dot", str(tmp_path / "missing" / "g.dot")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_simulate_rejects_max_steps_on_sequential_dynamics(tmp_path, capsys):
+    inst = _sequential_star4(tmp_path, snapshot=[1, 2], budget=1)
+    cert = _write(tmp_path / "cert.json", _seq_cert())
+    assert run(["simulate", "--instance", inst, "--replay", cert]) == 0
+    capsys.readouterr()
+    for argv in (["--seed", "1", "--ordering", "2"], ["--replay", cert]):
+        assert run(["simulate", "--instance", inst, *argv, "--max-steps", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --max-steps applies only to simultaneous dynamics\n"
+
+
+def test_main_logs_one_info_line_per_command(star4_file, caplog, capsys):
+    caplog.set_level(logging.INFO, logger="snapshot_lab")
+    assert run(["solve", "--instance", star4_file]) == 0
+    assert run(["enumerate", "--instance", star4_file, "--budget", "-1"]) == 2
+    capsys.readouterr()
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("snapshot_lab", "INFO", "solve exit 0 verdict=feasible seeds_tried=6 states_expanded=6"),
+        ("snapshot_lab", "INFO", "enumerate exit 2"),
+    ]
