@@ -46,7 +46,7 @@ from .serialize import (
     trace_jsonl,
 )
 from .solvers import SearchCapExceeded, SearchLimits, solve
-from .dynamics import apply_ordering, run_simultaneous
+from .dynamics import RunResult, apply_ordering, run_simultaneous
 from .verification import CHECK_IDS, CorpusError, check_lemma, feasible_snapshots, replay_corpus
 
 log = logging.getLogger("snapshot_lab")
@@ -129,68 +129,82 @@ def _witness_int(witness: dict, key: str, default=None) -> int:
     return value
 
 
+def _replay_certificate(
+    instance: SnapshotInstance, path: str, max_steps: int | None
+) -> tuple[frozenset[int], RunResult, list[str]]:
+    """The certificate's seed, the run its witness replays, and every way the
+    replay fails to prove the certified match."""
+    seed, witness = _read_certificate(instance, path)
+    problems = []
+    if len(seed) > instance.budget:
+        problems.append(f"certificate seed of size {len(seed)} is over budget {instance.budget}")
+    if witness.get("type") == "simultaneous":
+        match_time = _witness_int(witness, "match_time")
+        result = run_simultaneous(
+            instance.graph, instance.thresholds, seed, instance.mode,
+            target=instance.snapshot, max_steps=max_steps,
+        )
+        if not (result.matched and result.trace.match_time == match_time):
+            problems.append("replay does not first match the snapshot at the certified time")
+    elif witness.get("type") == "sequential":
+        try:
+            moves = [Move.from_wire(m) for m in witness.get("ordering", [])]
+        except TypeError:
+            raise InvalidInstanceError(
+                ["certificate 'ordering' must be a list of [node, 'on'|'off'] pairs"]
+            ) from None
+        prefix = _witness_int(witness, "match_prefix", len(moves))
+        result = apply_ordering(
+            instance.graph, instance.thresholds, seed,
+            [m.node for m in moves], instance.mode, target=instance.snapshot,
+        )
+        if result.trace.match_time != prefix:
+            problems.append("replay does not first match the snapshot at the certified prefix")
+        for move, step in zip(moves, result.trace.steps):
+            if move != step.move:
+                problems.append(
+                    f"step {step.time} records {move.to_wire()}, replay gives {step.move.to_wire()}"
+                )
+                break
+    else:
+        raise InvalidInstanceError([f"certificate witness type {witness.get('type')!r} unknown"])
+    return seed, result, problems
+
+
 def _cmd_simulate(args) -> int:
     instance = load_instance_file(args.instance, mode_override=_mode_override(args))
     if args.max_steps is not None and not instance.mode.simultaneous:
         raise InvalidInstanceError(["--max-steps applies only to simultaneous dynamics"])
+    if args.replay and (args.seed is not None or args.ordering is not None):
+        raise InvalidInstanceError(["--replay takes its seed and ordering from the certificate"])
+    if args.ordering is not None and not instance.mode.sequential:
+        raise InvalidInstanceError(["--ordering applies only to sequential dynamics"])
     if args.replay:
-        seed, witness = _read_certificate(instance, args.replay)
-        problems = []
-        if len(seed) > instance.budget:
-            problems.append(f"certificate seed of size {len(seed)} is over budget {instance.budget}")
-        if witness.get("type") == "simultaneous":
-            match_time = _witness_int(witness, "match_time")
+        seed, result, problems = _replay_certificate(instance, args.replay, args.max_steps)
+    else:
+        if args.seed is None:
+            raise InvalidInstanceError(["simulate needs --seed (or --replay CERT)"])
+        seed = _seed_ids(instance, _parse_ids(args.seed))
+        if instance.mode.simultaneous:
             result = run_simultaneous(
                 instance.graph, instance.thresholds, seed, instance.mode,
                 target=instance.snapshot, max_steps=args.max_steps,
             )
-            if not (result.matched and result.trace.match_time == match_time):
-                problems.append("replay does not first match the snapshot at the certified time")
-        elif witness.get("type") == "sequential":
-            try:
-                moves = [Move.from_wire(m) for m in witness.get("ordering", [])]
-            except TypeError:
-                raise InvalidInstanceError(
-                    ["certificate 'ordering' must be a list of [node, 'on'|'off'] pairs"]
-                ) from None
-            prefix = _witness_int(witness, "match_prefix", len(moves))
+        else:
+            if args.ordering is None:
+                raise InvalidInstanceError(["sequential simulate needs --ordering LIST"])
             result = apply_ordering(
                 instance.graph, instance.thresholds, seed,
-                [m.node for m in moves], instance.mode, target=instance.snapshot,
+                _parse_ids(args.ordering), instance.mode, target=instance.snapshot,
             )
-            if result.trace.match_time != prefix:
-                problems.append("replay does not first match the snapshot at the certified prefix")
-            for move, step in zip(moves, result.trace.steps):
-                if move != step.move:
-                    problems.append(
-                        f"step {step.time} records {move.to_wire()}, replay gives {step.move.to_wire()}"
-                    )
-                    break
-        else:
-            raise InvalidInstanceError([f"certificate witness type {witness.get('type')!r} unknown"])
-        _emit(trace_jsonl(result), args.out)
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return EXIT_FAIL if problems else EXIT_OK
-    if args.seed is None:
-        raise InvalidInstanceError(["simulate needs --seed (or --replay CERT)"])
-    seed = _seed_ids(instance, _parse_ids(args.seed))
-    if instance.mode.simultaneous:
-        result = run_simultaneous(
-            instance.graph, instance.thresholds, seed, instance.mode,
-            target=instance.snapshot, max_steps=args.max_steps,
-        )
-    else:
-        if args.ordering is None:
-            raise InvalidInstanceError(["sequential simulate needs --ordering LIST"])
-        result = apply_ordering(
-            instance.graph, instance.thresholds, seed,
-            _parse_ids(args.ordering), instance.mode, target=instance.snapshot,
-        )
     if args.dot:
         Path(args.dot).write_text(instance_dot(instance, seed), encoding="utf-8")
     _emit(trace_jsonl(result), args.out)
-    return EXIT_OK if result.matched else EXIT_FAIL
+    if not args.replay:
+        return EXIT_OK if result.matched else EXIT_FAIL
+    for problem in problems:
+        print(f"error: {problem}", file=sys.stderr)
+    return EXIT_FAIL if problems else EXIT_OK
 
 
 def _cmd_solve(args) -> int:

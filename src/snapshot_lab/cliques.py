@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .dynamics import _node_table
 from .model import (
     Certificate,
     SnapshotInstance,
@@ -68,11 +69,11 @@ class NotACliqueError(ValueError):
 
 def assert_clique(instance: SnapshotInstance) -> None:
     """Verify every pair of distinct nodes is adjacent; names a missing edge."""
-    graph = instance.graph
-    for u in range(graph.n):
-        if graph.degree(u) < graph.n - 1:
-            others = set(range(graph.n)) - {u} - set(graph.adj[u])
-            raise NotACliqueError(u, min(others))
+    full = instance.graph.full_mask()
+    for u, adj in enumerate(instance.graph.adj_masks):
+        missing = full & ~adj & ~(1 << u)
+        if missing:
+            raise NotACliqueError(u, (missing & -missing).bit_length() - 1)
 
 
 @dataclass(frozen=True)
@@ -221,7 +222,8 @@ def rule_isolated_snapshot(instance: SnapshotInstance) -> RuleReport:
         return RuleReport("P5", ACTION_INAPPLICABLE, f"|S|={len(instance.snapshot)} >= outside minimum {tmin}")
     seed = _k_highest_snapshot_seed(instance)
     s_mask = instance.snapshot_mask()
-    closes = _closure(instance.graph.adj_masks, instance.thresholds, mask_of(seed), s_mask)[0] == s_mask
+    table = _node_table(instance.graph.adj_masks, instance.thresholds)
+    closes = _closure(table, mask_of(seed), s_mask)[0] == s_mask
     names = ",".join(instance.graph.labels[v] for v in seed) or "(empty)"
     return RuleReport(
         "P5", ACTION_REDUCED,

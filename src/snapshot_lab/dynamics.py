@@ -12,9 +12,14 @@ A match against a target set is checked at every time step, time 0 included;
 what happens after the first match is irrelevant to feasibility, so later
 over-activation never invalidates an earlier exact hit.
 
-All functions are pure over immutable inputs. Hot paths work on int bitmasks;
-the public surface speaks frozenset: a configuration is the frozenset of its
-active nodes, and a trace step carries its own time.
+All functions are pure over immutable inputs. Hot paths work on int bitmasks
+and read one node table, a ``(neighbour mask, threshold, node bit)`` row per
+node (``_node_table``), built once per run, solve, enumeration or check and
+never per step. ``_response_mask`` is the one response kernel over it,
+``_response_after_flip`` re-reads the rows of one node's neighbours, and
+``_step_mask`` is the one simultaneous step map. The public surface speaks
+frozenset: a configuration is the frozenset of its active nodes, and a trace
+step carries its own time.
 """
 
 from __future__ import annotations
@@ -71,44 +76,50 @@ def best_response(
     return (graph.adj_masks[node] & mask_of(active)).bit_count() >= thresholds[node]
 
 
-def _response_mask(adj_masks: Sequence[int], thresholds: Sequence[int], active: int) -> int:
+# One row per node: (neighbour mask, threshold, node bit).
+NodeTable = tuple[tuple[int, int, int], ...]
+
+
+def _node_table(adj_masks: Sequence[int], thresholds: Sequence[int]) -> NodeTable:
+    """The rows the response kernel reads, built once per solve, run,
+    enumeration or check and never per step. A threshold count other than
+    the node count raises ValueError."""
+    bits = map((1).__lshift__, range(len(adj_masks)))
+    return tuple(zip(adj_masks, thresholds, bits, strict=True))
+
+
+def _response_mask(table: NodeTable, active: int) -> int:
+    """The one response kernel: the mask of the nodes whose best response to
+    ``active`` is to be active."""
     out = 0
-    for v, adj in enumerate(adj_masks):
-        if (adj & active).bit_count() >= thresholds[v]:
-            out |= 1 << v
-    return out
-
-
-def _response_after_flip(
-    adj_masks: Sequence[int], thresholds: Sequence[int], active: int, node: int, response: int
-) -> int:
-    """The response mask of ``active``, given ``response``, the response mask
-    of ``active`` with bit ``node`` flipped. Adjacency is symmetric and has no
-    self-loops, so only the neighbours of ``node`` see a different count, and
-    only they are re-evaluated."""
-    nbrs = adj_masks[node]
-    out = response & ~nbrs
-    while nbrs:
-        bit = nbrs & -nbrs
-        nbrs ^= bit
-        u = bit.bit_length() - 1
-        if (adj_masks[u] & active).bit_count() >= thresholds[u]:
+    for adj, threshold, bit in table:
+        if (adj & active).bit_count() >= threshold:
             out |= bit
     return out
 
 
-def _step_mask(
-    adj_masks: Sequence[int],
-    thresholds: Sequence[int],
-    active: int,
-    seed: int,
-    monotone: bool,
-) -> int:
+def _response_after_flip(table: NodeTable, active: int, node: int, response: int) -> int:
+    """The response mask of ``active``, given ``response``, the response mask
+    of ``active`` with bit ``node`` flipped. Adjacency is symmetric and has no
+    self-loops, so only the neighbours of ``node`` see a different count, and
+    only their rows are re-read."""
+    nbrs = table[node][0]
+    out = response & ~nbrs
+    while nbrs:
+        bit = nbrs & -nbrs
+        nbrs ^= bit
+        adj, threshold, _ = table[bit.bit_length() - 1]
+        if (adj & active).bit_count() >= threshold:
+            out |= bit
+    return out
+
+
+def _step_mask(table: NodeTable, active: int, seed: int, monotone: bool) -> int:
     """The one simultaneous step map, on bitmasks: c -> R(c), or monotone
     c -> c | R(c). A monotone run always contains its seed; ``seed`` serves
     only the check that no other active node has lost its support, which no
     monotone run can violate."""
-    responders = _response_mask(adj_masks, thresholds, active)
+    responders = _response_mask(table, active)
     if not monotone:
         return responders
     stale = active & ~seed & ~responders
@@ -139,7 +150,7 @@ def run_simultaneous(
         raise ValueError("run_simultaneous requires simultaneous order dynamics")
     if max_steps is not None and max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    adj_masks, seed_mask = graph.adj_masks, mask_of(seed)
+    table, seed_mask = _node_table(graph.adj_masks, thresholds), mask_of(seed)
     target_mask = None if target is None else mask_of(target)
 
     steps: list[TraceStep] = []
@@ -152,7 +163,7 @@ def run_simultaneous(
     termination = Termination("step_cap_hit")
     times = count(1) if max_steps is None else range(1, max_steps + 1)
     for t in times:
-        new = _step_mask(adj_masks, thresholds, cur, seed_mask, mode.monotone)
+        new = _step_mask(table, cur, seed_mask, mode.monotone)
         if new == cur:
             termination = Termination("fixed_point")
             break
@@ -185,7 +196,7 @@ def legal_moves(
     if not mode.sequential:
         raise ValueError("legal_moves requires sequential order dynamics")
     mask = mask_of(active)
-    flips = _response_mask(graph.adj_masks, thresholds, mask) ^ mask
+    flips = _response_mask(_node_table(graph.adj_masks, thresholds), mask) ^ mask
     if mode.monotone:
         flips &= ~mask
     return [Move(v, not mask >> v & 1) for v in iter_bits(flips)]
@@ -208,7 +219,7 @@ def apply_ordering(
     """
     if not mode.sequential:
         raise ValueError("apply_ordering requires sequential order dynamics")
-    adj_masks = graph.adj_masks
+    table = _node_table(graph.adj_masks, thresholds)
     for v in ordering:
         if not (0 <= v < graph.n):
             raise ValueError(f"ordering selects node {v}, outside 0..{graph.n - 1}")
@@ -219,9 +230,8 @@ def apply_ordering(
         match_time = 0
     steps: list[TraceStep] = []
     for t, v in enumerate(ordering, start=1):
-        bit = 1 << v
-        met = (adj_masks[v] & active).bit_count() >= thresholds[v]
-        if met:
+        adj, threshold, bit = table[v]
+        if (adj & active).bit_count() >= threshold:
             active |= bit
         elif not (mode.monotone and active & bit):
             active &= ~bit

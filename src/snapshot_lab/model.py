@@ -3,11 +3,14 @@
 All types are immutable after construction and safe to share across workers.
 Node ids are dense integers 0..n-1; labels are presentation-only. Algorithms
 work on ids (and on int bitmasks internally); every file format carries labels.
+A ``Graph`` keeps one adjacency, a neighbour bitmask per node: degrees, edge
+lists, neighbourhoods and induced subgraphs are mask arithmetic, and the
+sorted neighbour tuples are built only when ``Graph.adj`` is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Union
 
@@ -54,31 +57,31 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
     """Undirected simple graph on nodes 0..n-1, checked once, at construction.
 
-    ``adj`` holds sorted neighbor tuples; ``adj_masks`` the same adjacency as
-    int bitmasks (``adj_masks[v] >> u & 1`` tests the edge u-v), derived by
-    the constructor. Built directly, ``Graph(n, adj, labels)`` rejects
-    neighbours outside 0..n-1, self-loops, rows that are not sorted and
-    unique, edges without their reverse and a label count other than n.
-    ``from_edges`` checks an edge list instead, and no later step checks the
-    graph again.
+    The one stored adjacency is ``adj_masks``, an int bitmask per node
+    (``adj_masks[v] >> u & 1`` tests the edge u-v); a graph stores exactly
+    ``n``, ``adj_masks`` and ``labels``. ``adj``, the sorted neighbour
+    tuples, is a read-only view built on each access. Built directly,
+    ``Graph(n, adj, labels)`` takes those tuples and rejects neighbours
+    outside 0..n-1, self-loops, rows that are not sorted and unique, edges
+    without their reverse and a label count other than n. ``from_edges``
+    checks an edge list instead, and no later step checks the graph again.
     """
 
     n: int
-    adj: tuple[tuple[int, ...], ...]
+    adj_masks: tuple[int, ...]
     labels: tuple[str, ...]
-    adj_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        masks, violations = _adjacency_masks(self.n, self.adj)
-        if len(self.labels) != self.n:
-            violations.append(f"{len(self.labels)} labels for {self.n} nodes")
+    def __init__(self, n: int, adj, labels: tuple[str, ...]):
+        masks, violations = _adjacency_masks(n, adj)
+        if len(labels) != n:
+            violations.append(f"{len(labels)} labels for {n} nodes")
         if violations:
             raise InvalidInstanceError(violations)
-        object.__setattr__(self, "adj_masks", masks)
+        _fill(self, n, masks, labels)
 
     @staticmethod
     def from_edges(
@@ -91,7 +94,6 @@ class Graph:
         if n < 0:
             raise InvalidInstanceError([f"node count {n} is negative"])
         masks = [0] * n
-        nbrs: list[list[int]] = [[] for _ in range(n)]
         violations: list[str] = []
         for u, v in edges:
             if type(u) is not int or type(v) is not int:  # is_int, inlined: runs per edge
@@ -105,8 +107,6 @@ class Graph:
             else:
                 masks[u] |= 1 << v
                 masks[v] |= 1 << u
-                nbrs[u].append(v)
-                nbrs[v].append(u)
         if violations:
             raise InvalidInstanceError(violations)
         if labels is None:
@@ -115,25 +115,38 @@ class Graph:
             label_tuple = tuple(map(str, labels))
             if len(label_tuple) != n:
                 raise InvalidInstanceError([f"{len(label_tuple)} labels for {n} nodes"])
-        for row in nbrs:
-            row.sort()
-        # the edge loop above has checked everything __post_init__ would
-        graph = object.__new__(Graph)
-        object.__setattr__(graph, "n", n)
-        object.__setattr__(graph, "adj", tuple(map(tuple, nbrs)))
-        object.__setattr__(graph, "labels", label_tuple)
-        object.__setattr__(graph, "adj_masks", tuple(masks))
-        return graph
+        # the edge loop above has checked everything the constructor would
+        return _fill(object.__new__(Graph), n, tuple(masks), label_tuple)
+
+    @property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbour tuples, built from ``adj_masks`` on each access."""
+        return tuple(tuple(iter_bits(m)) for m in self.adj_masks)
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.adj_masks[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         """Canonical edge list: i<j pairs, sorted."""
-        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
+        out = []
+        for u, mask in enumerate(self.adj_masks):
+            higher = mask >> u + 1  # bit i stands for node u + 1 + i
+            while higher:
+                low = higher & -higher
+                out.append((u, u + low.bit_length()))
+                higher ^= low
+        return out
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
+
+
+def _fill(graph: Graph, n: int, masks: tuple[int, ...], labels: tuple[str, ...]) -> Graph:
+    """Set the three fields of a graph whose adjacency is already checked."""
+    object.__setattr__(graph, "n", n)
+    object.__setattr__(graph, "adj_masks", masks)
+    object.__setattr__(graph, "labels", labels)
+    return graph
 
 
 @lru_cache(maxsize=256)
@@ -320,12 +333,17 @@ class Certificate:
     witness: Witness
 
 
+def _closed_neighborhood_mask(graph: Graph, s_mask: int) -> int:
+    """N[s] as a mask, for s given as a mask."""
+    out = s_mask
+    for v in iter_bits(s_mask):
+        out |= graph.adj_masks[v]
+    return out
+
+
 def closed_neighborhood(graph: Graph, s: Iterable[int]) -> frozenset[int]:
     """N[s]: the nodes of s together with all their neighbors."""
-    out = set(s)
-    for v in list(out):
-        out.update(graph.adj[v])
-    return frozenset(out)
+    return nodes_of(_closed_neighborhood_mask(graph, mask_of(s)))
 
 
 @dataclass(frozen=True)
@@ -345,18 +363,21 @@ class IdMap:
 def induced_subgraph(
     graph: Graph, thresholds: tuple[int, ...], s: Iterable[int]
 ) -> tuple[Graph, tuple[int, ...], IdMap]:
-    """G[s] with thresholds restricted (values unchanged) and an id map back."""
+    """G[s] with thresholds restricted (values unchanged) and an id map back.
+
+    The rows of the kept nodes, masked to s, lose the bit of each dropped
+    node, highest first: the bits below it stay and the bits above it move
+    down one place. An induced subgraph of a checked graph needs no check.
+    """
     kept = sorted(set(s))
-    from_orig = {v: i for i, v in enumerate(kept)}
-    edges = [
-        (from_orig[u], from_orig[v])
-        for u in kept
-        for v in graph.adj[u]
-        if u < v and v in from_orig
-    ]
-    sub = Graph.from_edges(len(kept), edges, labels=[graph.labels[v] for v in kept])
+    kept_mask = mask_of(kept)
+    rows = [graph.adj_masks[u] & kept_mask for u in kept]
+    for v in reversed(list(iter_bits(graph.full_mask() & ~kept_mask))):
+        low = (1 << v) - 1
+        rows = [row & low | row >> 1 & ~low for row in rows]
+    sub = _fill(object.__new__(Graph), len(kept), tuple(rows), tuple(graph.labels[v] for v in kept))
     sub_thresholds = tuple(thresholds[v] for v in kept)
-    return sub, sub_thresholds, IdMap(tuple(kept), from_orig)
+    return sub, sub_thresholds, IdMap(tuple(kept), {v: i for i, v in enumerate(kept)})
 
 
 def instance_violations(

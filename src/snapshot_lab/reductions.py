@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .dynamics import _node_table
 from .model import (
     DynamicsMode,
     Graph,
@@ -102,8 +103,9 @@ def target_set_from_dict(data: dict) -> TargetSetInstance:
 def has_target_set(ts: TargetSetInstance) -> bool:
     """Exhaustive oracle: some seed of size <= budget closes over all of V."""
     full = ts.graph.full_mask()
+    table = _node_table(ts.graph.adj_masks, ts.thresholds)
     for seed in canonical_seed_sets(range(ts.graph.n), ts.budget):
-        if _closure(ts.graph.adj_masks, ts.thresholds, mask_of(seed), full)[0] == full:
+        if _closure(table, mask_of(seed), full)[0] == full:
             return True
     return False
 

@@ -72,6 +72,12 @@ reported after every candidate was checked (or a forced node proves it for
 every seed); if any check capped first, the verdict degrades to
 "resource_cap_hit" instead of risking a silent false negative.
 
+Every check reads the node table of ``dynamics._node_table``, built once
+per solve by ``_seed_check`` (once per enumeration or check elsewhere): the
+step map, ``_bfs`` with its neighbour-only response update, and ``_closure``
+read the same rows, and ``dynamics._response_mask`` is the one response
+kernel.
+
 Everything here is pure over immutable inputs; seed candidates are
 independent work units, and the canonical ordering (not completion order)
 decides the reported certificate.
@@ -87,7 +93,7 @@ from heapq import heappop, heappush
 from itertools import combinations, islice
 from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Sequence
 
-from .dynamics import _response_after_flip, _response_mask, _step_mask
+from .dynamics import NodeTable, _node_table, _response_after_flip, _response_mask, _step_mask
 from .model import (
     Certificate,
     DynamicsMode,
@@ -236,12 +242,10 @@ def monotone_closure(
     seed_mask = mask_of(seed)
     if seed_mask & ~restrict:
         raise ValueError("seed must lie inside restrict_to")
-    return nodes_of(_closure(graph.adj_masks, thresholds, seed_mask, restrict)[0])
+    return nodes_of(_closure(_node_table(graph.adj_masks, thresholds), seed_mask, restrict)[0])
 
 
-def _closure(
-    adj_masks: Sequence[int], thresholds: Sequence[int], seed_mask: int, restrict: int
-) -> tuple[int, list[int]]:
+def _closure(table: NodeTable, seed_mask: int, restrict: int) -> tuple[int, list[int]]:
     """Monotone closure of the seed inside ``restrict``, and the canonical
     order that realizes it: the lowest-id eligible node activates first.
 
@@ -250,26 +254,24 @@ def _closure(
     pass.
     """
     active = seed_mask
-    heap = [
-        v for v in iter_bits(restrict & ~active)
-        if (adj_masks[v] & active).bit_count() >= thresholds[v]
-    ]
-    queued = mask_of(heap)
+    heap = list(iter_bits(_response_mask(table, active) & restrict & ~active))
+    queued = active | mask_of(heap)
     order: list[int] = []
     while heap:
         v = heappop(heap)
-        active |= 1 << v
+        adj, _, bit = table[v]
+        active |= bit
         order.append(v)
-        for u in iter_bits(adj_masks[v] & restrict & ~active & ~queued):
-            if (adj_masks[u] & active).bit_count() >= thresholds[u]:
+        for u in iter_bits(adj & restrict & ~queued):
+            u_adj, u_threshold, u_bit = table[u]
+            if (u_adj & active).bit_count() >= u_threshold:
                 heappush(heap, u)
-                queued |= 1 << u
+                queued |= u_bit
     return active, order
 
 
 def _bfs(
-    adj_masks: Sequence[int],
-    thresholds: Sequence[int],
+    table: NodeTable,
     start: int,
     target: int,
     on: int,
@@ -306,10 +308,10 @@ def _bfs(
             prev = parents[cur]
             prev_response = None if prev is None else responses.get(prev)
             if prev_response is None:
-                response = _response_mask(adj_masks, thresholds, cur)
+                response = _response_mask(table, cur)
             else:
                 node = (prev ^ cur).bit_length() - 1
-                response = _response_after_flip(adj_masks, thresholds, cur, node, prev_response)
+                response = _response_after_flip(table, cur, node, prev_response)
             if len(responses) < max_states:
                 responses[cur] = response
         flips = (response ^ cur) & (on & ~cur | off & cur)
@@ -343,8 +345,7 @@ def _moves_to(parents: dict[int, Optional[int]], state: int) -> tuple[Move, ...]
 
 
 def _bfs_check(
-    adj_masks: Sequence[int],
-    thresholds: Sequence[int],
+    table: NodeTable,
     s_mask: int,
     max_states: int,
     restricted: bool,
@@ -368,8 +369,8 @@ def _bfs_check(
     if restricted:
         on, off = s_mask | seed_mask, seed_mask
     else:
-        on = off = (1 << len(adj_masks)) - 1
-    parents = _bfs(adj_masks, thresholds, seed_mask, s_mask, on, off, max_states, responses, dead)
+        on = off = (1 << len(table)) - 1
+    parents = _bfs(table, seed_mask, s_mask, on, off, max_states, responses, dead)
     if s_mask not in parents:
         if not restricted:
             dead.update(islice(parents, max_states - len(dead)))
@@ -379,10 +380,10 @@ def _bfs_check(
 
 
 def _closure_check(
-    adj_masks: Sequence[int], thresholds: Sequence[int], s_mask: int, seed_mask: int
+    table: NodeTable, s_mask: int, seed_mask: int
 ) -> tuple[Optional[SequentialWitness], int]:
     """Monotone sequential check: the closure of the seed inside S is S."""
-    closure, order = _closure(adj_masks, thresholds, seed_mask, s_mask)
+    closure, order = _closure(table, seed_mask, s_mask)
     if closure != s_mask:
         return None, len(order) + 1
     return SequentialWitness(tuple(Move(v, True) for v in order), len(order)), len(order) + 1
@@ -402,8 +403,7 @@ def _forced_seed_mask(adj_masks: Sequence[int], thresholds: Sequence[int], s_mas
 
 
 def _simultaneous_fate(
-    adj_masks: Sequence[int],
-    thresholds: Sequence[int],
+    table: NodeTable,
     s_mask: int,
     monotone: bool,
     dead: set[int],
@@ -426,7 +426,7 @@ def _simultaneous_fate(
             dead.update(path)
             return None, len(path)
         path.add(cur)
-        cur = _step_mask(adj_masks, thresholds, cur, start, monotone)
+        cur = _step_mask(table, cur, start, monotone)
     return SimultaneousWitness(len(path)), len(path)
 
 
@@ -447,23 +447,18 @@ def _seed_check(
     the seeds it is called on: of the masks whose run never matches
     (simultaneous), or of response masks and of the states that cannot reach
     S (non-monotone sequential)."""
-    adj_masks, thresholds = instance.graph.adj_masks, instance.thresholds
+    table = _node_table(instance.graph.adj_masks, instance.thresholds)
     s_mask = instance.snapshot_mask()
     if instance.mode.simultaneous:
-        return partial(
-            _simultaneous_fate, adj_masks, thresholds, s_mask, instance.mode.monotone, set()
-        )
+        return partial(_simultaneous_fate, table, s_mask, instance.mode.monotone, set())
     if instance.mode.monotone:
-        return partial(_closure_check, adj_masks, thresholds, s_mask)
+        return partial(_closure_check, table, s_mask)
     dead = frozenset() if restricted else set()
-    return partial(
-        _bfs_check, adj_masks, thresholds, s_mask, limits.max_states, restricted, {}, dead
-    )
+    return partial(_bfs_check, table, s_mask, limits.max_states, restricted, {}, dead)
 
 
 def _reachable_mask_set(
-    graph: Graph,
-    thresholds: Sequence[int],
+    table: NodeTable,
     seed_mask: int,
     mode: DynamicsMode,
     limits: SearchLimits,
@@ -478,11 +473,11 @@ def _reachable_mask_set(
         cur = seed_mask
         while cur not in seen:
             seen.add(cur)
-            cur = _step_mask(graph.adj_masks, thresholds, cur, seed_mask, mode.monotone)
+            cur = _step_mask(table, cur, seed_mask, mode.monotone)
         return seen
-    everything = graph.full_mask()
+    everything = (1 << len(table)) - 1
     off = 0 if mode.monotone else everything
-    parents = _bfs(graph.adj_masks, thresholds, seed_mask, -1, everything, off, limits.max_states, responses)
+    parents = _bfs(table, seed_mask, -1, everything, off, limits.max_states, responses)
     return set(parents)
 
 
@@ -496,7 +491,8 @@ def reachable_configs(
     """Every configuration reachable from the seed under the mode: the whole
     move-reachable space for sequential dynamics, the trajectory up to cycle
     closure for simultaneous dynamics."""
-    masks = _reachable_mask_set(graph, thresholds, mask_of(seed), mode, limits, {})
+    table = _node_table(graph.adj_masks, thresholds)
+    masks = _reachable_mask_set(table, mask_of(seed), mode, limits, {})
     return {nodes_of(m) for m in masks}
 
 

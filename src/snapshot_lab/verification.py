@@ -32,13 +32,13 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import islice
 from typing import Iterable, Sequence
 
 from .cliques import solve_clique
+from .dynamics import _node_table
 from .model import (
     DynamicsMode,
     Graph,
@@ -46,7 +46,8 @@ from .model import (
     MONOTONE_SIMULTANEOUS,
     PLAIN_SEQUENTIAL,
     SnapshotInstance,
-    closed_neighborhood,
+    _closed_neighborhood_mask,
+    iter_bits,
     mask_of,
     nodes_of,
 )
@@ -75,9 +76,10 @@ def _feasible_masks(
     limits: SearchLimits,
 ) -> set[int]:
     out: set[int] = set()
+    table = _node_table(graph.adj_masks, thresholds)
     responses: dict[int, int] = {}
     for seed in canonical_seed_sets(range(graph.n), k):
-        out |= _reachable_mask_set(graph, thresholds, mask_of(seed), mode, limits, responses)
+        out |= _reachable_mask_set(table, mask_of(seed), mode, limits, responses)
     return out
 
 
@@ -156,11 +158,12 @@ def _check_feasible_sim_2(instance: SnapshotInstance, limits: SearchLimits) -> l
 
 
 def _check_neighbor(instance: SnapshotInstance, limits: SearchLimits) -> list[dict]:
-    g, t = instance.graph, instance.thresholds
+    g = instance.graph
+    table = _node_table(g.adj_masks, instance.thresholds)
     responses: dict[int, int] = {}
-    reach_empty = _reachable_mask_set(g, t, 0, PLAIN_SEQUENTIAL, limits, responses)
+    reach_empty = _reachable_mask_set(table, 0, PLAIN_SEQUENTIAL, limits, responses)
     reach = [
-        _reachable_mask_set(g, t, 1 << u, PLAIN_SEQUENTIAL, limits, responses)
+        _reachable_mask_set(table, 1 << u, PLAIN_SEQUENTIAL, limits, responses)
         for u in range(g.n)
     ]
     feasible = set(reach_empty)
@@ -170,24 +173,23 @@ def _check_neighbor(instance: SnapshotInstance, limits: SearchLimits) -> list[di
     for s_mask in sorted(feasible):
         if s_mask in reach_empty:
             continue
-        snapshot = nodes_of(s_mask)
-        if any(s_mask in reach[u] for u in sorted(closed_neighborhood(g, snapshot))):
+        if any(s_mask in reach[u] for u in iter_bits(_closed_neighborhood_mask(g, s_mask))):
             continue
-        violations.append({"snapshot": sorted(snapshot), "budget": 1})
+        violations.append({"snapshot": sorted(nodes_of(s_mask)), "budget": 1})
     return violations
 
 
 def _check_clearing(instance: SnapshotInstance, limits: SearchLimits) -> list[dict]:
-    g, t = instance.graph, instance.thresholds
+    n = instance.n
+    table = _node_table(instance.graph.adj_masks, instance.thresholds)
     violations = []
     responses: dict[int, int] = {}
-    for u0 in range(g.n):
+    for u0 in range(n):
         u0_bit = 1 << u0
-        reach_full = _reachable_mask_set(g, t, u0_bit, PLAIN_SEQUENTIAL, limits, responses)
-        for s_mask in range(1 << g.n):
+        reach_full = _reachable_mask_set(table, u0_bit, PLAIN_SEQUENTIAL, limits, responses)
+        for s_mask in range(1 << n):
             restricted = s_mask in _bfs(
-                g.adj_masks, t, u0_bit, s_mask, s_mask | u0_bit, u0_bit,
-                limits.max_states, responses,
+                table, u0_bit, s_mask, s_mask | u0_bit, u0_bit, limits.max_states, responses
             )
             full = s_mask in reach_full
             if restricted != full:
@@ -264,14 +266,19 @@ def seed_distance(
         return 0
     if not sources:
         return math.inf
-    dist = {v: 0 for v in sources}
-    queue = deque(sources)
-    while queue:
-        u = queue.popleft()
-        for v in graph.adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+    # breadth-first by levels of masks: ``frontier`` holds the nodes at
+    # distance ``d`` from the snapshot
+    dist: dict[int, int] = {}
+    seen = frontier = mask_of(sources)
+    d = 0
+    while frontier:
+        reached = 0
+        for u in iter_bits(frontier):
+            dist[u] = d
+            reached |= graph.adj_masks[u]
+        frontier = reached & ~seen
+        seen |= frontier
+        d += 1
     per_seed = [dist.get(v, math.inf) for v in seed_set]
     return max(per_seed) if aggregate == "max" else min(per_seed)
 

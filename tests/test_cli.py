@@ -610,16 +610,66 @@ def test_bad_dot_path_writes_no_main_output(tmp_path, star4_file, capsys, comman
     assert not out.exists()
 
 
-def test_simulate_rejects_max_steps_on_sequential_dynamics(tmp_path, capsys):
-    inst = _sequential_star4(tmp_path, snapshot=[1, 2], budget=1)
-    cert = _write(tmp_path / "cert.json", _seq_cert())
+def _rejection_case(tmp_path, dynamics: str) -> tuple[str, str, list[str]]:
+    """An instance, a certificate that replays on it, and a seed and
+    ordering that simulate on it, for the plain sequential star4 with
+    snapshot [1, 2] or the corpus star4 (monotone simultaneous)."""
+    if dynamics == "sequential":
+        inst = _sequential_star4(tmp_path, snapshot=[1, 2], budget=1)
+        return inst, _write(tmp_path / "cert.json", _seq_cert()), ["--seed", "1", "--ordering", "2"]
+    cert = _write(tmp_path / "cert.json", _cert([0, 2], type="simultaneous", match_time=1))
+    return corpus_path("star4.json"), cert, ["--seed", "0,2"]
+
+
+MAX_STEPS_ERROR = "error: --max-steps applies only to simultaneous dynamics\n"
+REPLAY_ERROR = "error: --replay takes its seed and ordering from the certificate\n"
+
+
+@pytest.mark.parametrize(
+    "dynamics, argv, error",
+    [
+        ("sequential", ["{run}", "--max-steps", "1"], MAX_STEPS_ERROR),
+        ("sequential", ["--replay", "{cert}", "--max-steps", "1"], MAX_STEPS_ERROR),
+        ("simultaneous", ["{run}", "--ordering", "1,3"], "error: --ordering applies only to sequential dynamics\n"),
+        ("simultaneous", ["--replay", "{cert}", "--seed", "0,2"], REPLAY_ERROR),
+        ("simultaneous", ["--replay", "{cert}", "--ordering", "1,3"], REPLAY_ERROR),
+        ("sequential", ["--replay", "{cert}", "--seed", "1"], REPLAY_ERROR),
+        ("sequential", ["--replay", "{cert}", "--ordering", "2"], REPLAY_ERROR),
+    ],
+    ids=[
+        "max-steps-sequential", "max-steps-sequential-replay", "ordering-simultaneous",
+        "replay-seed", "replay-ordering", "replay-seed-sequential", "replay-ordering-sequential",
+    ],
+)
+def test_simulate_rejects_flags_it_would_ignore(tmp_path, capsys, dynamics, argv, error):
+    # each flag would be silently ignored: exit 2 with one error line instead
+    inst, cert, seeded = _rejection_case(tmp_path, dynamics)
     assert run(["simulate", "--instance", inst, "--replay", cert]) == 0
+    assert run(["simulate", "--instance", inst, *seeded]) == 0
     capsys.readouterr()
-    for argv in (["--seed", "1", "--ordering", "2"], ["--replay", cert]):
-        assert run(["simulate", "--instance", inst, *argv, "--max-steps", "1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: --max-steps applies only to simultaneous dynamics\n"
+    argv = [a for arg in argv for a in (seeded if arg == "{run}" else [arg.format(cert=cert)])]
+    assert run(["simulate", "--instance", inst, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == error
+
+
+def test_simulate_replay_writes_dot_before_its_output(tmp_path, star4_file, capsys):
+    cert, dot, out = tmp_path / "cert.json", tmp_path / "g.dot", tmp_path / "trace.jsonl"
+    assert run(["solve", "--instance", star4_file, "--out", str(cert)]) == 0
+    seeded = tmp_path / "seeded.dot"
+    assert run(["simulate", "--instance", star4_file, "--seed", "0,2", "--dot", str(seeded)]) == 0
+    capsys.readouterr()
+    assert run(["simulate", "--instance", star4_file, "--replay", str(cert), "--dot", str(dot), "--out", str(out)]) == 0
+    # the certificate's seed is [0, 2], so the rendering equals the seeded run's
+    assert dot.read_text() == seeded.read_text()
+    assert 'fillcolor="orange"' in dot.read_text()
+    assert out.exists()
+    missing = tmp_path / "missing" / "g.dot"
+    out.unlink()
+    assert run(["simulate", "--instance", star4_file, "--replay", str(cert), "--dot", str(missing), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_main_logs_one_info_line_per_command(star4_file, caplog, capsys):

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snapshot_lab import (
+    Graph,
     MONOTONE_SEQUENTIAL,
     MONOTONE_SIMULTANEOUS,
     Move,
@@ -12,9 +14,11 @@ from snapshot_lab import (
     apply_ordering,
     best_response,
     legal_moves,
+    monotone_closure,
+    reachable_configs,
     run_simultaneous,
 )
-from snapshot_lab.dynamics import EngineInvariantError, _step_mask
+from snapshot_lab.dynamics import EngineInvariantError, _node_table, _response_mask, _step_mask
 from snapshot_lab.model import mask_of, nodes_of
 from snapshot_lab.serialize import trace_jsonl
 
@@ -28,7 +32,7 @@ def cfg(*nodes):
 
 
 def step(graph, nodes, seed, monotone):
-    return _step_mask(graph.adj_masks, T4, mask_of(nodes), mask_of(seed), monotone)
+    return _step_mask(_node_table(graph.adj_masks, T4), mask_of(nodes), mask_of(seed), monotone)
 
 
 def test_best_response_star4(star4):
@@ -61,6 +65,54 @@ def test_monotone_invariant_guards_engine(star4):
     # feeding one in trips the engine invariant
     with pytest.raises(EngineInvariantError):
         step(star4, {0}, set(), monotone=True)
+
+
+@given(small_instances(max_n=8), st.data())
+@settings(max_examples=200, deadline=None)
+def test_table_response_and_step_equal_best_response(instance, data):
+    # the table-driven kernel against the per-node definition, with
+    # threshold 0 and thresholds above the degree drawn on purpose
+    graph, n = instance.graph, instance.n
+    thresholds = tuple(
+        data.draw(st.sampled_from([0, graph.degree(v) + 1, instance.thresholds[v]]))
+        for v in range(n)
+    )
+    active = frozenset(v for v in range(n) if data.draw(st.booleans()))
+    responders = frozenset(v for v in range(n) if best_response(graph, thresholds, active, v))
+    table = _node_table(graph.adj_masks, thresholds)
+    assert table == tuple((graph.adj_masks[v], thresholds[v], 1 << v) for v in range(n))
+    assert nodes_of(_response_mask(table, mask_of(active))) == responders
+    assert nodes_of(_step_mask(table, mask_of(active), 0, False)) == responders
+    # a monotone step needs every active node without support in the seed
+    seed = (active - responders) | frozenset(v for v in active if data.draw(st.booleans()))
+    stepped = _step_mask(table, mask_of(active), mask_of(seed), True)
+    assert nodes_of(stepped) == active | responders
+
+
+def test_node_table_of_a_graph_past_64_nodes():
+    n = 70
+    path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    table = _node_table(path.adj_masks, (1,) * n)
+    assert [bit for _, _, bit in table] == [1 << v for v in range(n)]
+    assert nodes_of(_response_mask(table, 1 << 69)) == frozenset({68})
+    result = run_simultaneous(path, (1,) * n, frozenset({0}), MONOTONE_SIMULTANEOUS)
+    assert result.termination.kind == "fixed_point" and len(result.trace.steps) == n - 1
+
+
+@pytest.mark.parametrize("thresholds", [(1, 1), (1, 1, 1, 1)], ids=["short", "long"])
+def test_threshold_count_other_than_node_count_is_rejected(thresholds):
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    seed = frozenset({0})
+    calls = [
+        lambda: run_simultaneous(path, thresholds, seed, PLAIN_SIMULTANEOUS),
+        lambda: legal_moves(path, thresholds, seed, PLAIN_SEQUENTIAL),
+        lambda: apply_ordering(path, thresholds, seed, [1, 2], PLAIN_SEQUENTIAL),
+        lambda: monotone_closure(path, thresholds, seed),
+        lambda: reachable_configs(path, thresholds, seed, PLAIN_SEQUENTIAL),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_run_simultaneous_matches_at_first_hit(star4):

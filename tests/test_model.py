@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -189,22 +191,43 @@ def test_snapshot_ids_and_budget_follow_the_integer_rule(snapshot, budget, messa
     assert message in instance_violations(3, graph.edges(), (1, 1, 1), snapshot, budget)
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_graph_stores_only_masks_and_reads_them_as_the_edge_list(data):
+    n = data.draw(st.integers(min_value=0, max_value=8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [p for p in pairs if data.draw(st.booleans())]
+    graph = Graph.from_edges(n, [(v, u) for u, v in reversed(edges)])
+    assert [f.name for f in dataclasses.fields(Graph)] == ["n", "adj_masks", "labels"]
+    assert list(vars(graph)) == ["n", "adj_masks", "labels"]
+    neighbours = [sorted({b for a, b in edges if a == v} | {a for a, b in edges if b == v}) for v in range(n)]
+    assert graph.adj == tuple(map(tuple, neighbours))
+    assert [graph.degree(v) for v in range(n)] == list(map(len, neighbours))
+    assert graph.edges() == edges
+    s = {v for v in range(n) if data.draw(st.booleans())}
+    assert closed_neighborhood(graph, s) == frozenset(s).union(*(neighbours[v] for v in s))
+    direct = Graph(n, graph.adj, graph.labels)
+    assert direct == graph and direct.adj_masks == graph.adj_masks
+    with pytest.raises(AttributeError):
+        graph.adj = ()
+
+
 @pytest.fixture
 def graph_builds(monkeypatch):
     """Counts the graphs built, through ``from_edges`` or the constructor."""
     builds = []
-    from_edges, post_init = Graph.from_edges, Graph.__post_init__
+    from_edges, init = Graph.from_edges, Graph.__init__
 
     def counted_from_edges(*args, **kwargs):
         builds.append("from_edges")
         return from_edges(*args, **kwargs)
 
-    def counted_post_init(self):
+    def counted_init(self, *args):
         builds.append("constructor")
-        post_init(self)
+        init(self, *args)
 
     monkeypatch.setattr(Graph, "from_edges", staticmethod(counted_from_edges))
-    monkeypatch.setattr(Graph, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Graph, "__init__", counted_init)
     return builds
 
 

@@ -32,7 +32,7 @@ from snapshot_lab import (
     solve_simultaneous,
 )
 from snapshot_lab.generator import GeneratorParams, instance_stream
-from snapshot_lab.dynamics import _response_after_flip, _response_mask
+from snapshot_lab.dynamics import _node_table, _response_after_flip, _response_mask
 from snapshot_lab.model import mask_of, nodes_of
 from snapshot_lab.solvers import _closure, canonical_seed_sets
 
@@ -104,7 +104,8 @@ def test_one_pass_closure_matches_rescan_order(instance, data):
     graph, thresholds = instance.graph, instance.thresholds
     seed = data.draw(st.frozensets(st.integers(min_value=0, max_value=graph.n - 1)))
     restrict = data.draw(st.sampled_from([instance.snapshot | seed, frozenset(range(graph.n))]))
-    mask, order = _closure(graph.adj_masks, thresholds, mask_of(seed), mask_of(restrict))
+    table = _node_table(graph.adj_masks, thresholds)
+    mask, order = _closure(table, mask_of(seed), mask_of(restrict))
     assert (nodes_of(mask), order) == _rescan_closure(graph, thresholds, seed, restrict)
 
 
@@ -484,8 +485,8 @@ def test_state_cap_never_reads_as_infeasible(instance, max_states):
 @given(small_instances(max_n=9), st.data())
 @settings(max_examples=200, deadline=None)
 def test_response_after_flip_matches_full_recompute(instance, data):
-    adj, t = instance.graph.adj_masks, instance.thresholds
+    table = _node_table(instance.graph.adj_masks, instance.thresholds)
     active = data.draw(st.integers(min_value=0, max_value=(1 << instance.n) - 1))
     node = data.draw(st.integers(min_value=0, max_value=instance.n - 1))
-    before = _response_mask(adj, t, active ^ (1 << node))
-    assert _response_after_flip(adj, t, active, node, before) == _response_mask(adj, t, active)
+    before = _response_mask(table, active ^ (1 << node))
+    assert _response_after_flip(table, active, node, before) == _response_mask(table, active)
