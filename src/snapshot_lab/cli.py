@@ -288,24 +288,21 @@ def _cmd_verify(args) -> int:
         rng_seed=args.rng_seed,
     )
     verdict = check_lemma(args.lemma, instance_stream(params), args.trials, _limits(args))
-    written = []
-    if verdict.violations:
-        root = Path(args.violations_dir) / args.lemma
-        root.mkdir(parents=True, exist_ok=True)
-        grouped: dict[str, dict] = {}
-        for violation in verdict.violations:
-            digest = instance_digest(instance_from_dict(violation["instance"]))
-            doc = grouped.setdefault(
-                digest, dict(violation["instance"], witnesses=[])
-            )
-            doc["witnesses"].append(violation["witness"])
-        for digest in sorted(grouped):
-            path = root / f"{digest}.json"
-            path.write_text(canonical_json(grouped[digest]), encoding="utf-8")
-            written.append(str(path))
+    root = Path(args.violations_dir) / args.lemma
+    grouped: dict[str, dict] = {}
+    for violation in verdict.violations:
+        digest = instance_digest(instance_from_dict(violation["instance"]))
+        doc = grouped.setdefault(digest, dict(violation["instance"], witnesses=[]))
+        doc["witnesses"].append(violation["witness"])
+    paths = [root / f"{digest}.json" for digest in sorted(grouped)]
     payload = verdict.to_dict(include_timings=args.timings)
-    payload["violation_files"] = written
+    payload["violation_files"] = list(map(str, paths))
+    # the document goes out first, so a bad --out path leaves no violation file
     _emit(canonical_json(payload), args.out)
+    if paths:
+        root.mkdir(parents=True, exist_ok=True)
+    for path in paths:
+        path.write_text(canonical_json(grouped[path.stem]), encoding="utf-8")
     return EXIT_OK if verdict.ok else EXIT_FAIL
 
 

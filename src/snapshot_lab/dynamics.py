@@ -16,7 +16,8 @@ All functions are pure over immutable inputs. Hot paths work on int bitmasks
 and read one node table, a ``(neighbour mask, threshold, node bit)`` row per
 node (``_node_table``), built once per run, solve, enumeration or check and
 never per step. ``_response_mask`` is the one response kernel over it,
-``_response_after_flip`` re-reads the rows of one node's neighbours, and
+``_response_after_flip`` re-reads the rows of one node's neighbours for the
+sequential BFS and the first sweep of the simultaneous seed loop, and
 ``_step_mask`` is the one simultaneous step map. The public surface speaks
 frozenset: a configuration is the frozenset of its active nodes, and a trace
 step carries its own time.
@@ -114,12 +115,16 @@ def _response_after_flip(table: NodeTable, active: int, node: int, response: int
     return out
 
 
-def _step_mask(table: NodeTable, active: int, seed: int, monotone: bool) -> int:
+def _step_mask(
+    table: NodeTable, active: int, seed: int, monotone: bool, responders: Optional[int] = None
+) -> int:
     """The one simultaneous step map, on bitmasks: c -> R(c), or monotone
-    c -> c | R(c). A monotone run always contains its seed; ``seed`` serves
-    only the check that no other active node has lost its support, which no
-    monotone run can violate."""
-    responders = _response_mask(table, active)
+    c -> c | R(c). ``responders`` is R(c) when the caller already has it.
+    A monotone run always contains its seed; ``seed`` serves only the check
+    that no other active node has lost its support, which no monotone run
+    can violate."""
+    if responders is None:
+        responders = _response_mask(table, active)
     if not monotone:
         return responders
     stale = active & ~seed & ~responders

@@ -32,11 +32,19 @@ Per-seed checks:
   seeds therefore walk one functional graph. A run's fate is its first
   match with S or never: it never matches once it closes a cycle without
   meeting S, or, monotone, as soon as it leaves S, because it only grows.
-  The masks of such a run go into a dead set shared by the seeds of one
-  solve, so a later run that reaches one stops there; a match ends the
-  search, so nothing else needs storing. The configuration space is finite,
-  so exact repeat detection settles every run and no step cap is needed. A
-  ``Trace`` is built only when a certificate is replayed;
+  The masks of such a run go into a memo ``{mask: R(mask)}`` shared by the
+  seeds of one solve, so a later run that reaches one stops there; a match
+  ends the search, so nothing else needs storing. The first sweep of seed s
+  looks up p, s without its highest node, and when p is stored it derives
+  R(s) from R(p), re-reading only that node's neighbours. p is nearly
+  always stored: canonical order tries p before s, and p's run either never
+  matched, which stored p, or matched, which ended the search. A p that was
+  never tried (the empty seed's, one lacking a forced node, one a filtered
+  pool dropped) falls back to the full kernel; every entry is an exact R,
+  so no verdict depends on a hit. Later sweeps use the full kernel. The
+  configuration space is finite, so exact repeat detection settles every run
+  and no step cap is needed. A ``Trace`` is built only when a certificate is
+  replayed;
 * monotone sequential: the monotone closure of the seed inside S (never
   selecting outside nodes is always safe and always sufficient), computed
   with its canonical activation order, lowest-id eligible node first, in one
@@ -74,9 +82,9 @@ every seed); if any check capped first, the verdict degrades to
 
 Every check reads the node table of ``dynamics._node_table``, built once
 per solve by ``_seed_check`` (once per enumeration or check elsewhere): the
-step map, ``_bfs`` with its neighbour-only response update, and ``_closure``
-read the same rows, and ``dynamics._response_mask`` is the one response
-kernel.
+step map, ``_closure`` and the neighbour-only response update that ``_bfs``
+and the simultaneous first sweep share read the same rows, and
+``dynamics._response_mask`` is the one full response kernel.
 
 Everything here is pure over immutable inputs; seed candidates are
 independent work units, and the canonical ordering (not completion order)
@@ -85,6 +93,7 @@ decides the reported certificate.
 
 from __future__ import annotations
 
+import logging
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -108,6 +117,8 @@ from .model import (
     mask_of,
     nodes_of,
 )
+
+log = logging.getLogger("snapshot_lab")
 
 VERDICT_FEASIBLE = "feasible"
 VERDICT_INFEASIBLE = "infeasible"
@@ -206,8 +217,9 @@ def _seed_masks(pool: Iterable[int], forced: int, budget: int) -> Iterator[int]:
 def _search(seeds: Iterable[int], check: SeedCheck) -> SolveOutcome:
     """Run ``check`` on each seed mask in order and report the first seed
     whose check returns a witness. A seed whose check raises
-    SearchCapExceeded counts as capped, and a search that finds no seed then
-    reads ``resource_cap_hit`` rather than ``infeasible``."""
+    SearchCapExceeded counts as capped and logs one DEBUG line, and a search
+    that finds no seed then reads ``resource_cap_hit`` rather than
+    ``infeasible``."""
     t0 = time.perf_counter()
     stats = SolveStats()
     verdict, cert = VERDICT_INFEASIBLE, None
@@ -216,6 +228,8 @@ def _search(seeds: Iterable[int], check: SeedCheck) -> SolveOutcome:
         try:
             witness, states = check(seed_mask)
         except SearchCapExceeded as cap:
+            log.debug("seed %s hit the state cap with %d states stored",
+                      list(iter_bits(seed_mask)), cap.states)
             stats.states_expanded += cap.states
             verdict = VERDICT_CAP
             continue
@@ -406,7 +420,7 @@ def _simultaneous_fate(
     table: NodeTable,
     s_mask: int,
     monotone: bool,
-    dead: set[int],
+    memo: dict[int, int],
     start: int,
 ) -> tuple[Optional[SimultaneousWitness], int]:
     """Simultaneous check: the fate of the run from ``start`` under the
@@ -415,18 +429,29 @@ def _simultaneous_fate(
     call computed.
 
     A run never matches once it closes a cycle without meeting S, reaches a
-    mask of ``dead``, or, monotone, leaves S. Its masks then go into
-    ``dead``, so a later seed whose run reaches one stops there. A match ends
-    the seed search, so the masks of a matching run are never stored.
+    mask of ``memo``, or, monotone, leaves S. Its masks then go into
+    ``memo`` with their response masks, so a later seed whose run reaches
+    one stops there. A match ends the seed search, so the masks of a
+    matching run are never stored. The first sweep takes the response of
+    ``start`` minus its highest node from ``memo`` when it is there and
+    re-reads only that node's neighbours; later sweeps use the full kernel.
     """
-    path: set[int] = set()
+    path: dict[int, int] = {}
     cur = start
     while cur != s_mask:
-        if cur in dead or cur in path or monotone and cur & ~s_mask:
-            dead.update(path)
+        if cur in memo or cur in path or monotone and cur & ~s_mask:
+            memo.update(path)
             return None, len(path)
-        path.add(cur)
-        cur = _step_mask(table, cur, start, monotone)
+        response = None
+        if not path and cur:
+            top = cur.bit_length() - 1
+            below = memo.get(cur ^ 1 << top)
+            if below is not None:
+                response = _response_after_flip(table, cur, top, below)
+        if response is None:
+            response = _response_mask(table, cur)
+        path[cur] = response
+        cur = _step_mask(table, cur, start, monotone, response)
     return SimultaneousWitness(len(path)), len(path)
 
 
@@ -444,13 +469,13 @@ def _seed_check(
     instance: SnapshotInstance, limits: SearchLimits, restricted: bool = False
 ) -> SeedCheck:
     """The per-seed check of the instance's mode. It keeps one memo for all
-    the seeds it is called on: of the masks whose run never matches
-    (simultaneous), or of response masks and of the states that cannot reach
-    S (non-monotone sequential)."""
+    the seeds it is called on: the response masks of the masks whose run
+    never matches (simultaneous), or response masks and the states that
+    cannot reach S (non-monotone sequential)."""
     table = _node_table(instance.graph.adj_masks, instance.thresholds)
     s_mask = instance.snapshot_mask()
     if instance.mode.simultaneous:
-        return partial(_simultaneous_fate, table, s_mask, instance.mode.monotone, set())
+        return partial(_simultaneous_fate, table, s_mask, instance.mode.monotone, {})
     if instance.mode.monotone:
         return partial(_closure_check, table, s_mask)
     dead = frozenset() if restricted else set()

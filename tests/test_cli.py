@@ -466,10 +466,9 @@ def test_emit_then_load_roundtrip(tmp_path, star4_file):
     assert canonical_json(doc) == out1.read_text()
 
 
-def test_verify_lemma_violation_files_are_replayable(tmp_path, capsys, monkeypatch):
-    # no real violations exist, so fabricate one to exercise the file layout
+def _fake_violations(monkeypatch, count):
+    # no real violations exist, so fabricate some to exercise the file layout
     import snapshot_lab.cli as cli_mod
-    from snapshot_lab.serialize import instance_from_dict
     from snapshot_lab.verification import LemmaVerdict
 
     doc = json.loads(Path(corpus_path("star4.json")).read_text())
@@ -479,12 +478,17 @@ def test_verify_lemma_violation_files_are_replayable(tmp_path, capsys, monkeypat
             lemma=lemma,
             trials=trials,
             violations=[
-                {"instance": doc, "witness": {"snapshot": [0], "budget": 1}},
-                {"instance": doc, "witness": {"snapshot": [1], "budget": 1}},
+                {"instance": doc, "witness": {"snapshot": [v], "budget": 1}} for v in range(count)
             ],
         )
 
     monkeypatch.setattr(cli_mod, "check_lemma", fake_check)
+
+
+def test_verify_lemma_violation_files_are_replayable(tmp_path, capsys, monkeypatch):
+    from snapshot_lab.serialize import instance_from_dict
+
+    _fake_violations(monkeypatch, 2)
     vdir = tmp_path / "violations"
     code = run(["verify", "--lemma", "serial", "--trials", "5", "--violations-dir", str(vdir)])
     assert code == 1
@@ -495,6 +499,18 @@ def test_verify_lemma_violation_files_are_replayable(tmp_path, capsys, monkeypat
     stored = json.loads(files[0].read_text())
     assert len(stored["witnesses"]) == 2
     assert instance_from_dict(stored).snapshot == frozenset({0, 1, 2})  # revalidates on reload
+
+
+def test_verify_lemma_bad_out_leaves_no_violation_file(tmp_path, capsys, monkeypatch):
+    _fake_violations(monkeypatch, 1)
+    vdir = tmp_path / "violations"
+    out = tmp_path / "missing" / "x.json"
+    argv = ["verify", "--lemma", "serial", "--trials", "5", "--violations-dir", str(vdir)]
+    assert run(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert not vdir.exists()
 
 
 def _readme_synopsis() -> list[str]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import logging
 import random
 from collections import deque
 
@@ -18,6 +19,7 @@ from snapshot_lab import (
     SearchCapExceeded,
     SearchLimits,
     SnapshotInstance,
+    clique_analysis,
     feasible_snapshots,
     legal_moves,
     monotone_closure,
@@ -34,7 +36,7 @@ from snapshot_lab import (
 from snapshot_lab.generator import GeneratorParams, instance_stream
 from snapshot_lab.dynamics import _node_table, _response_after_flip, _response_mask
 from snapshot_lab.model import mask_of, nodes_of
-from snapshot_lab.solvers import _closure, canonical_seed_sets
+from snapshot_lab.solvers import _closure, _seeds, _simultaneous_fate, canonical_seed_sets
 
 from conftest import assert_certificate_replays, small_instances
 
@@ -270,12 +272,15 @@ def test_budget_zero_and_empty_snapshot(star4_instance):
     assert solve(star4_instance({0}, 0, MONOTONE_SIMULTANEOUS)).verdict == "infeasible"
 
 
-def test_resource_cap_reported_not_infeasible():
+def _hub_instance():
     # hub with six leaves, everything threshold 1: S = two leaves is
     # infeasible (the center locks active), and a tiny state cap trips first
     g = Graph.from_edges(7, [(0, i) for i in range(1, 7)])
-    t = (1,) * 7
-    inst = SnapshotInstance(g, t, frozenset({1, 2}), 1, PLAIN_SEQUENTIAL)
+    return SnapshotInstance(g, (1,) * 7, frozenset({1, 2}), 1, PLAIN_SEQUENTIAL)
+
+
+def test_resource_cap_reported_not_infeasible():
+    inst = _hub_instance()
     assert solve_sequential(inst).verdict == "infeasible"
     capped = solve_sequential(inst, SearchLimits(max_states=2))
     assert capped.verdict == "resource_cap_hit"
@@ -284,6 +289,19 @@ def test_resource_cap_reported_not_infeasible():
     # search stores 64: a cap of 64 enumerates it in full, a cap of 63 trips
     assert solve_sequential(inst, SearchLimits(max_states=64)).verdict == "infeasible"
     assert solve_sequential(inst, SearchLimits(max_states=63)).verdict == "resource_cap_hit"
+
+
+def test_capped_seed_check_logs_one_debug_line(caplog):
+    caplog.set_level(logging.DEBUG, logger="snapshot_lab")
+    assert solve_sequential(_hub_instance(), SearchLimits(max_states=63)).verdict == (
+        "resource_cap_hit"
+    )
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("snapshot_lab", "DEBUG", "seed [0] hit the state cap with 63 states stored"),
+    ]
+    caplog.clear()
+    assert solve_sequential(_hub_instance()).verdict == "infeasible"
+    assert caplog.records == []
 
 
 def test_solver_rejects_wrong_mode(star4_instance):
@@ -349,16 +367,80 @@ def test_simultaneous_solver_matches_per_seed_runs(instance):
     assert _summary(solve(instance, SearchLimits(max_states=1))) == (verdict, seed, match_time)
 
 
-@pytest.mark.parametrize("mode", SIMULTANEOUS_MODES)
-@pytest.mark.parametrize("snapshot_mode", ["arbitrary", "reachable"])
-def test_simultaneous_solver_matches_per_seed_runs_on_stream(mode, snapshot_mode):
+def _simultaneous_stream(mode, snapshot_mode):
     params = GeneratorParams(
         n_min=6, n_max=12, edge_prob=0.3, threshold_law="le2", budget_min=1,
         budget_max=3, snapshot_mode=snapshot_mode, mode=mode, rng_seed=11,
     )
-    for instance in itertools.islice(instance_stream(params), 40):
+    return itertools.islice(instance_stream(params), 40)
+
+
+@pytest.mark.parametrize("mode", SIMULTANEOUS_MODES)
+@pytest.mark.parametrize("snapshot_mode", ["arbitrary", "reachable"])
+def test_simultaneous_solver_matches_per_seed_runs_on_stream(mode, snapshot_mode):
+    for instance in _simultaneous_stream(mode, snapshot_mode):
         verdict, seed, match_time = _per_seed_reference(instance)
         assert _summary(solve(instance)) == (verdict, seed, match_time)
+
+
+# Total (seeds_tried, states_expanded) of solve over each stream, recorded
+# while every sweep still ran the full response kernel: reusing a stored
+# response must not change the work a solve reports.
+SIMULTANEOUS_STREAM_WORK = {
+    (MONOTONE_SIMULTANEOUS, "arbitrary"): (160, 190),
+    (MONOTONE_SIMULTANEOUS, "reachable"): (72, 91),
+    (PLAIN_SIMULTANEOUS, "arbitrary"): (1877, 2412),
+    (PLAIN_SIMULTANEOUS, "reachable"): (196, 282),
+}
+
+
+@pytest.mark.parametrize("mode", SIMULTANEOUS_MODES)
+@pytest.mark.parametrize("snapshot_mode", ["arbitrary", "reachable"])
+def test_simultaneous_work_counters_on_stream_are_pinned(mode, snapshot_mode):
+    seeds = states = 0
+    for instance in _simultaneous_stream(mode, snapshot_mode):
+        stats = solve(instance).stats
+        seeds, states = seeds + stats.seeds_tried, states + stats.states_expanded
+    assert (seeds, states) == SIMULTANEOUS_STREAM_WORK[mode, snapshot_mode]
+
+
+@given(small_instances(max_n=7, max_budget=3, modes=SIMULTANEOUS_MODES))
+@example(  # node 2 is forced and the highest node of every seed, so each lookup misses
+    SnapshotInstance(
+        Graph.from_edges(4, [(0, 1), (1, 2), (0, 3)]), (1, 2, 2, 1), frozenset({0, 1, 2}), 2,
+        MONOTONE_SIMULTANEOUS,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_simultaneous_memo_holds_exact_responses_of_runs_that_never_match(instance):
+    graph, thresholds, s = instance.graph, instance.thresholds, instance.snapshot
+    table = _node_table(graph.adj_masks, thresholds)
+    memo: dict[int, int] = {}
+    checked: set[int] = set()
+    for seed_mask in _seeds(instance):
+        witness, _ = _simultaneous_fate(table, mask_of(s), instance.mode.monotone, memo, seed_mask)
+        run = run_simultaneous(graph, thresholds, nodes_of(seed_mask), instance.mode, target=s)
+        assert (witness and witness.match_time) == run.trace.match_time
+        for mask in memo.keys() - checked:
+            assert memo[mask] == _response_mask(table, mask)
+            assert not run_simultaneous(
+                graph, thresholds, nodes_of(mask), instance.mode, target=s
+            ).matched
+        checked |= memo.keys()
+        if witness is not None:
+            break
+
+
+def test_clique_filter_dropping_the_one_smaller_seed_agrees_with_solve(clique):
+    # P3 forces node 5, the highest id, so the clique search tries {5}, {0, 5}
+    # and {1, 5} while the memo never holds {0} or {1}; solve tries both
+    inst = clique(6, (1, 4, 1, 2, 3, 3), {0, 1, 2, 3, 5}, 2, MONOTONE_SIMULTANEOUS)
+    analysis = clique_analysis(inst)
+    assert [r.nodes for r in analysis.reports if r.rule == "P3"] == [(5,)]
+    assert analysis.outcome.stats.seeds_tried == 3
+    summary = _summary(solve(inst))
+    assert summary[:2] == ("feasible", {1, 5}) and summary[2] > 0
+    assert _summary(analysis.outcome) == summary
 
 
 @given(small_instances(max_n=7, max_budget=3, modes=[MONOTONE_SIMULTANEOUS]))
