@@ -38,11 +38,7 @@ from .solvers import (
     reachable_configs,
     seed_feasible,
     solve,
-    solve_monotone_sequential,
-    solve_monotone_simultaneous,
-    solve_sequential,
     solve_sequential_k1,
-    solve_simultaneous,
 )
 from .cliques import (
     CliqueAnalysis,
@@ -55,7 +51,6 @@ from .cliques import (
     rule_low_threshold_outside,
     rule_prune_outside,
     rule_threshold_collision,
-    solve_clique,
 )
 from .reductions import (
     EquivalenceVerdict,
@@ -72,6 +67,7 @@ from .verification import (
     CorpusError,
     CorpusReport,
     LemmaVerdict,
+    check_certificate,
     check_lemma,
     feasible_snapshots,
     replay_corpus,

@@ -22,13 +22,7 @@ from pathlib import Path
 
 from .cliques import clique_analysis
 from .generator import GeneratorParams, instance_stream
-from .model import (
-    DynamicsMode,
-    InvalidInstanceError,
-    Move,
-    SnapshotInstance,
-    is_int,
-)
+from .model import DynamicsMode, InvalidInstanceError, SnapshotInstance
 from .reductions import (
     GADGET_IDS,
     check_equivalence,
@@ -43,11 +37,19 @@ from .serialize import (
     instance_from_dict,
     instance_to_dict,
     load_instance_file,
+    seed_ids,
     trace_jsonl,
 )
 from .solvers import SearchCapExceeded, SearchLimits, solve
-from .dynamics import RunResult, apply_ordering, run_simultaneous
-from .verification import CHECK_IDS, CorpusError, check_lemma, feasible_snapshots, replay_corpus
+from .dynamics import apply_ordering, run_simultaneous
+from .verification import (
+    CHECK_IDS,
+    CorpusError,
+    check_certificate,
+    check_lemma,
+    feasible_snapshots,
+    replay_corpus,
+)
 
 log = logging.getLogger("snapshot_lab")
 
@@ -71,13 +73,6 @@ def _parse_ids(raw: str) -> list[int]:
         return [int(x) for x in raw.split(",")]
     except ValueError:
         raise InvalidInstanceError([f"expected comma-separated node ids, got {raw!r}"]) from None
-
-
-def _seed_ids(instance: SnapshotInstance, ids: list) -> frozenset[int]:
-    outside = [v for v in ids if type(v) is not int or not 0 <= v < instance.n]
-    if outside:
-        raise InvalidInstanceError([f"seed ids {outside} outside 0..{instance.n - 1}"])
-    return frozenset(ids)
 
 
 def _mode_override(args) -> DynamicsMode | None:
@@ -109,68 +104,6 @@ def instance_dot(instance: SnapshotInstance, seed: frozenset[int] = frozenset())
     return "\n".join(lines) + "\n"
 
 
-def _read_certificate(instance: SnapshotInstance, path: str) -> tuple[frozenset[int], dict]:
-    """The seed and the witness object of a certificate file, checked for shape."""
-    cert = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(cert, dict):
-        raise InvalidInstanceError(["certificate must be a JSON object"])
-    seed, witness = cert.get("seed", []), cert.get("witness", {})
-    if not isinstance(seed, list):
-        raise InvalidInstanceError(["certificate 'seed' must be a list of node ids"])
-    if not isinstance(witness, dict):
-        raise InvalidInstanceError(["certificate 'witness' must be an object"])
-    return _seed_ids(instance, seed), witness
-
-
-def _witness_int(witness: dict, key: str, default=None) -> int:
-    value = witness.get(key, default)
-    if not is_int(value):
-        raise InvalidInstanceError([f"certificate {key!r} must be an integer, got {value!r}"])
-    return value
-
-
-def _replay_certificate(
-    instance: SnapshotInstance, path: str, max_steps: int | None
-) -> tuple[frozenset[int], RunResult, list[str]]:
-    """The certificate's seed, the run its witness replays, and every way the
-    replay fails to prove the certified match."""
-    seed, witness = _read_certificate(instance, path)
-    problems = []
-    if len(seed) > instance.budget:
-        problems.append(f"certificate seed of size {len(seed)} is over budget {instance.budget}")
-    if witness.get("type") == "simultaneous":
-        match_time = _witness_int(witness, "match_time")
-        result = run_simultaneous(
-            instance.graph, instance.thresholds, seed, instance.mode,
-            target=instance.snapshot, max_steps=max_steps,
-        )
-        if not (result.matched and result.trace.match_time == match_time):
-            problems.append("replay does not first match the snapshot at the certified time")
-    elif witness.get("type") == "sequential":
-        try:
-            moves = [Move.from_wire(m) for m in witness.get("ordering", [])]
-        except TypeError:
-            raise InvalidInstanceError(
-                ["certificate 'ordering' must be a list of [node, 'on'|'off'] pairs"]
-            ) from None
-        prefix = _witness_int(witness, "match_prefix", len(moves))
-        result = apply_ordering(
-            instance.graph, instance.thresholds, seed,
-            [m.node for m in moves], instance.mode, target=instance.snapshot,
-        )
-        if result.trace.match_time != prefix:
-            problems.append("replay does not first match the snapshot at the certified prefix")
-        for move, step in zip(moves, result.trace.steps):
-            if move != step.move:
-                problems.append(
-                    f"step {step.time} records {move.to_wire()}, replay gives {step.move.to_wire()}"
-                )
-                break
-    else:
-        raise InvalidInstanceError([f"certificate witness type {witness.get('type')!r} unknown"])
-    return seed, result, problems
-
-
 def _cmd_simulate(args) -> int:
     instance = load_instance_file(args.instance, mode_override=_mode_override(args))
     if args.max_steps is not None and not instance.mode.simultaneous:
@@ -180,11 +113,13 @@ def _cmd_simulate(args) -> int:
     if args.ordering is not None and not instance.mode.sequential:
         raise InvalidInstanceError(["--ordering applies only to sequential dynamics"])
     if args.replay:
-        seed, result, problems = _replay_certificate(instance, args.replay, args.max_steps)
+        document = json.loads(Path(args.replay).read_text(encoding="utf-8"))
+        result, problems = check_certificate(instance, document, args.max_steps)
+        seed = result.trace.seed
     else:
         if args.seed is None:
             raise InvalidInstanceError(["simulate needs --seed (or --replay CERT)"])
-        seed = _seed_ids(instance, _parse_ids(args.seed))
+        seed = seed_ids(_parse_ids(args.seed), instance.n)
         if instance.mode.simultaneous:
             result = run_simultaneous(
                 instance.graph, instance.thresholds, seed, instance.mode,

@@ -310,10 +310,3 @@ def clique_analysis(
         outcome = SolveOutcome(outcome.verdict, cert, outcome.stats)
     return done(outcome)
 
-
-def solve_clique(
-    instance: SnapshotInstance,
-    limits: SearchLimits = DEFAULT_LIMITS,
-    strict_property2: bool = False,
-) -> SolveOutcome:
-    return clique_analysis(instance, limits, strict_property2).outcome

@@ -241,18 +241,6 @@ class SnapshotInstance:
     def snapshot_mask(self) -> int:
         return mask_of(self.snapshot)
 
-    def with_(self, **changes) -> "SnapshotInstance":
-        """Copy with selected fields replaced."""
-        fields = dict(
-            graph=self.graph,
-            thresholds=self.thresholds,
-            snapshot=self.snapshot,
-            budget=self.budget,
-            mode=self.mode,
-        )
-        fields.update(changes)
-        return SnapshotInstance(**fields)
-
 
 @dataclass(frozen=True)
 class Move:
@@ -378,26 +366,6 @@ def induced_subgraph(
     sub = _fill(object.__new__(Graph), len(kept), tuple(rows), tuple(graph.labels[v] for v in kept))
     sub_thresholds = tuple(thresholds[v] for v in kept)
     return sub, sub_thresholds, IdMap(tuple(kept), {v: i for i, v in enumerate(kept)})
-
-
-def instance_violations(
-    n: int,
-    edges: Iterable[tuple[int, int]],
-    thresholds: Iterable[int],
-    snapshot: Iterable[int],
-    budget: int,
-) -> list[str]:
-    """All model-invariant violations in a raw description; empty if clean.
-
-    For a raw edge list only: a ``Graph`` is checked at construction, and
-    ``validate_instance`` checks the rest of an instance against it.
-    """
-    try:
-        Graph.from_edges(n, edges)
-        violations = []
-    except InvalidInstanceError as exc:
-        violations = list(exc.violations)
-    return violations + value_violations(n, thresholds, snapshot, budget)
 
 
 def value_violations(

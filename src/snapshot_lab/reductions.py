@@ -24,7 +24,7 @@ disagreement, greedily shrinks the source instance by single-node deletion
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from .dynamics import _node_table
@@ -36,11 +36,12 @@ from .model import (
     PLAIN_SEQUENTIAL,
     PLAIN_SIMULTANEOUS,
     SnapshotInstance,
+    induced_subgraph,
     mask_of,
     validate_instance,
     value_violations,
 )
-from .serialize import document_digest, edge_pairs, instance_to_dict
+from .serialize import document_digest, edge_pairs, instance_to_dict, label_list
 from .solvers import (
     DEFAULT_LIMITS,
     VERDICT_CAP,
@@ -50,9 +51,7 @@ from .solvers import (
     _closure,
     canonical_seed_sets,
     solve,
-    solve_monotone_simultaneous,
     solve_sequential_k1,
-    solve_simultaneous,
 )
 
 
@@ -81,9 +80,7 @@ def target_set_from_dict(data: dict) -> TargetSetInstance:
     missing = [key for key in ("labels", "edges", "thresholds", "budget") if key not in data]
     if missing:
         raise InvalidInstanceError([f"missing field {key!r}" for key in missing])
-    labels, budget = data["labels"], data["budget"]
-    if not isinstance(labels, list):
-        raise InvalidInstanceError(["'labels' must be a list"])
+    labels, budget = label_list(data["labels"]), data["budget"]
     edges = edge_pairs(data["edges"])
     try:
         thresholds = tuple(data["thresholds"])
@@ -241,22 +238,12 @@ def _source_to_dict(source: Source) -> dict:
 
 def _delete_node(source: Source, v: int) -> Source:
     """Drop node v, its incident edges and threshold; reindex densely."""
-    graph = source.graph
-    kept = [u for u in range(graph.n) if u != v]
-    remap = {u: i for i, u in enumerate(kept)}
-    edges = [(remap[a], remap[b]) for a, b in graph.edges() if a != v and b != v]
-    labels = [graph.labels[u] for u in kept]
-    sub = Graph.from_edges(len(kept), edges, labels)
-    thresholds = tuple(source.thresholds[u] for u in kept)
+    kept = [u for u in range(source.graph.n) if u != v]
+    graph, thresholds, ids = induced_subgraph(source.graph, source.thresholds, kept)
     if isinstance(source, TargetSetInstance):
-        return TargetSetInstance(sub, thresholds, source.budget)
-    return SnapshotInstance(
-        graph=sub,
-        thresholds=thresholds,
-        snapshot=frozenset(remap[u] for u in source.snapshot if u != v),
-        budget=source.budget,
-        mode=source.mode,
-    )
+        return replace(source, graph=graph, thresholds=thresholds)
+    snapshot = frozenset(ids.sub(u) for u in source.snapshot if u != v)
+    return replace(source, graph=graph, thresholds=thresholds, snapshot=snapshot)
 
 
 def _feasible(outcome: SolveOutcome) -> bool:
@@ -279,8 +266,7 @@ def _sides(gadget: str, source: Source, limits: SearchLimits, mode: Optional[Dyn
     if gadget == "dummy":
         assert isinstance(source, SnapshotInstance)
         reduced = gadget_deactivation_robust(source)
-        left = _feasible(solve_monotone_simultaneous(source, limits))
-        return left, _feasible(solve_simultaneous(reduced, limits))
+        return _feasible(solve(source, limits)), _feasible(solve(reduced, limits))
     raise ValueError(f"unknown gadget {gadget!r}; expected one of {GADGET_IDS}")
 
 

@@ -1,7 +1,16 @@
-"""Wire formats: the instance JSON document, trace JSON lines, canonical dumps.
+"""Wire formats: the instance and certificate JSON documents, trace JSON
+lines, canonical dumps.
 
 Canonical form is what makes outputs diffable: sorted keys, sorted id lists,
 edges as i<j pairs in lexicographic order, two-space indent, trailing newline.
+
+The certificate document has its one home here, in both directions:
+``certificate_to_dict`` writes what ``solve`` emits, and
+``certificate_from_dict`` reads it back with every shape rule (a list of
+distinct in-range seed ids, an ``int`` match time, or ``[node, "on"|"off"]``
+moves with an ``int`` match prefix that defaults to the whole ordering).
+Whether a well-formed certificate proves its instance is
+``verification.check_certificate``'s question.
 """
 
 from __future__ import annotations
@@ -11,10 +20,15 @@ import json
 from typing import Optional
 
 from .model import (
+    Certificate,
     DynamicsMode,
     Graph,
     InvalidInstanceError,
+    Move,
+    SequentialWitness,
+    SimultaneousWitness,
     SnapshotInstance,
+    is_int,
     validate_instance,
 )
 
@@ -51,6 +65,14 @@ def edge_pairs(raw) -> list[tuple[int, int]]:
         raise InvalidInstanceError(["'edges' must be a list of [i, j] pairs"]) from None
 
 
+def label_list(raw) -> list[str]:
+    """The 'labels' field of an instance or target-set document: a list of
+    strings, never coerced."""
+    if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
+        raise InvalidInstanceError(["'labels' must be a list of strings"])
+    return raw
+
+
 def instance_to_dict(instance: SnapshotInstance) -> dict:
     return {
         "labels": list(instance.graph.labels),
@@ -74,9 +96,7 @@ def instance_from_dict(
     for key in ("labels", "edges", "thresholds", "snapshot", "budget"):
         if key not in data:
             raise InvalidInstanceError([f"missing field {key!r}"])
-    labels = data["labels"]
-    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-        raise InvalidInstanceError(["'labels' must be a list of strings"])
+    labels = label_list(data["labels"])
     n = len(labels)
     graph = Graph.from_edges(n, edge_pairs(data["edges"]), labels=labels)
     if "dynamics" in data and data["dynamics"] is not None:
@@ -112,6 +132,68 @@ def load_instance_file(
                 [f"{path}: not valid JSON (line {exc.lineno}: {exc.msg})"]
             ) from None
     return instance_from_dict(data, mode_override=mode_override)
+
+
+def seed_ids(ids: list, n: int) -> frozenset[int]:
+    """The seed of a list of node ids, each an ``int`` in 0..n-1."""
+    outside = [v for v in ids if not is_int(v) or not 0 <= v < n]
+    if outside:
+        raise InvalidInstanceError([f"seed ids {outside} outside 0..{n - 1}"])
+    return frozenset(ids)
+
+
+def certificate_to_dict(certificate: Certificate) -> dict:
+    """The seed and witness fields of the certificate document."""
+    witness = certificate.witness
+    if isinstance(witness, SimultaneousWitness):
+        wire = {"type": "simultaneous", "match_time": witness.match_time}
+    else:
+        wire = {
+            "type": "sequential",
+            "ordering": [m.to_wire() for m in witness.ordering],
+            "match_prefix": witness.match_prefix,
+        }
+    return {"seed": sorted(certificate.seed), "witness": wire}
+
+
+def _witness_int(witness: dict, key: str, default=None) -> int:
+    value = witness.get(key, default)
+    if not is_int(value):
+        raise InvalidInstanceError([f"certificate {key!r} must be an integer, got {value!r}"])
+    return value
+
+
+def certificate_from_dict(data, n: int) -> Certificate:
+    """Parse a certificate document for an instance on n nodes, checked for
+    shape only; other fields (the verdict, the stats) are ignored. Raises
+    ``InvalidInstanceError`` or ``ValueError`` on any JSON value that is not
+    a certificate."""
+    if not isinstance(data, dict):
+        raise InvalidInstanceError(["certificate must be a JSON object"])
+    seed, witness = data.get("seed", []), data.get("witness", {})
+    if not isinstance(seed, list):
+        raise InvalidInstanceError(["certificate 'seed' must be a list of node ids"])
+    if not isinstance(witness, dict):
+        raise InvalidInstanceError(["certificate 'witness' must be an object"])
+    seed_set = seed_ids(seed, n)
+    if len(seed_set) != len(seed):
+        raise InvalidInstanceError([f"certificate seed {seed} repeats a node id"])
+    kind = witness.get("type")
+    if kind == "simultaneous":
+        return Certificate(seed_set, SimultaneousWitness(_witness_int(witness, "match_time")))
+    if kind != "sequential":
+        raise InvalidInstanceError([f"certificate witness type {kind!r} unknown"])
+    try:
+        moves = tuple(Move.from_wire(m) for m in witness.get("ordering", []))
+    except TypeError:
+        raise InvalidInstanceError(
+            ["certificate 'ordering' must be a list of [node, 'on'|'off'] pairs"]
+        ) from None
+    prefix = _witness_int(witness, "match_prefix", len(moves))
+    for move in moves:
+        if not 0 <= move.node < n:
+            raise InvalidInstanceError([f"ordering selects node {move.node}, outside 0..{n - 1}"])
+    return Certificate(seed_set, SequentialWitness(moves, prefix))
 
 
 def document_digest(doc: dict) -> str:

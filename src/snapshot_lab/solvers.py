@@ -1,5 +1,12 @@
 """Feasibility deciders for the four dynamics, with replayable certificates.
 
+``solve(instance)`` is the one entry that decides an instance, under the
+instance's own mode; ``solve_sequential_k1`` is a separate, restricted
+solver for budget-1 non-monotone sequential instances, kept as the pruned
+side of an acceptance check. A ``SolveOutcome`` writes its certificate
+through ``serialize.certificate_to_dict``, and
+``verification.check_certificate`` is the one replay of it.
+
 Every mode asks the same question, whether some seed of size <= k reaches the
 snapshot S, and answers it the same way: ``_search`` tries candidate seed
 masks in one canonical order (by size, then lexicographically over sorted
@@ -108,6 +115,7 @@ from .model import (
     DynamicsMode,
     Graph,
     Move,
+    PLAIN_SEQUENTIAL,
     SequentialWitness,
     SimultaneousWitness,
     SnapshotInstance,
@@ -117,6 +125,7 @@ from .model import (
     mask_of,
     nodes_of,
 )
+from .serialize import certificate_to_dict
 
 log = logging.getLogger("snapshot_lab")
 
@@ -166,20 +175,12 @@ class SolveOutcome:
         return self.verdict == VERDICT_FEASIBLE
 
     def to_dict(self, include_timings: bool = False) -> dict:
-        """Certificate wire format (canonical; timings off by default so files
-        from identical runs are byte-identical)."""
+        """The certificate document (``serialize.certificate_to_dict``) with the
+        verdict and search stats; timings are off by default so files from
+        identical runs are byte-identical."""
         out: dict = {"verdict": {VERDICT_CAP: "cap"}.get(self.verdict, self.verdict)}
         if self.certificate is not None:
-            out["seed"] = sorted(self.certificate.seed)
-            w = self.certificate.witness
-            if isinstance(w, SimultaneousWitness):
-                out["witness"] = {"type": "simultaneous", "match_time": w.match_time}
-            else:
-                out["witness"] = {
-                    "type": "sequential",
-                    "ordering": [m.to_wire() for m in w.ordering],
-                    "match_prefix": w.match_prefix,
-                }
+            out.update(certificate_to_dict(self.certificate))
         stats = {
             "seeds_tried": self.stats.seeds_tried,
             "states_expanded": self.stats.states_expanded,
@@ -521,51 +522,10 @@ def reachable_configs(
     return {nodes_of(m) for m in masks}
 
 
-def _require_mode(instance: SnapshotInstance, order: str, monotone: bool, who: str) -> None:
-    if instance.mode.order != order or instance.mode.monotone != monotone:
-        raise ValueError(
-            f"{who} handles {('monotone ' if monotone else '')}{order} dynamics, "
-            f"instance mode is {instance.mode.describe()}"
-        )
-
-
 def solve(instance: SnapshotInstance, limits: SearchLimits = DEFAULT_LIMITS) -> SolveOutcome:
-    """Decide the instance under its own dynamics mode."""
+    """Decide the instance under its own dynamics mode: the one decision entry
+    for every mode."""
     return _search(_seeds(instance), _seed_check(instance, limits))
-
-
-def solve_monotone_simultaneous(
-    instance: SnapshotInstance, limits: SearchLimits = DEFAULT_LIMITS
-) -> SolveOutcome:
-    """Monotone simultaneous feasibility; seeds inside S that contain F."""
-    _require_mode(instance, "simultaneous", True, "solve_monotone_simultaneous")
-    return solve(instance, limits)
-
-
-def solve_simultaneous(
-    instance: SnapshotInstance, limits: SearchLimits = DEFAULT_LIMITS
-) -> SolveOutcome:
-    """Non-monotone simultaneous feasibility; seeds enumerated over all of V."""
-    _require_mode(instance, "simultaneous", False, "solve_simultaneous")
-    return solve(instance, limits)
-
-
-def solve_monotone_sequential(
-    instance: SnapshotInstance, limits: SearchLimits = DEFAULT_LIMITS
-) -> SolveOutcome:
-    """Monotone sequential feasibility: some seed inside S that contains F
-    has monotone closure exactly S when activation is confined to S."""
-    _require_mode(instance, "sequential", True, "solve_monotone_sequential")
-    return solve(instance, limits)
-
-
-def solve_sequential(
-    instance: SnapshotInstance, limits: SearchLimits = DEFAULT_LIMITS
-) -> SolveOutcome:
-    """Non-monotone sequential feasibility by breadth-first search over the
-    configuration space, per seed over all of V."""
-    _require_mode(instance, "sequential", False, "solve_sequential")
-    return solve(instance, limits)
 
 
 def solve_sequential_k1(
@@ -574,8 +534,12 @@ def solve_sequential_k1(
     """Budget-1 non-monotone sequential solver with the two structural prunes:
     seed candidates come from N[S] (plus the empty seed), and each candidate
     search is restricted to orderings of S plus the candidate in which only
-    the candidate may deactivate. Must agree with solve_sequential."""
-    _require_mode(instance, "sequential", False, "solve_sequential_k1")
+    the candidate may deactivate. Must agree with ``solve``."""
+    if instance.mode != PLAIN_SEQUENTIAL:
+        raise ValueError(
+            "solve_sequential_k1 handles sequential dynamics, "
+            f"instance mode is {instance.mode.describe()}"
+        )
     if instance.budget != 1:
         raise ValueError(f"solve_sequential_k1 requires budget 1, got {instance.budget}")
     pool = closed_neighborhood(instance.graph, instance.snapshot)

@@ -1,5 +1,10 @@
-"""Exhaustive feasibility oracles, structural-property checks, the bundled
-worked-example corpus, and the seed-to-snapshot distance probe.
+"""Exhaustive feasibility oracles, structural-property checks, the one
+certificate checker, the bundled worked-example corpus, and the
+seed-to-snapshot distance probe.
+
+``check_certificate`` is the only replay of a certificate document:
+``simulate --replay``, the corpus (for every feasible entry) and the tests
+all call it.
 
 Each structural check compares solver-level verdicts computed by independent
 routes (full search on one side, a pruned or restricted search on the other).
@@ -35,23 +40,24 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .cliques import solve_clique
-from .dynamics import _node_table
+from .cliques import clique_analysis
+from .dynamics import RunResult, _node_table, apply_ordering, run_simultaneous
 from .model import (
     DynamicsMode,
     Graph,
     MONOTONE_SEQUENTIAL,
     MONOTONE_SIMULTANEOUS,
     PLAIN_SEQUENTIAL,
+    SimultaneousWitness,
     SnapshotInstance,
     _closed_neighborhood_mask,
     iter_bits,
     mask_of,
     nodes_of,
 )
-from .serialize import instance_from_dict, instance_to_dict
+from .serialize import certificate_from_dict, instance_from_dict, instance_to_dict
 from .solvers import (
     DEFAULT_LIMITS,
     SearchCapExceeded,
@@ -248,6 +254,56 @@ def check_lemma(
     return verdict
 
 
+def check_certificate(
+    instance: SnapshotInstance, document, max_steps: Optional[int] = None
+) -> tuple[RunResult, list[str]]:
+    """Replay a certificate document on the instance: the run its witness
+    replays, and every way the certificate fails to prove the snapshot
+    feasible (empty when it proves it).
+
+    The document is read by ``serialize.certificate_from_dict``, which
+    raises on a malformed one. The seed must fit the budget, and the replay
+    must first match the snapshot at the certified time (simultaneous, run
+    with at most ``max_steps`` sweeps) or prefix (sequential). Every recorded
+    move must change its node's state, in the recorded direction. A witness
+    of the other order than the instance's raises ValueError, as the engine
+    does.
+    """
+    cert = certificate_from_dict(document, instance.n)
+    witness = cert.witness
+    problems = []
+    if len(cert.seed) > instance.budget:
+        problems.append(
+            f"certificate seed of size {len(cert.seed)} is over budget {instance.budget}"
+        )
+    if isinstance(witness, SimultaneousWitness):
+        result = run_simultaneous(
+            instance.graph, instance.thresholds, cert.seed, instance.mode,
+            target=instance.snapshot, max_steps=max_steps,
+        )
+        if result.trace.match_time != witness.match_time:
+            problems.append("replay does not first match the snapshot at the certified time")
+        return result, problems
+    result = apply_ordering(
+        instance.graph, instance.thresholds, cert.seed,
+        [m.node for m in witness.ordering], instance.mode, target=instance.snapshot,
+    )
+    if result.trace.match_time != witness.match_prefix:
+        problems.append("replay does not first match the snapshot at the certified prefix")
+    before = cert.seed
+    for move, step in zip(witness.ordering, result.trace.steps):
+        if move != step.move:
+            problems.append(
+                f"step {step.time} records {move.to_wire()}, replay gives {step.move.to_wire()}"
+            )
+            break
+        if move.activate == (move.node in before):
+            problems.append(f"step {step.time} records {move.to_wire()}, which changes nothing")
+            break
+        before = step.active
+    return result, problems
+
+
 def seed_distance(
     graph: Graph,
     seed: Iterable[int],
@@ -384,8 +440,11 @@ def _run_corpus_entry(entry: dict, documents: dict, limits: SearchLimits) -> Cor
         computed_d = seed_distance(instance.graph, spec["seed"], instance.snapshot)
         if computed_d != spec["value"]:
             diffs.append(f"seed_distance: expected {spec['value']}, computed {computed_d}")
+    if outcome.feasible:
+        _, problems = check_certificate(instance, outcome.to_dict())
+        diffs.extend(f"certificate: {problem}" for problem in problems)
     if expect.get("clique_agrees"):
-        clique_verdict = solve_clique(instance, limits).verdict
+        clique_verdict = clique_analysis(instance, limits).outcome.verdict
         if clique_verdict != outcome.verdict:
             diffs.append(
                 f"clique solver verdict {clique_verdict} != generic verdict {outcome.verdict}"

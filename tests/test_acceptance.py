@@ -39,6 +39,7 @@ from snapshot_lab import (
     SnapshotInstance,
     TargetSetInstance,
     check_equivalence,
+    clique_analysis,
     check_lemma,
     gadget_deactivation_robust,
     instance_stream,
@@ -46,9 +47,6 @@ from snapshot_lab import (
     seed_distance,
     seed_feasible,
     solve,
-    solve_clique,
-    solve_monotone_simultaneous,
-    solve_sequential,
     solve_sequential_k1,
 )
 from snapshot_lab.cli import main as cli_main
@@ -107,9 +105,9 @@ def test_criterion_1_worked_example_corpus(star4_instance, double_diamond, cliqu
         c10 = clique10(range(7), 2, MONOTONE_SIMULTANEOUS)
         assert seed_feasible(c10, {3, 4}) is not None
         assert seed_feasible(c10, {5, 6}) is None
-        generic = solve_monotone_simultaneous(c10)
+        generic = solve(c10)
         assert generic.feasible
-        assert solve_clique(c10).verdict == generic.verdict
+        assert clique_analysis(c10).outcome.verdict == generic.verdict
 
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0, f"corpus replay took {elapsed:.2f}s"
@@ -144,7 +142,7 @@ def test_criterion_3_budget_one_oracle_equivalence():
         agree = 0
         for instance in islice(instance_stream(params), 200):
             fast = solve_sequential_k1(instance)
-            full = solve_sequential(instance)
+            full = solve(instance)
             assert fast.verdict == full.verdict, instance
             if fast.feasible:
                 assert_certificate_replays(instance, fast)
@@ -159,11 +157,11 @@ def test_criterion_4_clique_rule_soundness(clique):
         rng = random.Random(271828)
         for _ in range(300):
             inst = _random_clique(rng, max_n=9)
-            assert solve_clique(inst).verdict == solve_monotone_simultaneous(inst).verdict, inst
+            assert clique_analysis(inst).outcome.verdict == solve(inst).verdict, inst
         caveat = clique(4, (1, 1, 1, 2), {0, 1, 2}, 2, MONOTONE_SIMULTANEOUS)
-        out = solve_clique(caveat)
+        out = clique_analysis(caveat).outcome
         assert out.feasible
-        assert out.verdict == solve_monotone_simultaneous(caveat).verdict
+        assert out.verdict == solve(caveat).verdict
 
     _report("4 clique rules == brute force on 300 cliques (incl. caveat case)", body)
 
@@ -277,7 +275,7 @@ def test_criterion_7_performance_floor():
         snapshot = frozenset(rng.sample(range(n), 8))
         inst = SnapshotInstance(g, thresholds, snapshot, 2, MONOTONE_SIMULTANEOUS)
         t0 = time.perf_counter()
-        solve_monotone_simultaneous(inst)
+        solve(inst)
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0, f"monotone simultaneous n=20 k=2 took {elapsed:.2f}s"
 
@@ -289,7 +287,7 @@ def test_criterion_7_performance_floor():
         snapshot = frozenset(rng.sample(range(n), 5))
         inst = SnapshotInstance(g, thresholds, snapshot, 1, PLAIN_SEQUENTIAL)
         t0 = time.perf_counter()
-        solve_sequential(inst)
+        solve(inst)
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0, f"sequential n=12 k=1 took {elapsed:.2f}s"
 

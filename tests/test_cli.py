@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import re
@@ -10,9 +11,12 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from snapshot_lab import Certificate, InvalidInstanceError, SimultaneousWitness
 from snapshot_lab.cli import COMMANDS, build_parser, main
-from snapshot_lab.serialize import canonical_json
+from snapshot_lab.serialize import canonical_json, certificate_from_dict
 
 CORPUS = resources.files("snapshot_lab").joinpath("corpus")
 
@@ -251,6 +255,95 @@ def test_replay_rejects_recorded_move_direction(tmp_path, capsys):
     assert "records [2, 'off']" in capsys.readouterr().err
 
 
+def _solved_certificate(tmp_path, capsys, dynamics: dict) -> tuple[str, dict]:
+    """The star4 instance with snapshot [0, 1, 2] under ``dynamics``, and
+    the certificate ``solve`` gives for it."""
+    inst = _write(tmp_path / "inst.json", _star4_doc(dynamics=dynamics, snapshot=[0, 1, 2]))
+    assert run(["solve", "--instance", inst]) == 0
+    return inst, json.loads(capsys.readouterr().out)
+
+
+def test_replay_rejects_a_move_that_changes_nothing(tmp_path, capsys):
+    inst, cert = _solved_certificate(tmp_path, capsys, {"order": "sequential", "monotone": True})
+    assert cert["seed"] == [1]
+    assert cert["witness"]["ordering"] == [[0, "on"], [2, "on"]]
+    # node 1 is seeded, so selecting it first leaves every state as it was
+    cert["witness"]["ordering"].insert(0, [1, "on"])
+    cert["witness"]["match_prefix"] = 3
+    path = _write(tmp_path / "cert.json", cert)
+    assert run(["simulate", "--instance", inst, "--replay", path]) == 1
+    assert capsys.readouterr().err == "error: step 1 records [1, 'on'], which changes nothing\n"
+
+
+def test_replay_rejects_a_repeated_seed_id(tmp_path, capsys):
+    inst, cert = _solved_certificate(tmp_path, capsys, {"order": "sequential", "monotone": False})
+    assert cert["seed"] == [1]
+    path = _write(tmp_path / "cert.json", dict(cert, seed=[1, 1]))
+    assert run(["simulate", "--instance", inst, "--replay", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: certificate seed [1, 1] repeats a node id\n"
+
+
+def test_verify_corpus_checks_every_feasible_certificate(monkeypatch, capsys):
+    import snapshot_lab.verification as verification
+
+    solve = verification.solve
+
+    def late_match(instance, limits):
+        # the solver's own verdict and seed, with the match time one sweep late
+        outcome = solve(instance, limits)
+        cert = outcome.certificate
+        if cert is not None and isinstance(cert.witness, SimultaneousWitness):
+            cert = Certificate(cert.seed, SimultaneousWitness(cert.witness.match_time + 1))
+        return dataclasses.replace(outcome, certificate=cert)
+
+    monkeypatch.setattr(verification, "solve", late_match)
+    assert run(["verify", "--corpus", "--format", "json"]) == 1
+    failed = [e for e in json.loads(capsys.readouterr().out)["entries"] if not e["passed"]]
+    assert failed
+    problem = "certificate: replay does not first match the snapshot at the certified time"
+    assert all(problem in entry["details"] for entry in failed)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats(allow_nan=False)
+    | st.sampled_from(["", "on", "off", "ab", "simultaneous", "sequential"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=12,
+)
+witness_like = st.fixed_dictionaries(
+    {"type": st.sampled_from(["simultaneous", "sequential"]) | json_values},
+    optional={
+        "match_time": st.integers(-1, 4) | json_values,
+        "ordering": st.lists(
+            st.tuples(st.integers(-1, 5), st.sampled_from(["on", "off"])).map(list), max_size=4
+        ) | json_values,
+        "match_prefix": st.integers(-1, 5) | json_values,
+    },
+)
+certificate_like = st.fixed_dictionaries(
+    {
+        "seed": st.lists(st.integers(0, 4), max_size=3, unique=True)
+        | st.lists(st.integers(-1, 5), max_size=3) | json_values,
+        "witness": witness_like,
+    },
+    optional={"verdict": json_values},
+)
+
+
+@given(document=json_values | certificate_like, n=st.integers(0, 8))
+@settings(max_examples=300, deadline=None)
+def test_certificate_from_dict_rejects_any_json_value_cleanly(document, n):
+    try:
+        cert = certificate_from_dict(document, n)
+    except ValueError as exc:  # InvalidInstanceError is a ValueError
+        assert type(exc) in (InvalidInstanceError, ValueError)
+        return
+    # a missing seed is the empty seed
+    assert len(cert.seed) == len(document.get("seed", [])) and all(0 <= v < n for v in cert.seed)
+
+
 def test_enumerate_cap_exits_one_with_message(tmp_path, capsys):
     inst = _sequential_star4(tmp_path)
     assert run(["enumerate", "--instance", inst, "--max-states", "1"]) == 1
@@ -326,13 +419,14 @@ def _star4_doc(**fields) -> dict:
         ("solve", _star4_doc(snapshot=[0, 1.0])),
         ("solve", _star4_doc(budget=True)),
         ("solve", _star4_doc(thresholds=[1, 2, 1, True])),
+        ("embed", {"labels": [1, 2, 3], "edges": [[0, 1], [1, 2]], "thresholds": [1, 1, 1], "budget": 1}),
     ],
     ids=[
         "int-seed", "int-witness", "list-document", "int-move", "int-document", "bool-budget",
         "bool-edge-target-set", "bool-edge", "str-edge", "float-edge",
         "bool-match-time", "float-match-time", "bool-match-prefix", "float-match-prefix",
         "str-move-node", "float-move-node", "float-snapshot-node", "bool-instance-budget",
-        "bool-threshold",
+        "bool-threshold", "int-labels-target-set",
     ],
 )
 def test_malformed_documents_exit_two(tmp_path, star4_file, capsys, command, doc):

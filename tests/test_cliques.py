@@ -16,8 +16,7 @@ from snapshot_lab import (
     rule_low_threshold_outside,
     rule_prune_outside,
     rule_threshold_collision,
-    solve_clique,
-    solve_monotone_simultaneous,
+    solve,
 )
 
 from conftest import assert_certificate_replays
@@ -47,7 +46,7 @@ def test_rule_low_threshold_outside(clique, clique10):
     r = rule_low_threshold_outside(inst)
     assert r.action == "excluded_seed_size" and r.size == 2
     # the excluded size leaves the smaller feasible seed in play
-    assert solve_clique(inst).feasible
+    assert clique_analysis(inst).outcome.feasible
 
     r = rule_low_threshold_outside(clique10(range(7), 2, MONOTONE_SIMULTANEOUS))
     assert r.action == "inapplicable"
@@ -59,8 +58,8 @@ def test_rule_low_threshold_outside(clique, clique10):
 def test_rule_low_threshold_outside_strict_reading(clique):
     inst = clique(4, (1, 1, 1, 2), {0, 1, 2}, 2, MONOTONE_SIMULTANEOUS)
     assert rule_low_threshold_outside(inst, strict=True).action == "infeasible"
-    assert solve_clique(inst, strict_property2=True).verdict == "infeasible"
-    assert solve_monotone_simultaneous(inst).verdict == "feasible"  # the strict reading oversimplifies
+    assert clique_analysis(inst, strict_property2=True).outcome.verdict == "infeasible"
+    assert solve(inst).verdict == "feasible"  # the strict reading oversimplifies
 
 
 def test_rule_threshold_collision(clique, clique10):
@@ -105,18 +104,18 @@ def test_solve_clique_clique10(clique10):
     assert [r.rule for r in analysis.reports] == ["P1", "P2", "P3", "P4", "P5"]
     assert_certificate_replays(inst, analysis.outcome)
 
-    assert solve_clique(clique10(range(7), 1, MONOTONE_SIMULTANEOUS)).feasible
+    assert clique_analysis(clique10(range(7), 1, MONOTONE_SIMULTANEOUS)).outcome.feasible
 
 
 def test_solve_clique_match_at_time_zero(clique):
     inst = clique(2, (1, 1), {0}, 1, MONOTONE_SIMULTANEOUS)
-    out = solve_clique(inst)
+    out = clique_analysis(inst).outcome
     assert out.feasible and out.certificate.witness.match_time == 0
 
 
 def test_solve_clique_rejects_non_monotone(clique):
     with pytest.raises(ValueError):
-        solve_clique(clique(3, (1, 1, 1), {0}, 1, PLAIN_SIMULTANEOUS))
+        clique_analysis(clique(3, (1, 1, 1), {0}, 1, PLAIN_SIMULTANEOUS))
 
 
 def test_rule_soundness_against_brute_force(clique):
@@ -127,4 +126,4 @@ def test_rule_soundness_against_brute_force(clique):
         snapshot = {v for v in range(n) if rng.random() < 0.5}
         k = rng.randint(0, 3)
         inst = clique(n, t, snapshot, k, MONOTONE_SIMULTANEOUS)
-        assert solve_clique(inst).verdict == solve_monotone_simultaneous(inst).verdict
+        assert clique_analysis(inst).outcome.verdict == solve(inst).verdict

@@ -21,7 +21,7 @@ from snapshot_lab import (
     induced_subgraph,
     validate_instance,
 )
-from snapshot_lab.model import DynamicsMode, instance_violations, mask_of, nodes_of
+from snapshot_lab.model import DynamicsMode, mask_of, nodes_of, value_violations
 from snapshot_lab.reductions import target_set_from_dict, target_set_to_dict
 from snapshot_lab.serialize import instance_from_dict, instance_to_dict
 
@@ -35,7 +35,8 @@ def test_star4_instance_validates(star4):
 
 
 def test_snapshot_node_outside_graph_is_named():
-    violations = instance_violations(4, [(0, 1)], [1, 1, 1, 1], [99], 1)
+    Graph.from_edges(4, [(0, 1)])
+    violations = value_violations(4, [1, 1, 1, 1], [99], 1)
     assert any("snapshot node 99" in v for v in violations)
 
 
@@ -58,7 +59,7 @@ def test_edge_endpoints_follow_the_integer_rule(endpoint):
 
 
 def test_negative_threshold_and_budget_rejected(star4):
-    assert any("non-negative" in v for v in instance_violations(4, [], [1, -1, 1, 1], [], 1))
+    assert any("non-negative" in v for v in value_violations(4, [1, -1, 1, 1], [], 1))
     with pytest.raises(InvalidInstanceError, match="budget"):
         validate_instance(star4, (1, 2, 1, 1), set(), -1, MONOTONE_SIMULTANEOUS)
 
@@ -188,7 +189,7 @@ def test_snapshot_ids_and_budget_follow_the_integer_rule(snapshot, budget, messa
     graph = Graph.from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(InvalidInstanceError, match=message):
         validate_instance(graph, (1, 1, 1), snapshot, budget, PLAIN_SIMULTANEOUS)
-    assert message in instance_violations(3, graph.edges(), (1, 1, 1), snapshot, budget)
+    assert message in value_violations(3, (1, 1, 1), snapshot, budget)
 
 
 @given(st.data())

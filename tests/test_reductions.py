@@ -18,7 +18,6 @@ from snapshot_lab import (
     gadget_sequential_k1,
     has_target_set,
     solve,
-    solve_sequential,
 )
 from snapshot_lab.reductions import target_set_from_dict, target_set_to_dict
 from snapshot_lab.serialize import instance_from_dict, instance_to_dict
@@ -101,7 +100,7 @@ def test_seqk1_gadget_infeasible_when_no_target_set():
     ts = TargetSetInstance(Graph.from_edges(2, []), (2, 2), 1)
     reduced = gadget_sequential_k1(ts)
     assert not has_target_set(ts)
-    assert solve_sequential(reduced).verdict == "infeasible"
+    assert solve(reduced).verdict == "infeasible"
 
 
 def test_check_equivalence_embed_both_monotone_modes(star4_ts):

@@ -4,6 +4,7 @@ import itertools
 import logging
 import random
 from collections import deque
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,11 +28,7 @@ from snapshot_lab import (
     run_simultaneous,
     seed_feasible,
     solve,
-    solve_monotone_sequential,
-    solve_monotone_simultaneous,
-    solve_sequential,
     solve_sequential_k1,
-    solve_simultaneous,
 )
 from snapshot_lab.generator import GeneratorParams, instance_stream
 from snapshot_lab.dynamics import _node_table, _response_after_flip, _response_mask
@@ -137,15 +134,15 @@ def test_solve_star4_canonical_outcomes(star4_instance):
 
 
 def test_solve_monotone_simultaneous_examples(star4_instance, clique10):
-    out = solve_monotone_simultaneous(clique10(range(7), 2, MONOTONE_SIMULTANEOUS))
+    out = solve(clique10(range(7), 2, MONOTONE_SIMULTANEOUS))
     assert out.feasible
 
-    out = solve_monotone_simultaneous(star4_instance(range(4), 1, MONOTONE_SIMULTANEOUS))
+    out = solve(star4_instance(range(4), 1, MONOTONE_SIMULTANEOUS))
     assert out.feasible and sorted(out.certificate.seed) == [1]
 
     # |S| <= k always matches at time 0 with S itself as a seed
     inst = star4_instance({0, 2}, 3, MONOTONE_SIMULTANEOUS)
-    assert solve_monotone_simultaneous(inst).feasible
+    assert solve(inst).feasible
     cert = seed_feasible(inst, {0, 2})
     assert cert is not None and cert.witness.match_time == 0
 
@@ -159,46 +156,46 @@ def test_clique10_per_seed_checks(clique10):
 
 def test_clique10_budget_one_is_feasible_via_middle_node(clique10):
     # middle singletons walk the counts 1 -> 3 -> 5 -> 7 and stop exactly at S
-    out = solve_monotone_simultaneous(clique10(range(7), 1, MONOTONE_SIMULTANEOUS))
+    out = solve(clique10(range(7), 1, MONOTONE_SIMULTANEOUS))
     assert out.feasible and sorted(out.certificate.seed) == [2]
     assert out.certificate.witness.match_time == 3
 
 
 def test_solve_simultaneous_examples(star4_instance, double_diamond):
-    out = solve_simultaneous(star4_instance({0, 2, 3}, 1, PLAIN_SIMULTANEOUS))
+    out = solve(star4_instance({0, 2, 3}, 1, PLAIN_SIMULTANEOUS))
     assert out.feasible and sorted(out.certificate.seed) == [1]
     assert out.certificate.witness.match_time == 1
 
     inst = SnapshotInstance(
         double_diamond, (5, 1, 1, 2, 1, 1, 2), frozenset({3, 6}), 1, PLAIN_SIMULTANEOUS
     )
-    out = solve_simultaneous(inst)
+    out = solve(inst)
     assert out.feasible and sorted(out.certificate.seed) == [0]
     assert out.certificate.witness.match_time == 2
 
-    assert solve_simultaneous(star4_instance(range(4), 1, PLAIN_SIMULTANEOUS)).verdict == "infeasible"
+    assert solve(star4_instance(range(4), 1, PLAIN_SIMULTANEOUS)).verdict == "infeasible"
 
 
 def test_solve_monotone_sequential_examples(star4_instance):
-    out = solve_monotone_sequential(star4_instance({1, 2}, 1, MONOTONE_SEQUENTIAL))
+    out = solve(star4_instance({1, 2}, 1, MONOTONE_SEQUENTIAL))
     assert out.feasible and sorted(out.certificate.seed) == [1]
     assert [m.to_wire() for m in out.certificate.witness.ordering] == [[2, "on"]]
 
-    assert solve_monotone_sequential(star4_instance({0, 3}, 1, MONOTONE_SEQUENTIAL)).verdict == "infeasible"
+    assert solve(star4_instance({0, 3}, 1, MONOTONE_SEQUENTIAL)).verdict == "infeasible"
 
-    out = solve_monotone_sequential(star4_instance(range(4), 1, MONOTONE_SEQUENTIAL))
+    out = solve(star4_instance(range(4), 1, MONOTONE_SEQUENTIAL))
     assert out.feasible and sorted(out.certificate.seed) == [1]
 
 
 def test_solve_sequential_examples(star4_instance, hub_pair):
-    out = solve_sequential(star4_instance({1, 2}, 1, PLAIN_SEQUENTIAL))
+    out = solve(star4_instance({1, 2}, 1, PLAIN_SEQUENTIAL))
     assert out.feasible and sorted(out.certificate.seed) == [1]
 
-    assert solve_sequential(star4_instance({0, 2, 3}, 1, PLAIN_SEQUENTIAL)).verdict == "infeasible"
+    assert solve(star4_instance({0, 2, 3}, 1, PLAIN_SEQUENTIAL)).verdict == "infeasible"
 
     graph, thresholds = hub_pair(corrected=True)
     inst = SnapshotInstance(graph, thresholds, frozenset({8, 9, 10}), 2, PLAIN_SEQUENTIAL)
-    out = solve_sequential(inst)
+    out = solve(inst)
     assert out.feasible and sorted(out.certificate.seed) == [0, 1]
     assert_certificate_replays(inst, out)
 
@@ -206,7 +203,7 @@ def test_solve_sequential_examples(star4_instance, hub_pair):
 def test_hub_pair_literal_thresholds_are_unreachable(hub_pair):
     graph, thresholds = hub_pair(corrected=False)
     inst = SnapshotInstance(graph, thresholds, frozenset({8, 9, 10}), 2, PLAIN_SEQUENTIAL)
-    assert solve_sequential(inst).verdict == "infeasible"
+    assert solve(inst).verdict == "infeasible"
 
 
 def test_solve_sequential_k1_examples(star4_instance):
@@ -230,8 +227,8 @@ def test_solve_sequential_k1_empty_snapshot(star4_instance):
 @given(small_instances(max_n=6, modes=[PLAIN_SEQUENTIAL]))
 @settings(max_examples=100, deadline=None)
 def test_k1_solver_agrees_with_unrestricted_search(instance):
-    inst = instance.with_(budget=1)
-    assert solve_sequential_k1(inst).verdict == solve_sequential(inst).verdict
+    inst = replace(instance, budget=1)
+    assert solve_sequential_k1(inst).verdict == solve(inst).verdict
 
 
 @given(small_instances(max_n=5))
@@ -246,14 +243,14 @@ def test_feasible_certificates_replay(instance):
 @settings(max_examples=60, deadline=None)
 def test_mono_sim_feasible_implies_mono_seq_feasible(instance):
     if solve(instance).feasible:
-        assert solve(instance.with_(mode=MONOTONE_SEQUENTIAL)).feasible
+        assert solve(replace(instance, mode=MONOTONE_SEQUENTIAL)).feasible
 
 
 @given(small_instances(max_n=5, modes=[MONOTONE_SEQUENTIAL]))
 @settings(max_examples=60, deadline=None)
 def test_mono_seq_feasible_implies_plain_seq_feasible(instance):
     if solve(instance).feasible:
-        assert solve(instance.with_(mode=PLAIN_SEQUENTIAL)).feasible
+        assert solve(replace(instance, mode=PLAIN_SEQUENTIAL)).feasible
 
 
 def test_reachable_configs_examples(star4):
@@ -281,34 +278,27 @@ def _hub_instance():
 
 def test_resource_cap_reported_not_infeasible():
     inst = _hub_instance()
-    assert solve_sequential(inst).verdict == "infeasible"
-    capped = solve_sequential(inst, SearchLimits(max_states=2))
+    assert solve(inst).verdict == "infeasible"
+    capped = solve(inst, SearchLimits(max_states=2))
     assert capped.verdict == "resource_cap_hit"
     # the largest reachable set of one seed (the center) has 65 states, but
     # the empty seed proves the state {} dead before it is searched, so that
     # search stores 64: a cap of 64 enumerates it in full, a cap of 63 trips
-    assert solve_sequential(inst, SearchLimits(max_states=64)).verdict == "infeasible"
-    assert solve_sequential(inst, SearchLimits(max_states=63)).verdict == "resource_cap_hit"
+    assert solve(inst, SearchLimits(max_states=64)).verdict == "infeasible"
+    assert solve(inst, SearchLimits(max_states=63)).verdict == "resource_cap_hit"
 
 
 def test_capped_seed_check_logs_one_debug_line(caplog):
     caplog.set_level(logging.DEBUG, logger="snapshot_lab")
-    assert solve_sequential(_hub_instance(), SearchLimits(max_states=63)).verdict == (
+    assert solve(_hub_instance(), SearchLimits(max_states=63)).verdict == (
         "resource_cap_hit"
     )
     assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
         ("snapshot_lab", "DEBUG", "seed [0] hit the state cap with 63 states stored"),
     ]
     caplog.clear()
-    assert solve_sequential(_hub_instance()).verdict == "infeasible"
+    assert solve(_hub_instance()).verdict == "infeasible"
     assert caplog.records == []
-
-
-def test_solver_rejects_wrong_mode(star4_instance):
-    with pytest.raises(ValueError):
-        solve_monotone_simultaneous(star4_instance({0}, 1, PLAIN_SIMULTANEOUS))
-    with pytest.raises(ValueError):
-        solve_sequential(star4_instance({0}, 1, MONOTONE_SEQUENTIAL))
 
 
 def test_stats_are_populated(star4_instance):
@@ -507,7 +497,7 @@ def _sequential_reference(instance, max_states=None):
 
 def _assert_matches_sequential_reference(instance):
     verdict, seed, moves, _ = _sequential_reference(instance)
-    out = solve_sequential(instance)
+    out = solve(instance)
     cert = out.certificate
     assert (out.verdict, cert and cert.seed, cert and cert.witness.ordering) == (verdict, seed, moves)
     if out.feasible:
@@ -546,7 +536,7 @@ def test_sequential_solver_matches_per_seed_bfs_on_stream(snapshot_mode):
 )
 @settings(max_examples=300, deadline=None)
 def test_state_cap_never_reads_as_infeasible(instance, max_states):
-    out = solve_sequential(instance, SearchLimits(max_states=max_states))
+    out = solve(instance, SearchLimits(max_states=max_states))
     if out.verdict == "infeasible":
         assert _sequential_reference(instance)[0] == "infeasible"
     # Against the reference under the same cap: a search that skips dead
