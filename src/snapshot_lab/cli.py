@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -203,10 +204,42 @@ def _cmd_reduce(args) -> int:
     return EXIT_OK
 
 
+# The flags only a --lemma check reads, with the values it takes when a flag
+# is not given; the parser leaves them unset, so --corpus can reject them.
+_LEMMA_DEFAULTS = {
+    "trials": 100,
+    "min_n": 3,
+    "max_n": 7,
+    "edge_prob": 0.5,
+    "law": "mixed",
+    "budget_min": 1,
+    "budget_max": 2,
+    "rng_seed": 0,
+    "violations_dir": "violations",
+    "max_states": None,
+    "timings": False,
+}
+
+
+def _lemma_text(payload: dict) -> str:
+    lines = [
+        f"lemma: {payload['lemma']}",
+        f"trials: {payload['trials']}",
+        f"skipped: {payload['skipped']}",
+        f"violations: {len(payload['violations'])}",
+        f"ok: {str(payload['ok']).lower()}",
+    ]
+    lines += [f"violation file: {path}" for path in payload["violation_files"]]
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_verify(args) -> int:
     if args.corpus:
-        if args.max_states is not None:
-            raise InvalidInstanceError(["--max-states applies only to --lemma checks"])
+        given = [dest for dest in _LEMMA_DEFAULTS if getattr(args, dest) is not None]
+        if given:
+            raise InvalidInstanceError(
+                [f"--{dest.replace('_', '-')} applies only to --lemma checks" for dest in given]
+            )
         report = replay_corpus()
         if args.format == "json":
             _emit(canonical_json(report.to_dict()), args.out)
@@ -215,6 +248,9 @@ def _cmd_verify(args) -> int:
         return EXIT_OK if report.all_passed else EXIT_FAIL
     if not args.lemma:
         raise InvalidInstanceError(["verify needs --lemma ID or --corpus"])
+    for dest, default in _LEMMA_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     params = GeneratorParams(
         n_min=args.min_n,
         n_max=args.max_n,
@@ -235,7 +271,7 @@ def _cmd_verify(args) -> int:
     payload = verdict.to_dict(include_timings=args.timings)
     payload["violation_files"] = list(map(str, paths))
     # the document goes out first, so a bad --out path leaves no violation file
-    _emit(canonical_json(payload), args.out)
+    _emit(_lemma_text(payload) if args.format == "text" else canonical_json(payload), args.out)
     if paths:
         root.mkdir(parents=True, exist_ok=True)
     for path in paths:
@@ -345,18 +381,20 @@ def _add_reduce(p: argparse.ArgumentParser) -> None:
 def _add_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lemma", choices=list(CHECK_IDS))
     p.add_argument("--corpus", action="store_true")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--min-n", type=int, default=3)
-    p.add_argument("--max-n", type=int, default=7)
-    p.add_argument("--edge-prob", type=float, default=0.5)
-    p.add_argument("--law", choices=["uniform0", "uniform1", "le2", "mixed"], default="mixed")
-    p.add_argument("--budget-min", type=int, default=1)
-    p.add_argument("--budget-max", type=int, default=2)
-    p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--violations-dir", default="violations")
+    # lemma-only flags default to unset (see _LEMMA_DEFAULTS)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--min-n", type=int)
+    p.add_argument("--max-n", type=int)
+    p.add_argument("--edge-prob", type=float)
+    p.add_argument("--law", choices=["uniform0", "uniform1", "le2", "mixed"])
+    p.add_argument("--budget-min", type=int)
+    p.add_argument("--budget-max", type=int)
+    p.add_argument("--rng-seed", type=int)
+    p.add_argument("--violations-dir")
     p.add_argument("--max-states", type=int)
-    p.add_argument("--timings", action="store_true")
-    p.add_argument("--format", choices=["json", "text"], default="text")
+    p.add_argument("--timings", action="store_true", default=None)
+    p.add_argument("--format", choices=["json", "text"],
+                   help="default: text for --corpus, json for --lemma")
     p.add_argument("--out")
 
 
@@ -390,15 +428,20 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The argument parser; with a known ``command``, only that subcommand's.
 
     Building all seven subparsers costs about five times as much as building
     one, and more than a small solve, so ``main`` builds only the one it
-    needs, afresh on each call. Its usage line still lists every command, so
-    an "unrecognized arguments" error reads as the full parser's; the full
-    parser keeps argparse's own metavar, which "invalid choice" and
-    "required: command" errors print.
+    needs, and builds it once per process: the parser is cached by
+    ``command``. ``main`` passes ``None`` for any first word that is not a
+    command, so the cache holds at most ``len(COMMANDS) + 1`` parsers. A
+    cached parser carries no state from one call to the next, because each
+    ``parse_args`` fills a fresh ``Namespace``. The one-subcommand parser's
+    usage line still lists every command, so an "unrecognized arguments"
+    error reads as the full parser's; the full parser keeps argparse's own
+    metavar, which "invalid choice" and "required: command" errors print.
     """
     parser = argparse.ArgumentParser(
         prog="snapshot-lab",
@@ -425,7 +468,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     args.log_fields = {}
     try:
         code = args.func(args)

@@ -173,9 +173,9 @@ def rule_prune_outside(instance: SnapshotInstance) -> RuleReport:
     if not outside:
         return RuleReport("P4", ACTION_INAPPLICABLE, "snapshot covers the whole clique")
     tmin = min(outside)
-    pruned = tuple(
+    pruned = tuple([
         v for v in range(instance.n) if v not in instance.snapshot and instance.thresholds[v] > tmin
-    )
+    ])
     if not pruned:
         return RuleReport("P4", ACTION_INAPPLICABLE, f"no outside threshold exceeds the minimum {tmin}")
     names = ",".join(instance.graph.labels[v] for v in pruned)

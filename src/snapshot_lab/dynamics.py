@@ -84,9 +84,16 @@ NodeTable = tuple[tuple[int, int, int], ...]
 def _node_table(adj_masks: Sequence[int], thresholds: Sequence[int]) -> NodeTable:
     """The rows the response kernel reads, built once per solve, run,
     enumeration or check and never per step. A threshold count other than
-    the node count raises ValueError."""
+    the node count raises ValueError.
+
+    The rows go through a list. ``tuple()`` of an iterator without a length
+    takes a ten-slot tuple and shrinks it, so CPython (3.10 to 3.12) draws it
+    from one free list and, once it is freed, files it on the free list of
+    its final size: every call would leave one more block there, up to 2,000
+    per size. Each per-call tuple of the package is built from a list for
+    this reason."""
     bits = map((1).__lshift__, range(len(adj_masks)))
-    return tuple(zip(adj_masks, thresholds, bits, strict=True))
+    return tuple([*zip(adj_masks, thresholds, bits, strict=True)])
 
 
 def _response_mask(table: NodeTable, active: int) -> int:

@@ -112,7 +112,8 @@ class Graph:
         if labels is None:
             label_tuple = default_labels(n)
         else:
-            label_tuple = tuple(map(str, labels))
+            # from a list, as in dynamics._node_table
+            label_tuple = tuple([*map(str, labels)])
             if len(label_tuple) != n:
                 raise InvalidInstanceError([f"{len(label_tuple)} labels for {n} nodes"])
         # the edge loop above has checked everything the constructor would
@@ -350,8 +351,8 @@ def induced_subgraph(
     for v in reversed(list(iter_bits(graph.full_mask() & ~kept_mask))):
         low = (1 << v) - 1
         rows = [row & low | row >> 1 & ~low for row in rows]
-    sub = _fill(object.__new__(Graph), len(kept), tuple(rows), tuple(graph.labels[v] for v in kept))
-    sub_thresholds = tuple(thresholds[v] for v in kept)
+    sub = _fill(object.__new__(Graph), len(kept), tuple(rows), tuple([graph.labels[v] for v in kept]))
+    sub_thresholds = tuple([thresholds[v] for v in kept])
     return sub, sub_thresholds
 
 

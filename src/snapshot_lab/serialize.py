@@ -190,7 +190,8 @@ def certificate_from_dict(data, n: int) -> Certificate:
         raise InvalidInstanceError(
             ["certificate 'ordering' must be a list of [node, 'on'|'off'] pairs"]
         )
-    moves = tuple(map(Move.from_wire, ordering))
+    # from a list, as in dynamics._node_table
+    moves = tuple([*map(Move.from_wire, ordering)])
     prefix = _witness_int(witness, "match_prefix", len(moves))
     for move in moves:
         if not 0 <= move.node < n:

@@ -401,7 +401,7 @@ def _closure_check(
     closure, order = _closure(table, seed_mask, s_mask)
     if closure != s_mask:
         return None, len(order) + 1
-    return SequentialWitness(tuple(Move(v, True) for v in order), len(order)), len(order) + 1
+    return SequentialWitness(tuple([Move(v, True) for v in order]), len(order)), len(order) + 1
 
 
 def _forced_seed_mask(adj_masks: Sequence[int], thresholds: Sequence[int], s_mask: int) -> int:
