@@ -10,7 +10,7 @@ sorted neighbour tuples are built only when ``Graph.adj`` is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Union
 
@@ -20,6 +20,29 @@ SEQUENTIAL = "sequential"
 # one non-negative entry per node; entries may exceed the node's degree
 # (such nodes can only ever be active by seeding)
 Thresholds = tuple[int, ...]
+
+
+class _Slotted:
+    """Base of the frozen dataclasses built in bulk (graphs and instances):
+    each names its fields in ``__slots__``, so an instance has no
+    ``__dict__``.
+
+    ``dataclass(slots=True)`` is not used: on CPython 3.10-3.12 the frozen
+    ``__setattr__`` of the class it rebuilds raises TypeError instead of
+    ``FrozenInstanceError`` for a name that is not a field. A frozen
+    instance refuses the ``setattr`` that pickle and ``copy`` restore slots
+    with, so the state is the tuple of field values, restored through
+    ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __getstate__(self):
+        return tuple([getattr(self, f.name) for f in fields(self)])
+
+    def __setstate__(self, state):
+        for f, value in zip(fields(self), state):
+            object.__setattr__(self, f.name, value)
 
 
 class InvalidInstanceError(ValueError):
@@ -58,7 +81,7 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 @dataclass(frozen=True, init=False)
-class Graph:
+class Graph(_Slotted):
     """Undirected simple graph on nodes 0..n-1, checked once, at construction.
 
     The one stored adjacency is ``adj_masks``, an int bitmask per node
@@ -71,6 +94,7 @@ class Graph:
     checks an edge list instead, and no later step checks the graph again.
     """
 
+    __slots__ = ("n", "adj_masks", "labels")
     n: int
     adj_masks: tuple[int, ...]
     labels: tuple[str, ...]
@@ -225,10 +249,11 @@ ALL_MODES = (
 
 
 @dataclass(frozen=True)
-class SnapshotInstance:
+class SnapshotInstance(_Slotted):
     """A feasibility question: can some seed of size <= budget produce exactly
     ``snapshot`` as the active set at some finite time under ``mode``?"""
 
+    __slots__ = ("graph", "thresholds", "snapshot", "budget", "mode")
     graph: Graph
     thresholds: tuple[int, ...]
     snapshot: frozenset[int]

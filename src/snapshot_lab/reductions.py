@@ -40,6 +40,7 @@ from .model import (
     mask_of,
     validate_instance,
     value_violations,
+    _Slotted,
 )
 from .serialize import document_digest, edge_pairs, instance_to_dict, label_list
 from .solvers import (
@@ -56,10 +57,11 @@ from .solvers import (
 
 
 @dataclass(frozen=True)
-class TargetSetInstance:
+class TargetSetInstance(_Slotted):
     """Seed-the-whole-graph question: is there a seed of size <= budget whose
     monotone closure is all of V?"""
 
+    __slots__ = ("graph", "thresholds", "budget")
     graph: Graph
     thresholds: tuple[int, ...]
     budget: int

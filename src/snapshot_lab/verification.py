@@ -25,7 +25,13 @@ Check ids:
 * ``clearing``: budget 1, non-monotone sequential: per (snapshot, seed node),
   unrestricted reachability of the exact snapshot coincides with the
   restricted search in which only snapshot nodes activate and only the seed
-  node may deactivate.
+  node may deactivate. The restricted move rule (on = S | u0, off = u0) only
+  masks flips the unrestricted rule allows, so every restricted run is an
+  unrestricted run and restricted reach is a subset of the unrestricted
+  reachable set. The restricted search therefore runs only for snapshots
+  the unrestricted enumeration reached: elsewhere both answers are "no".
+  Nor could a skipped search have capped: it would store a subset of that
+  enumeration, which did not cap.
 
 The simultaneous analogue of ``neighbor`` is false (a seed can sit at
 distance 2 from the snapshot it produces), which is why only the sequential
@@ -121,7 +127,9 @@ class LemmaVerdict:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        """True only when every trial was checked and none found a violation:
+        a skipped (capped) trial proves nothing."""
+        return not self.violations and not self.skipped
 
     def to_dict(self, include_timings: bool = False) -> dict:
         out = {
@@ -197,10 +205,11 @@ def _check_clearing(instance: SnapshotInstance, limits: SearchLimits) -> list[di
         u0_bit = 1 << u0
         reach_full = _reachable_mask_set(table, u0_bit, PLAIN_SEQUENTIAL, limits, responses)
         for s_mask in range(1 << n):
-            restricted = s_mask in _bfs(
+            # restricted reach is a subset of reach_full (see the module docstring)
+            full = s_mask in reach_full
+            restricted = full and s_mask in _bfs(
                 table, u0_bit, s_mask, s_mask | u0_bit, u0_bit, limits.max_states, responses
             )
-            full = s_mask in reach_full
             if restricted != full:
                 violations.append(
                     {
@@ -230,8 +239,9 @@ def check_lemma(
 ) -> LemmaVerdict:
     """Run one structural check over ``trials`` instances from the stream.
 
-    Cap hits skip the trial and are counted; violations carry the replayable
-    instance document plus a witness of the failed quantifier.
+    Cap hits skip the trial and are counted, and a verdict with a skipped
+    trial is not ``ok``; violations carry the replayable instance document
+    plus a witness of the failed quantifier.
     """
     if lemma not in _CHECKS:
         raise ValueError(f"unknown check {lemma!r}; expected one of {CHECK_IDS}")

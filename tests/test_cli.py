@@ -569,6 +569,20 @@ def test_verify_lemma_formats(tmp_path, capsys):
     assert capsys.readouterr().out == "lemma: serial\ntrials: 2\nskipped: 0\nviolations: 0\nok: true\n"
 
 
+def test_verify_lemma_skipped_trials_fail(tmp_path, capsys):
+    argv = [
+        "verify", "--lemma", "clearing", "--trials", "3", "--max-states", "1",
+        "--violations-dir", str(tmp_path / "v"),
+    ]
+    assert run(argv) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "lemma": "clearing", "ok": False, "skipped": 3, "trials": 3, "violation_files": [], "violations": [],
+    }
+    assert run(argv + ["--format", "text"]) == 1
+    assert capsys.readouterr().out == "lemma: clearing\ntrials: 3\nskipped: 3\nviolations: 0\nok: false\n"
+    assert not (tmp_path / "v").exists()
+
+
 def test_verify_lemma_text_lists_violation_files(tmp_path, capsys, monkeypatch):
     _fake_violations(monkeypatch, 2)
     vdir = tmp_path / "violations"

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -196,7 +198,8 @@ def test_graph_stores_only_masks_and_reads_them_as_the_edge_list(data):
     edges = [p for p in pairs if data.draw(st.booleans())]
     graph = Graph.from_edges(n, [(v, u) for u, v in reversed(edges)])
     assert [f.name for f in dataclasses.fields(Graph)] == ["n", "adj_masks", "labels"]
-    assert list(vars(graph)) == ["n", "adj_masks", "labels"]
+    assert Graph.__slots__ == ("n", "adj_masks", "labels")
+    assert not hasattr(graph, "__dict__")
     neighbours = [sorted({b for a, b in edges if a == v} | {a for a, b in edges if b == v}) for v in range(n)]
     assert graph.adj == tuple(map(tuple, neighbours))
     assert [graph.degree(v) for v in range(n)] == list(map(len, neighbours))
@@ -207,6 +210,21 @@ def test_graph_stores_only_masks_and_reads_them_as_the_edge_list(data):
     assert direct == graph and direct.adj_masks == graph.adj_masks
     with pytest.raises(AttributeError):
         graph.adj = ()
+
+
+def test_slotted_values_pickle_copy_and_replace(star4):
+    instance = validate_instance(star4, (1, 2, 1, 1), {0, 1, 2}, 2, MONOTONE_SIMULTANEOUS)
+    target_set = TargetSetInstance(star4, (1, 2, 1, 1), 2)
+    for value in (star4, instance, target_set):
+        assert not hasattr(value, "__dict__")
+        copies = [copy.copy(value), copy.deepcopy(value)]
+        copies += [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies:
+            assert other == value and hash(other) == hash(value)
+        with pytest.raises(AttributeError):
+            value.graph = None
+    assert dataclasses.replace(instance, budget=1).budget == 1
+    assert dataclasses.replace(target_set, budget=1) == TargetSetInstance(star4, (1, 2, 1, 1), 1)
 
 
 @pytest.fixture

@@ -27,8 +27,12 @@ from snapshot_lab import (
     seed_distance,
     seed_feasible,
 )
+from snapshot_lab import verification
+from snapshot_lab.dynamics import _node_table
+from snapshot_lab.model import nodes_of
 from snapshot_lab.serialize import instance_from_dict
-from snapshot_lab.verification import CHECK_IDS, corpus_entry_instance, _load_corpus_dir
+from snapshot_lab.solvers import DEFAULT_LIMITS, SearchLimits, _bfs, _reachable_mask_set
+from snapshot_lab.verification import CHECK_IDS, _check_clearing, corpus_entry_instance, _load_corpus_dir
 
 from conftest import small_instances
 
@@ -98,6 +102,51 @@ def test_check_lemma_batch_is_clean():
     for lemma in CHECK_IDS:
         verdict = check_lemma(lemma, instance_stream(params), 40)
         assert verdict.ok, (lemma, verdict.violations[:1])
+
+
+def _clearing_reference(instance, limits):
+    """The unpruned ``clearing`` check: one restricted search for every
+    (snapshot, seed node) pair, whatever the unrestricted search reached."""
+    n = instance.n
+    table = _node_table(instance.graph.adj_masks, instance.thresholds)
+    violations = []
+    responses = {}
+    for u0 in range(n):
+        u0_bit = 1 << u0
+        reach_full = _reachable_mask_set(table, u0_bit, PLAIN_SEQUENTIAL, limits, responses)
+        for s_mask in range(1 << n):
+            restricted = s_mask in _bfs(
+                table, u0_bit, s_mask, s_mask | u0_bit, u0_bit, limits.max_states, responses
+            )
+            full = s_mask in reach_full
+            if restricted != full:
+                violations.append(
+                    {
+                        "snapshot": sorted(nodes_of(s_mask)),
+                        "u0": u0,
+                        "unrestricted": full,
+                        "restricted": restricted,
+                    }
+                )
+    return violations
+
+
+def test_clearing_check_matches_the_unpruned_reference():
+    params = GeneratorParams(n_min=2, n_max=7, rng_seed=15)
+    for instance in islice(instance_stream(params), 40):
+        assert _check_clearing(instance, DEFAULT_LIMITS) == _clearing_reference(instance, DEFAULT_LIMITS)
+
+
+@pytest.mark.parametrize("max_states", [1, 2, 3, 5, 8, 13, 21, 34, 64])
+def test_clearing_check_caps_like_the_unpruned_reference(max_states, monkeypatch):
+    params = GeneratorParams(n_min=3, n_max=7, rng_seed=max_states)
+    limits = SearchLimits(max_states)
+    pruned = check_lemma("clearing", instance_stream(params), 30, limits)
+    monkeypatch.setitem(verification._CHECKS, "clearing", _clearing_reference)
+    reference = check_lemma("clearing", instance_stream(params), 30, limits)
+    assert (pruned.trials, pruned.skipped, pruned.violations) == (
+        reference.trials, reference.skipped, reference.violations,
+    )
 
 
 def test_neighbor_prune_is_unsound_for_simultaneous_dynamics(double_diamond):
