@@ -179,7 +179,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    if args.order is not None and args.gadget != "embed":
+        raise InvalidInstanceError(["--order applies only to --gadget embed"])
     data = json.loads(Path(args.instance).read_text(encoding="utf-8"))
+    mode = None
     if args.gadget == "dummy":
         source = instance_from_dict(data)
         reduced = gadget_deactivation_robust(source)
@@ -193,10 +196,7 @@ def _cmd_reduce(args) -> int:
     if args.out:
         _emit(canonical_json(instance_to_dict(reduced)), args.out)
     if args.check:
-        mode = None
-        if args.gadget == "embed":
-            mode = DynamicsMode(order=args.order or "simultaneous", monotone=True)
-        verdict = check_equivalence(args.gadget, source, _limits(args), mode=mode)
+        verdict = check_equivalence(args.gadget, source, mode=mode)
         sys.stdout.write(canonical_json(verdict.to_dict()))
         return EXIT_OK if verdict.agree else EXIT_FAIL
     if not args.out:
@@ -372,9 +372,8 @@ def _add_reduce(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gadget", choices=list(GADGET_IDS), required=True)
     p.add_argument("--instance", required=True)
     p.add_argument("--order", choices=["simultaneous", "sequential"],
-                   help="target order dynamics for the identity embedding")
+                   help="target order dynamics for the identity embedding (--gadget embed only)")
     p.add_argument("--check", action="store_true")
-    p.add_argument("--max-states", type=int)
     p.add_argument("--out")
 
 

@@ -88,8 +88,9 @@ class Graph(_Slotted):
     (``adj_masks[v] >> u & 1`` tests the edge u-v); a graph stores exactly
     ``n``, ``adj_masks`` and ``labels``. ``adj``, the sorted neighbour
     tuples, is a read-only view built on each access. Built directly,
-    ``Graph(n, adj, labels)`` takes those tuples and rejects neighbours
-    outside 0..n-1, self-loops, rows that are not sorted and unique, edges
+    ``Graph(n, adj_masks, labels)`` takes the stored fields, so
+    ``dataclasses.replace`` works too, and rejects a mask that is not a
+    non-negative integer, neighbours outside 0..n-1, self-loops, edges
     without their reverse and a label count other than n. ``from_edges``
     checks an edge list instead, and no later step checks the graph again.
     """
@@ -99,8 +100,9 @@ class Graph(_Slotted):
     adj_masks: tuple[int, ...]
     labels: tuple[str, ...]
 
-    def __init__(self, n: int, adj, labels: tuple[str, ...]):
-        masks, violations = _adjacency_masks(n, adj)
+    def __init__(self, n: int, adj_masks, labels):
+        masks, labels = tuple(adj_masks), tuple(labels)
+        violations = _mask_violations(n, masks)
         if len(labels) != n:
             violations.append(f"{len(labels)} labels for {n} nodes")
         if violations:
@@ -180,30 +182,27 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"v{i}" for i in range(n))
 
 
-def _adjacency_masks(n: int, adj) -> tuple[tuple[int, ...], list[str]]:
-    """The neighbour masks of a directly given adjacency, and every way it
-    fails to be a simple undirected graph on 0..n-1."""
-    if not is_int(n) or len(adj) != n:
-        return (), [f"{len(adj)} adjacency rows for {n!r} nodes"]
-    masks = [0] * n
+def _mask_violations(n: int, masks: tuple) -> list[str]:
+    """Every way directly given neighbour masks fail to be a simple
+    undirected graph on 0..n-1."""
+    if not is_int(n) or len(masks) != n:
+        return [f"{len(masks)} adjacency masks for {n!r} nodes"]
     violations: list[str] = []
-    for u, row in enumerate(adj):
-        last = -1
-        for v in row:
-            if not is_int(v) or not 0 <= v < n:
-                violations.append(f"neighbour {v!r} of node {u} outside node range 0..{n - 1}")
-                continue
-            if v == u:
-                violations.append(f"self-loop at node {u}")
-            elif v <= last:
-                violations.append(f"neighbours of node {u} are not sorted and unique")
-            masks[u] |= 1 << v
-            last = v
+    for u, mask in enumerate(masks):
+        if not is_int(mask) or mask < 0:
+            violations.append(f"neighbour mask of node {u} is {mask!r}, must be a non-negative integer")
+            continue
+        if mask >> n:
+            violations.append(f"neighbour {mask.bit_length() - 1} of node {u} outside node range 0..{n - 1}")
+        if mask >> u & 1:
+            violations.append(f"self-loop at node {u}")
+    if violations:
+        return violations
     for u, mask in enumerate(masks):
         for v in iter_bits(mask):
-            if v != u and not masks[v] >> u & 1:
+            if not masks[v] >> u & 1:
                 violations.append(f"edge ({u},{v}) has no reverse ({v},{u})")
-    return tuple(masks), violations
+    return violations
 
 
 @dataclass(frozen=True)

@@ -44,10 +44,8 @@ from .model import (
 )
 from .serialize import document_digest, edge_pairs, instance_to_dict, label_list
 from .solvers import (
-    DEFAULT_LIMITS,
     VERDICT_CAP,
     SearchCapExceeded,
-    SearchLimits,
     SolveOutcome,
     _closure,
     canonical_seed_sets,
@@ -249,43 +247,42 @@ def _delete_node(source: Source, v: int) -> Source:
 
 
 def _feasible(outcome: SolveOutcome) -> bool:
-    """The verdict as a bool; a capped search raises instead of reading as
-    infeasible."""
+    """The verdict as a bool. No side runs a search that can cap (the
+    embedded and dummy sides are monotone or simultaneous, and the seqk1
+    side is decided by closures), but a capped verdict would raise rather
+    than read as infeasible."""
     if outcome.verdict == VERDICT_CAP:
         raise SearchCapExceeded("a search hit a resource cap before deciding its side")
     return outcome.feasible
 
 
-def _sides(gadget: str, source: Source, limits: SearchLimits, mode: Optional[DynamicsMode]):
+def _sides(gadget: str, source: Source, mode: Optional[DynamicsMode]):
     if gadget == "embed":
         assert isinstance(source, TargetSetInstance)
         embedded = embed_target_set(source, mode or MONOTONE_SIMULTANEOUS)
-        return has_target_set(source), _feasible(solve(embedded, limits))
+        return has_target_set(source), _feasible(solve(embedded))
     if gadget == "seqk1":
         assert isinstance(source, TargetSetInstance)
         reduced = gadget_sequential_k1(source)
-        return has_target_set(source), _feasible(solve_sequential_k1(reduced, limits))
+        return has_target_set(source), _feasible(solve_sequential_k1(reduced))
     if gadget == "dummy":
         assert isinstance(source, SnapshotInstance)
         reduced = gadget_deactivation_robust(source)
-        return _feasible(solve(source, limits)), _feasible(solve(reduced, limits))
+        return _feasible(solve(source)), _feasible(solve(reduced))
     raise ValueError(f"unknown gadget {gadget!r}; expected one of {GADGET_IDS}")
 
 
 def check_equivalence(
-    gadget: str,
-    source: Source,
-    limits: SearchLimits = DEFAULT_LIMITS,
-    mode: Optional[DynamicsMode] = None,
+    gadget: str, source: Source, mode: Optional[DynamicsMode] = None
 ) -> EquivalenceVerdict:
     """Compute source-side and reduced-side verdicts with exhaustive solvers;
     on disagreement, shrink the source greedily by node deletion for the
-    record. Caps inside the solvers raise SearchCapExceeded."""
-    left, right = _sides(gadget, source, limits, mode)
+    record."""
+    left, right = _sides(gadget, source, mode)
     agree = left == right
     counterexample = None
     if not agree:
-        counterexample = _source_to_dict(_shrink(gadget, source, limits, mode))
+        counterexample = _source_to_dict(_shrink(gadget, source, mode))
     return EquivalenceVerdict(
         gadget=gadget,
         instance_digest=document_digest(_source_to_dict(source)),
@@ -296,15 +293,13 @@ def check_equivalence(
     )
 
 
-def _shrink(
-    gadget: str, source: Source, limits: SearchLimits, mode: Optional[DynamicsMode]
-) -> Source:
+def _shrink(gadget: str, source: Source, mode: Optional[DynamicsMode]) -> Source:
     """Greedy single-node deletion while the disagreement persists; a
     candidate that hits a resource cap does not count as disagreeing."""
 
     def disagrees(candidate: Source) -> bool:
         try:
-            left, right = _sides(gadget, candidate, limits, mode)
+            left, right = _sides(gadget, candidate, mode)
         except (ValueError, InvalidInstanceError, SearchCapExceeded):
             return False
         return left != right

@@ -57,12 +57,10 @@ Per-seed checks:
   with its canonical activation order, lowest-id eligible node first, in one
   pass (``_closure``);
 * non-monotone sequential: ``_bfs``, the one breadth-first search over single
-  best-response moves. Node v may switch on if bit v of ``on`` is set and off
-  if bit v of ``off`` is set: the plain search uses on = off = V (monotone
-  reachability for the oracles: off = {}), the budget-1 solver and the
-  ``clearing`` check use on = S | seed, off = seed, so only snapshot nodes
-  activate and only the seed may deactivate. Moves expand in ascending node
-  id, so the first shortest witness found is canonical. The searches of one
+  best-response moves. Any node may switch on, and node v may switch off if
+  bit v of ``off`` is set: the plain search uses off = V, the monotone
+  reachability of the oracles off = {}. Moves expand in ascending node id,
+  so the first shortest witness found is canonical. The searches of one
   solve share a memo of response masks, since they cross the same states; a
   state missing from it takes its parent's response and re-evaluates only
   the neighbours of the flipped node. The unrestricted move rule does not
@@ -72,7 +70,13 @@ Per-seed checks:
   expand a dead state (a dead seed is settled with no search). Every BFS
   parent of a state that can reach S can reach S too, so the search tree
   over S's ancestors, and its first shortest witness, are unchanged. The
-  restricted searches and the enumerations never use it.
+  enumerations never use it;
+* the budget-1 restricted move rule of ``solve_sequential_k1`` and the
+  ``clearing`` check (on = S | seed, off = seed: only snapshot nodes
+  activate and only the seed may deactivate): ``_restricted_orders``, at
+  most one closure for the empty seed or a seed in S, and two per tried
+  neighbour set of the seed node otherwise. Its docstring holds the
+  argument that this is exact. It runs no search, so it never caps.
 
 One cap rule: a configuration search caps only when a new state arrives
 while ``max_states`` states are already stored, so a reachable set of exactly
@@ -80,8 +84,8 @@ while ``max_states`` states are already stored, so a reachable set of exactly
 so a plain search can fit under a cap that its seed's whole reachable set
 exceeds. A capped search proves nothing and adds nothing to the dead set,
 which, like the response memo, holds at most ``max_states`` entries. This is
-the only cap, so only sequential searches can hit it. A check that caps
-raises ``SearchCapExceeded`` carrying the states it stored, and ``_search``
+the only cap, and only ``_bfs`` can hit it. A check that caps raises
+``SearchCapExceeded`` carrying the states it stored, and ``_search``
 is the only place that turns it into a verdict: "infeasible" is only ever
 reported after every candidate was checked (or a forced node proves it for
 every seed); if any check capped first, the verdict degrades to
@@ -289,15 +293,14 @@ def _bfs(
     table: NodeTable,
     start: int,
     target: int,
-    on: int,
     off: int,
     max_states: int,
     responses: dict[int, int],
     dead: AbstractSet[int] = frozenset(),
 ) -> dict[int, Optional[int]]:
     """Breadth-first search over single best-response moves from ``start``:
-    node v may switch on if bit v of ``on`` is set, and off if bit v of
-    ``off`` is set.
+    any node may switch on, and node v may switch off if bit v of ``off`` is
+    set.
 
     Returns the parent of every stored state (``start`` maps to None); the
     move into a state flips the one bit of ``parent ^ state``. Stops once
@@ -329,7 +332,7 @@ def _bfs(
                 response = _response_after_flip(table, cur, node, prev_response)
             if len(responses) < max_states:
                 responses[cur] = response
-        flips = (response ^ cur) & (on & ~cur | off & cur)
+        flips = (response ^ cur) & (off | ~cur)
         while flips:
             bit = flips & -flips
             flips ^= bit
@@ -363,32 +366,25 @@ def _bfs_check(
     table: NodeTable,
     s_mask: int,
     max_states: int,
-    restricted: bool,
     responses: dict[int, int],
-    dead: AbstractSet[int],
+    dead: set[int],
     seed_mask: int,
 ) -> tuple[Optional[SequentialWitness], int]:
     """Non-monotone sequential check: a shortest move sequence from the seed
-    to S, over all moves or, ``restricted``, over the clearing-restricted
-    moves (only S activates, only the seed deactivates).
+    to S.
 
-    The unrestricted move rule does not depend on the seed, so a search that
-    runs to the end without storing S proves that none of its states can
-    reach S: they go into ``dead`` (up to ``max_states`` entries), which later
-    searches neither store nor expand, and a seed inside it is settled with
-    no search. A capped search raises before it adds anything, and the
-    restricted searches get an empty frozenset, which they never feed.
+    The move rule does not depend on the seed, so a search that runs to the
+    end without storing S proves that none of its states can reach S: they
+    go into ``dead`` (up to ``max_states`` entries), which later searches
+    neither store nor expand, and a seed inside it is settled with no
+    search. A capped search raises before it adds anything.
     """
     if seed_mask in dead:
         return None, 0
-    if restricted:
-        on, off = s_mask | seed_mask, seed_mask
-    else:
-        on = off = (1 << len(table)) - 1
-    parents = _bfs(table, seed_mask, s_mask, on, off, max_states, responses, dead)
+    everything = (1 << len(table)) - 1
+    parents = _bfs(table, seed_mask, s_mask, everything, max_states, responses, dead)
     if s_mask not in parents:
-        if not restricted:
-            dead.update(islice(parents, max_states - len(dead)))
+        dead.update(islice(parents, max_states - len(dead)))
         return None, len(parents)
     moves = _moves_to(parents, s_mask)
     return SequentialWitness(moves, len(moves)), len(parents)
@@ -402,6 +398,76 @@ def _closure_check(
     if closure != s_mask:
         return None, len(order) + 1
     return SequentialWitness(tuple([Move(v, True) for v in order]), len(order)), len(order) + 1
+
+
+def _restricted_orders(
+    table: NodeTable, s_mask: int, seed_mask: int
+) -> tuple[Optional[tuple[list[int], list[int]]], int]:
+    """Decide the budget-1 restricted move rule by closures: whether the
+    empty or one-node seed reaches S when only snapshot nodes may switch on
+    and only the seed node u0 may switch off (on = S | seed, off = seed).
+
+    Returns ``(before, after)``, the nodes that switch on while u0 is on and
+    after it has switched off (``after`` is empty when u0 never switches
+    off), or None; and the configurations the closures visited, one for
+    each closure's start and one per activation.
+
+    The decision is exact. Snapshot nodes only ever switch on, and only u0
+    may switch off:
+
+    * empty seed, or u0 in S: a switch-off of u0 only lowers counts and has
+      to be undone, so a run without it makes every activation the run
+      made. S is therefore reachable iff the closure of the seed inside S
+      is S, activated lowest id first (``_closure_check``'s order);
+    * u0 not in S: u0 must end off. Its active-neighbour count only grows,
+      so once u0 switches on again it can never switch off, and u0 switches
+      off exactly once. That needs at most t(u0) - 1 active neighbours, so
+      none for t(u0) = 0. Before the switch-off the run activates some set A
+      with |A & N(u0)| <= t(u0) - 1 inside S | u0, after it S must be the
+      closure of A inside S. Let Y hold A & N(u0), padded with other nodes
+      of N(u0) & S to min(t(u0) - 1, |N(u0) & S|) nodes, and let X be the
+      closure of u0 inside (S - N(u0)) | Y | u0. Then A lies inside X, X
+      still lets u0 switch off, and the closure is monotone in its start
+      and its restrict set, so the closure of X - u0 inside S is S
+      whenever A's is. Hence S is reachable iff some Y of that maximal size
+      works, and the first in lexicographic order gives the certificate:
+      X's activations, u0 off, then the rest of S.
+
+    Either way every node of S - seed switches on once, and a u0 outside S
+    switches off once, so the path has |S ^ seed| moves, the fewest any
+    path can have.
+    """
+    if not seed_mask & ~s_mask:
+        closure, order = _closure(table, seed_mask, s_mask)
+        return ((order, []) if closure == s_mask else None), len(order) + 1
+    adj, threshold, _ = table[seed_mask.bit_length() - 1]
+    if threshold == 0:
+        return None, 0
+    near = adj & s_mask
+    far = s_mask & ~near | seed_mask
+    states = 0
+    for y in combinations(iter_bits(near), min(threshold - 1, near.bit_count())):
+        x, before = _closure(table, seed_mask, far | mask_of(y))
+        closure, after = _closure(table, x ^ seed_mask, s_mask)
+        states += len(before) + len(after) + 2
+        if closure == s_mask:
+            return (before, after), states
+    return None, states
+
+
+def _restricted_check(
+    table: NodeTable, s_mask: int, seed_mask: int
+) -> tuple[Optional[SequentialWitness], int]:
+    """The budget-1 restricted check: ``_restricted_orders`` as a witness."""
+    orders, states = _restricted_orders(table, s_mask, seed_mask)
+    if orders is None:
+        return None, states
+    before, after = orders
+    moves = [Move(v, True) for v in before]
+    if seed_mask & ~s_mask:
+        moves.append(Move(seed_mask.bit_length() - 1, False))
+    moves += [Move(v, True) for v in after]
+    return SequentialWitness(tuple(moves), len(moves)), states
 
 
 def _forced_seed_mask(adj_masks: Sequence[int], thresholds: Sequence[int], s_mask: int) -> int:
@@ -466,9 +532,7 @@ def _seeds(instance: SnapshotInstance) -> Iterator[int]:
     return _seed_masks(instance.snapshot, forced, instance.budget)
 
 
-def _seed_check(
-    instance: SnapshotInstance, limits: SearchLimits, restricted: bool = False
-) -> SeedCheck:
+def _seed_check(instance: SnapshotInstance, limits: SearchLimits) -> SeedCheck:
     """The per-seed check of the instance's mode. It keeps one memo for all
     the seeds it is called on: the response masks of the masks whose run
     never matches (simultaneous), or response masks and the states that
@@ -479,8 +543,7 @@ def _seed_check(
         return partial(_simultaneous_fate, table, s_mask, instance.mode.monotone, {})
     if instance.mode.monotone:
         return partial(_closure_check, table, s_mask)
-    dead = frozenset() if restricted else set()
-    return partial(_bfs_check, table, s_mask, limits.max_states, restricted, {}, dead)
+    return partial(_bfs_check, table, s_mask, limits.max_states, {}, set())
 
 
 def _reachable_mask_set(
@@ -503,7 +566,7 @@ def _reachable_mask_set(
         return seen
     everything = (1 << len(table)) - 1
     off = 0 if mode.monotone else everything
-    parents = _bfs(table, seed_mask, -1, everything, off, limits.max_states, responses)
+    parents = _bfs(table, seed_mask, -1, off, limits.max_states, responses)
     return set(parents)
 
 
@@ -528,13 +591,13 @@ def solve(instance: SnapshotInstance, limits: SearchLimits = DEFAULT_LIMITS) -> 
     return _search(_seeds(instance), _seed_check(instance, limits))
 
 
-def solve_sequential_k1(
-    instance: SnapshotInstance, limits: SearchLimits = DEFAULT_LIMITS
-) -> SolveOutcome:
+def solve_sequential_k1(instance: SnapshotInstance) -> SolveOutcome:
     """Budget-1 non-monotone sequential solver with the two structural prunes:
     seed candidates come from N[S] (plus the empty seed), and each candidate
-    search is restricted to orderings of S plus the candidate in which only
-    the candidate may deactivate. Must agree with ``solve``."""
+    is decided under the restricted move rule, in which only S activates and
+    only the candidate may deactivate, by ``_restricted_orders``' closures.
+    No search runs, so nothing can cap. ``states_expanded`` counts the
+    configurations the closures visited. Must agree with ``solve``."""
     if instance.mode != PLAIN_SEQUENTIAL:
         raise ValueError(
             "solve_sequential_k1 handles sequential dynamics, "
@@ -542,8 +605,10 @@ def solve_sequential_k1(
         )
     if instance.budget != 1:
         raise ValueError(f"solve_sequential_k1 requires budget 1, got {instance.budget}")
+    table = _node_table(instance.graph.adj_masks, instance.thresholds)
     pool = closed_neighborhood(instance.graph, instance.snapshot)
-    return _search(_seed_masks(pool, 0, 1), _seed_check(instance, limits, restricted=True))
+    check = partial(_restricted_check, table, instance.snapshot_mask())
+    return _search(_seed_masks(pool, 0, 1), check)
 
 
 def seed_feasible(

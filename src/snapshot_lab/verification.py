@@ -23,15 +23,16 @@ Check ids:
 * ``neighbor``: budget 1, non-monotone sequential: every feasible snapshot
   has a seed among the closed-neighborhood singletons or the empty seed.
 * ``clearing``: budget 1, non-monotone sequential: per (snapshot, seed node),
-  unrestricted reachability of the exact snapshot coincides with the
-  restricted search in which only snapshot nodes activate and only the seed
-  node may deactivate. The restricted move rule (on = S | u0, off = u0) only
-  masks flips the unrestricted rule allows, so every restricted run is an
+  unrestricted reachability of the exact snapshot coincides with
+  reachability under the restricted move rule, in which only snapshot nodes
+  activate and only the seed node may deactivate. The two sides take
+  independent routes: an unrestricted enumeration from the seed node, and
+  the closure decider ``solvers._restricted_orders``, which runs no search
+  and cannot cap. The restricted rule (on = S | u0, off = u0) only masks
+  flips the unrestricted rule allows, so every restricted run is an
   unrestricted run and restricted reach is a subset of the unrestricted
-  reachable set. The restricted search therefore runs only for snapshots
-  the unrestricted enumeration reached: elsewhere both answers are "no".
-  Nor could a skipped search have capped: it would store a subset of that
-  enumeration, which did not cap.
+  reachable set. The decider therefore runs only for snapshots the
+  unrestricted enumeration reached: elsewhere both answers are "no".
 
 The simultaneous analogue of ``neighbor`` is false (a seed can sit at
 distance 2 from the snapshot it produces), which is why only the sequential
@@ -71,8 +72,8 @@ from .solvers import (
     DEFAULT_LIMITS,
     SearchCapExceeded,
     SearchLimits,
-    _bfs,
     _reachable_mask_set,
+    _restricted_orders,
     canonical_seed_sets,
     seed_feasible,
     solve,
@@ -207,9 +208,7 @@ def _check_clearing(instance: SnapshotInstance, limits: SearchLimits) -> list[di
         for s_mask in range(1 << n):
             # restricted reach is a subset of reach_full (see the module docstring)
             full = s_mask in reach_full
-            restricted = full and s_mask in _bfs(
-                table, u0_bit, s_mask, s_mask | u0_bit, u0_bit, limits.max_states, responses
-            )
+            restricted = full and _restricted_orders(table, s_mask, u0_bit)[0] is not None
             if restricted != full:
                 violations.append(
                     {

@@ -1,6 +1,9 @@
-"""Shared fixtures: the worked-example graphs and a certificate assertion."""
+"""Shared fixtures: the worked-example graphs, a certificate assertion and
+the reference search of the budget-1 restricted move rule."""
 
 from __future__ import annotations
+
+from collections import deque
 
 import pytest
 from hypothesis import strategies as st
@@ -9,9 +12,12 @@ from snapshot_lab import (
     ALL_MODES,
     DynamicsMode,
     Graph,
+    Move,
     SnapshotInstance,
     check_certificate,
 )
+from snapshot_lab.dynamics import _response_mask
+from snapshot_lab.model import iter_bits
 
 
 @pytest.fixture
@@ -104,3 +110,31 @@ def small_instances(draw, max_n=6, max_budget=2, modes=ALL_MODES):
     budget = draw(st.integers(min_value=0, max_value=max_budget))
     mode = draw(st.sampled_from(list(modes)))
     return SnapshotInstance(graph, thresholds, snapshot, budget, mode)
+
+
+def restricted_path(table, seed_mask: int, s_mask: int):
+    """Reference breadth-first search under the budget-1 restricted move
+    rule: only nodes of S | seed may switch on, and only the seed may switch
+    off. Moves expand in ascending node id, so the path is the first shortest
+    one; its moves from the seed to S, or None when S is unreachable.
+
+    Every restricted move is a legal unrestricted move, so the states it
+    stores are a subset of the seed's unrestricted reachable set."""
+    on, off = s_mask | seed_mask, seed_mask
+    parents = {seed_mask: None}
+    queue = deque([seed_mask])
+    while queue and s_mask not in parents:
+        cur = queue.popleft()
+        for v in iter_bits((_response_mask(table, cur) ^ cur) & (on & ~cur | off & cur)):
+            nxt = cur ^ 1 << v
+            if nxt not in parents:
+                parents[nxt] = cur
+                queue.append(nxt)
+    if s_mask not in parents:
+        return None
+    moves, state = [], s_mask
+    while parents[state] is not None:
+        prev = parents[state]
+        moves.append(Move((prev ^ state).bit_length() - 1, state > prev))
+        state = prev
+    return tuple(reversed(moves))

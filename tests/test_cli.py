@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snapshot_lab import Certificate, InvalidInstanceError, SimultaneousWitness
+from snapshot_lab import Certificate, InvalidInstanceError, SimultaneousWitness, reductions
 from snapshot_lab.cli import COMMANDS, build_parser, main
 from snapshot_lab.serialize import canonical_json, certificate_from_dict
+from snapshot_lab.solvers import SolveOutcome, SolveStats
 
 CORPUS = resources.files("snapshot_lab").joinpath("corpus")
 
@@ -395,7 +396,7 @@ def test_enumerate_state_cap_boundary(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_reduce_check_cap_is_an_error_not_a_disagreement(tmp_path, capsys):
+def test_reduce_check_cap_is_an_error_not_a_disagreement(tmp_path, capsys, monkeypatch):
     path7 = _write(tmp_path / "path7.json", {
         "labels": [f"p{i}" for i in range(7)],
         "edges": [[i, i + 1] for i in range(6)],
@@ -405,9 +406,36 @@ def test_reduce_check_cap_is_an_error_not_a_disagreement(tmp_path, capsys):
     argv = ["reduce", "--gadget", "seqk1", "--instance", path7, "--check"]
     assert run(argv) == 0
     assert json.loads(capsys.readouterr().out)["agree"] is True
-    assert run(argv + ["--max-states", "2"]) == 1
+    # no side of a reduce check runs a search that can cap, so there is no cap to set
+    with pytest.raises(SystemExit) as exit_info:
+        run(argv + ["--max-states", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --max-states 2" in capsys.readouterr().err
+    # a capped side would still be an error, never a verdict
+    capped = SolveOutcome("resource_cap_hit", None, SolveStats())
+    monkeypatch.setattr(reductions, "solve", lambda instance: capped)
+    assert run(["reduce", "--gadget", "embed", "--instance", path7, "--check"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_reduce_seqk1_check_on_clique10_agrees(capsys):
+    argv = ["reduce", "--gadget", "seqk1", "--instance", corpus_path("clique10.json"), "--check"]
+    assert run(argv) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["agree"] is True and verdict["right"] == "feasible"
+
+
+@pytest.mark.parametrize("gadget, document", [("seqk1", "clique10.json"), ("dummy", "star4.json")])
+def test_reduce_order_applies_only_to_embed(gadget, document, capsys):
+    argv = ["reduce", "--gadget", gadget, "--instance", corpus_path(document), "--check"]
+    assert run(argv + ["--order", "sequential"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --order applies only to --gadget embed\n"
+    embed = ["reduce", "--gadget", "embed", "--instance", corpus_path(document), "--check"]
+    assert run(embed + ["--order", "sequential"]) == 0
+    assert json.loads(capsys.readouterr().out)["gadget"] == "embed"
 
 
 def _cert(seed, **witness) -> dict:

@@ -144,20 +144,21 @@ def test_sequential_mode_flags():
 
 
 @pytest.mark.parametrize(
-    "adj, labels, message",
+    "n, masks, labels, message",
     [
-        (((1,), (), ()), ("a", "b", "c"), r"edge \(0,1\) has no reverse"),
-        (((0, 1), (0,)), ("a", "b"), "self-loop at node 0"),
-        (((1,), (0,)), ("a", "b", "c"), "3 labels for 2 nodes"),
-        (((), (), (-1,)), ("a", "b", "c"), "neighbour -1 of node 2 outside node range"),
-        (((1,), (0, 0)), ("a", "b"), "neighbours of node 1 are not sorted and unique"),
-        (((2, 1), (0,), (0,)), ("a", "b", "c"), "neighbours of node 0 are not sorted"),
+        (3, (0b010, 0, 0), ("a", "b", "c"), r"edge \(0,1\) has no reverse"),
+        (2, (0b11, 0b01), ("a", "b"), "self-loop at node 0"),
+        (2, (0b10, 0b01), ("a", "b", "c"), "3 labels for 2 nodes"),
+        (3, (0, 0, 0b1001), ("a", "b", "c"), "neighbour 3 of node 2 outside node range"),
+        (2, (0, -1), ("a", "b"), "neighbour mask of node 1 is -1, must be a non-negative integer"),
+        (2, (0b10, True), ("a", "b"), "neighbour mask of node 1 is True, must be a non-negative integer"),
+        (1, (0b10, 0b01), ("a",), "2 adjacency masks for 1 nodes"),
     ],
-    ids=["asymmetric", "self-loop", "label-count", "out-of-range", "duplicate", "unsorted"],
+    ids=["asymmetric", "self-loop", "label-count", "out-of-range", "negative-mask", "bool-mask", "mask-count"],
 )
-def test_directly_built_bad_graph_is_rejected(adj, labels, message):
+def test_directly_built_bad_graph_is_rejected(n, masks, labels, message):
     with pytest.raises(InvalidInstanceError, match=message):
-        validate_instance(Graph(len(adj), adj, labels), (1,) * len(adj), {0}, 1, PLAIN_SIMULTANEOUS)
+        validate_instance(Graph(n, masks, labels), (1,) * n, {0}, 1, PLAIN_SIMULTANEOUS)
 
 
 @given(small_instances(), st.data())
@@ -168,7 +169,7 @@ def test_direct_graph_equals_edge_list_graph(instance, data):
     flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
     edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
     shuffled = Graph.from_edges(graph.n, edges, graph.labels)
-    direct = Graph(graph.n, shuffled.adj, shuffled.labels)
+    direct = Graph(graph.n, [mask_of(row) for row in shuffled.adj], shuffled.labels)
     assert shuffled == graph == direct
     assert shuffled.adj_masks == direct.adj_masks == tuple(mask_of(row) for row in graph.adj)
 
@@ -206,7 +207,7 @@ def test_graph_stores_only_masks_and_reads_them_as_the_edge_list(data):
     assert graph.edges() == edges
     s = {v for v in range(n) if data.draw(st.booleans())}
     assert closed_neighborhood(graph, s) == frozenset(s).union(*(neighbours[v] for v in s))
-    direct = Graph(n, graph.adj, graph.labels)
+    direct = Graph(n, [mask_of(row) for row in neighbours], graph.labels)
     assert direct == graph and direct.adj_masks == graph.adj_masks
     with pytest.raises(AttributeError):
         graph.adj = ()
@@ -225,6 +226,13 @@ def test_slotted_values_pickle_copy_and_replace(star4):
             value.graph = None
     assert dataclasses.replace(instance, budget=1).budget == 1
     assert dataclasses.replace(target_set, budget=1) == TargetSetInstance(star4, (1, 2, 1, 1), 1)
+    relabelled = dataclasses.replace(Graph.from_edges(3, [(0, 1)]), labels=("a", "b", "c"))
+    assert relabelled == Graph.from_edges(3, [(0, 1)], labels=["a", "b", "c"])
+    assert dataclasses.replace(star4, labels=list("abcd")).adj_masks == star4.adj_masks
+    with pytest.raises(InvalidInstanceError, match="3 labels for 4 nodes"):
+        dataclasses.replace(star4, labels=("a", "b", "c"))
+    with pytest.raises(InvalidInstanceError, match="self-loop at node 0"):
+        dataclasses.replace(star4, adj_masks=(0b11, 0b1101, 0b10, 0b10))
 
 
 @pytest.fixture

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import json
 import logging
 import random
 from collections import deque
 from dataclasses import replace
+from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from snapshot_lab import (
     ALL_MODES,
+    Certificate,
     Graph,
     MONOTONE_SEQUENTIAL,
     MONOTONE_SIMULTANEOUS,
@@ -33,9 +36,18 @@ from snapshot_lab import (
 from snapshot_lab.generator import GeneratorParams, instance_stream
 from snapshot_lab.dynamics import _node_table, _response_after_flip, _response_mask
 from snapshot_lab.model import mask_of, nodes_of
-from snapshot_lab.solvers import _closure, _seeds, _simultaneous_fate, canonical_seed_sets
+from snapshot_lab.reductions import gadget_sequential_k1, target_set_from_dict
+from snapshot_lab.solvers import (
+    SolveOutcome,
+    SolveStats,
+    _closure,
+    _restricted_check,
+    _seeds,
+    _simultaneous_fate,
+    canonical_seed_sets,
+)
 
-from conftest import assert_certificate_replays, small_instances
+from conftest import assert_certificate_replays, restricted_path, small_instances
 
 T4 = (1, 2, 1, 1)
 
@@ -228,7 +240,11 @@ def test_solve_sequential_k1_empty_snapshot(star4_instance):
 @settings(max_examples=100, deadline=None)
 def test_k1_solver_agrees_with_unrestricted_search(instance):
     inst = replace(instance, budget=1)
-    assert solve_sequential_k1(inst).verdict == solve(inst).verdict
+    fast, full = solve_sequential_k1(inst), solve(inst)
+    assert fast.verdict == full.verdict
+    if fast.feasible:
+        assert fast.certificate.seed == full.certificate.seed
+        assert_certificate_replays(inst, fast)
 
 
 @given(small_instances(max_n=5))
@@ -562,3 +578,73 @@ def test_response_after_flip_matches_full_recompute(instance, data):
     node = data.draw(st.integers(min_value=0, max_value=instance.n - 1))
     before = _response_mask(table, active ^ (1 << node))
     assert _response_after_flip(table, active, node, before) == _response_mask(table, active)
+
+
+def _assert_restricted_decider_matches_reference(instance) -> set[str]:
+    """The closure decider against the reference restricted search, for the
+    empty seed and every node as the seed node. Returns the kinds of
+    (seed, S) pairs it covered."""
+    table = _node_table(instance.graph.adj_masks, instance.thresholds)
+    s_mask = instance.snapshot_mask()
+    checked = replace(instance, budget=1)
+    kinds = set()
+    for seed_mask in [0] + [1 << u for u in range(instance.n)]:
+        expected = restricted_path(table, seed_mask, s_mask)
+        witness, _ = _restricted_check(table, s_mask, seed_mask)
+        assert (witness is None) == (expected is None)
+        if seed_mask & ~s_mask:
+            u0 = seed_mask.bit_length() - 1
+            kind = "u0 outside S"
+            if instance.thresholds[u0] == 0:
+                kind += ", t(u0) = 0"
+            elif instance.thresholds[u0] > instance.graph.degree(u0):
+                kind += ", t(u0) > deg(u0)"
+        else:
+            kind = "u0 in S" if seed_mask else "empty seed"
+        kinds.add(kind + (", feasible" if witness else ""))
+        if witness is None:
+            continue
+        assert witness.match_prefix == len(witness.ordering) == (s_mask ^ seed_mask).bit_count()
+        outcome = SolveOutcome("feasible", Certificate(nodes_of(seed_mask), witness), SolveStats())
+        assert_certificate_replays(checked, outcome)
+        if not seed_mask & ~s_mask:
+            assert witness.ordering == expected
+    return kinds
+
+
+@given(small_instances(max_n=7, modes=[PLAIN_SEQUENTIAL]))
+@example(  # the seed node 0 has threshold 0 and can never switch off
+    SnapshotInstance(Graph.from_edges(2, [(0, 1)]), (0, 1), frozenset({1}), 1, PLAIN_SEQUENTIAL)
+)
+@example(  # threshold over degree: every neighbour of the seed node in S may join first
+    SnapshotInstance(Graph.from_edges(3, [(0, 1), (1, 2)]), (1, 4, 1), frozenset({0, 2}), 1, PLAIN_SEQUENTIAL)
+)
+@settings(max_examples=200, deadline=None)
+def test_restricted_decider_matches_the_reference_search(instance):
+    _assert_restricted_decider_matches_reference(instance)
+
+
+def test_restricted_decider_matches_the_reference_search_on_stream():
+    kinds = set()
+    for snapshot_mode in ("arbitrary", "reachable"):
+        params = GeneratorParams(
+            n_min=1, n_max=9, edge_prob=0.4, threshold_law="mixed", budget_min=1,
+            budget_max=1, snapshot_mode=snapshot_mode, mode=PLAIN_SEQUENTIAL, rng_seed=16,
+        )
+        for instance in itertools.islice(instance_stream(params), 150):
+            kinds |= _assert_restricted_decider_matches_reference(instance)
+    for kind in ("empty seed", "u0 in S", "u0 outside S", "u0 outside S, t(u0) = 0",
+                 "u0 outside S, t(u0) > deg(u0)"):
+        assert kind in kinds
+        if "t(u0) = 0" not in kind:
+            assert kind + ", feasible" in kinds
+
+
+def test_k1_solver_decides_the_clique10_gadget_by_closures():
+    document = resources.files("snapshot_lab").joinpath("corpus", "clique10.json").read_text()
+    reduced = gadget_sequential_k1(target_set_from_dict(json.loads(document)))
+    out = solve_sequential_k1(reduced)
+    assert out.feasible and sorted(out.certificate.seed) == [0]
+    assert out.stats.seeds_tried == 2
+    assert out.certificate.witness.match_prefix == len(reduced.snapshot) - 1
+    assert_certificate_replays(reduced, out)

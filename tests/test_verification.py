@@ -31,10 +31,10 @@ from snapshot_lab import verification
 from snapshot_lab.dynamics import _node_table
 from snapshot_lab.model import nodes_of
 from snapshot_lab.serialize import instance_from_dict
-from snapshot_lab.solvers import DEFAULT_LIMITS, SearchLimits, _bfs, _reachable_mask_set
+from snapshot_lab.solvers import DEFAULT_LIMITS, SearchLimits, _reachable_mask_set
 from snapshot_lab.verification import CHECK_IDS, _check_clearing, corpus_entry_instance, _load_corpus_dir
 
-from conftest import small_instances
+from conftest import restricted_path, small_instances
 
 T4 = (1, 2, 1, 1)
 
@@ -105,8 +105,10 @@ def test_check_lemma_batch_is_clean():
 
 
 def _clearing_reference(instance, limits):
-    """The unpruned ``clearing`` check: one restricted search for every
-    (snapshot, seed node) pair, whatever the unrestricted search reached."""
+    """The unpruned ``clearing`` check: the reference restricted search for
+    every (snapshot, seed node) pair, whatever the unrestricted search
+    reached. A restricted search stores a subset of the unrestricted
+    enumeration from the same seed node, so only that enumeration caps."""
     n = instance.n
     table = _node_table(instance.graph.adj_masks, instance.thresholds)
     violations = []
@@ -115,9 +117,7 @@ def _clearing_reference(instance, limits):
         u0_bit = 1 << u0
         reach_full = _reachable_mask_set(table, u0_bit, PLAIN_SEQUENTIAL, limits, responses)
         for s_mask in range(1 << n):
-            restricted = s_mask in _bfs(
-                table, u0_bit, s_mask, s_mask | u0_bit, u0_bit, limits.max_states, responses
-            )
+            restricted = restricted_path(table, u0_bit, s_mask) is not None
             full = s_mask in reach_full
             if restricted != full:
                 violations.append(
