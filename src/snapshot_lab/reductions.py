@@ -247,10 +247,11 @@ def _delete_node(source: Source, v: int) -> Source:
 
 
 def _feasible(outcome: SolveOutcome) -> bool:
-    """The verdict as a bool. No side runs a search that can cap (the
-    embedded and dummy sides are monotone or simultaneous, and the seqk1
-    side is decided by closures), but a capped verdict would raise rather
-    than read as infeasible."""
+    """The verdict as a bool; a capped verdict raises rather than read as
+    infeasible. The embedded and dummy sides are monotone or simultaneous
+    and never cap; the seqk1 side, decided by closures, caps when a seed
+    node of high threshold and degree leaves too many neighbour sets to
+    try."""
     if outcome.verdict == VERDICT_CAP:
         raise SearchCapExceeded("a search hit a resource cap before deciding its side")
     return outcome.feasible

@@ -74,9 +74,11 @@ Per-seed checks:
 * the budget-1 restricted move rule of ``solve_sequential_k1`` and the
   ``clearing`` check (on = S | seed, off = seed: only snapshot nodes
   activate and only the seed may deactivate): ``_restricted_orders``, at
-  most one closure for the empty seed or a seed in S, and two per tried
-  neighbour set of the seed node otherwise. Its docstring holds the
-  argument that this is exact. It runs no search, so it never caps.
+  most one closure for the empty seed or a seed in S, and otherwise one
+  for the seed node's reach and two per tried set of its neighbours, which
+  can number C(deg, t - 1). Its docstring holds the argument that this is
+  exact. It runs no search, but it counts the configurations its closures
+  visit against ``max_states``.
 
 One cap rule: a configuration search caps only when a new state arrives
 while ``max_states`` states are already stored, so a reachable set of exactly
@@ -84,12 +86,14 @@ while ``max_states`` states are already stored, so a reachable set of exactly
 so a plain search can fit under a cap that its seed's whole reachable set
 exceeds. A capped search proves nothing and adds nothing to the dead set,
 which, like the response memo, holds at most ``max_states`` entries. This is
-the only cap, and only ``_bfs`` can hit it. A check that caps raises
-``SearchCapExceeded`` carrying the states it stored, and ``_search``
-is the only place that turns it into a verdict: "infeasible" is only ever
-reported after every candidate was checked (or a forced node proves it for
-every seed); if any check capped first, the verdict degrades to
-"resource_cap_hit" instead of risking a silent false negative.
+the only cap of a search; the restricted closures stop before another
+neighbour set once they have visited ``max_states`` configurations. A check
+that caps raises ``SearchCapExceeded`` carrying the states it stored (or
+visited), and ``_search`` is the only place that turns it into a verdict:
+"infeasible" is only ever reported after every candidate was checked (or a
+forced node proves it for every seed); if any check capped first, the
+verdict degrades to "resource_cap_hit" instead of risking a silent false
+negative.
 
 Every check reads the node table of ``dynamics._node_table``, built once
 per solve by ``_seed_check`` (once per enumeration or check elsewhere): the
@@ -401,7 +405,7 @@ def _closure_check(
 
 
 def _restricted_orders(
-    table: NodeTable, s_mask: int, seed_mask: int
+    table: NodeTable, s_mask: int, seed_mask: int, max_states: int
 ) -> tuple[Optional[tuple[list[int], list[int]]], int]:
     """Decide the budget-1 restricted move rule by closures: whether the
     empty or one-node seed reaches S when only snapshot nodes may switch on
@@ -424,18 +428,26 @@ def _restricted_orders(
       off exactly once. That needs at most t(u0) - 1 active neighbours, so
       none for t(u0) = 0. Before the switch-off the run activates some set A
       with |A & N(u0)| <= t(u0) - 1 inside S | u0, after it S must be the
-      closure of A inside S. Let Y hold A & N(u0), padded with other nodes
-      of N(u0) & S to min(t(u0) - 1, |N(u0) & S|) nodes, and let X be the
-      closure of u0 inside (S - N(u0)) | Y | u0. Then A lies inside X, X
-      still lets u0 switch off, and the closure is monotone in its start
-      and its restrict set, so the closure of X - u0 inside S is S
-      whenever A's is. Hence S is reachable iff some Y of that maximal size
-      works, and the first in lexicographic order gives the certificate:
-      X's activations, u0 off, then the rest of S.
+      closure of A inside S. A lies inside X_full, the closure of u0 inside
+      S | u0, so only the nodes of near = N(u0) & X_full can be among A's
+      neighbours of u0. Let Y hold A & N(u0), padded with other nodes of
+      near to min(t(u0) - 1, |near|) nodes, and let X be the closure of u0
+      inside (S - N(u0)) | Y | u0. Then A lies inside X, X still lets u0
+      switch off, and the closure is monotone in its start and its restrict
+      set, so the closure of X - u0 inside S is S whenever A's is. Hence S
+      is reachable iff some Y of that maximal size works, and the first in
+      lexicographic order gives the certificate: X's activations, u0 off,
+      then the rest of S. When near has at most t(u0) - 1 nodes, Y is near
+      and X is X_full.
 
     Either way every node of S - seed switches on once, and a u0 outside S
     switches off once, so the path has |S ^ seed| moves, the fewest any
     path can have.
+
+    The Y of size t(u0) - 1 number C(|near|, t(u0) - 1), so a high
+    threshold on a seed node of high degree can make them too many to try:
+    once the closures have visited ``max_states`` configurations, starting
+    another Y raises SearchCapExceeded.
     """
     if not seed_mask & ~s_mask:
         closure, order = _closure(table, seed_mask, s_mask)
@@ -443,23 +455,31 @@ def _restricted_orders(
     adj, threshold, _ = table[seed_mask.bit_length() - 1]
     if threshold == 0:
         return None, 0
-    near = adj & s_mask
-    far = s_mask & ~near | seed_mask
-    states = 0
-    for y in combinations(iter_bits(near), min(threshold - 1, near.bit_count())):
-        x, before = _closure(table, seed_mask, far | mask_of(y))
+    x, before = _closure(table, seed_mask, s_mask | seed_mask)
+    states = len(before) + 1
+    near = adj & x
+    far = s_mask & ~adj | seed_mask
+    tries = [None] if near.bit_count() < threshold else combinations(iter_bits(near), threshold - 1)
+    for y in tries:
+        if y is not None:
+            if states >= max_states:
+                raise SearchCapExceeded(
+                    f"restricted closures exceeded max_states={max_states}", states
+                )
+            x, before = _closure(table, seed_mask, far | mask_of(y))
+            states += len(before) + 1
         closure, after = _closure(table, x ^ seed_mask, s_mask)
-        states += len(before) + len(after) + 2
+        states += len(after) + 1
         if closure == s_mask:
             return (before, after), states
     return None, states
 
 
 def _restricted_check(
-    table: NodeTable, s_mask: int, seed_mask: int
+    table: NodeTable, s_mask: int, max_states: int, seed_mask: int
 ) -> tuple[Optional[SequentialWitness], int]:
     """The budget-1 restricted check: ``_restricted_orders`` as a witness."""
-    orders, states = _restricted_orders(table, s_mask, seed_mask)
+    orders, states = _restricted_orders(table, s_mask, seed_mask, max_states)
     if orders is None:
         return None, states
     before, after = orders
@@ -596,7 +616,8 @@ def solve_sequential_k1(instance: SnapshotInstance) -> SolveOutcome:
     seed candidates come from N[S] (plus the empty seed), and each candidate
     is decided under the restricted move rule, in which only S activates and
     only the candidate may deactivate, by ``_restricted_orders``' closures.
-    No search runs, so nothing can cap. ``states_expanded`` counts the
+    No search runs; a seed whose closures visit more than the default
+    ``max_states`` configurations caps. ``states_expanded`` counts the
     configurations the closures visited. Must agree with ``solve``."""
     if instance.mode != PLAIN_SEQUENTIAL:
         raise ValueError(
@@ -607,7 +628,9 @@ def solve_sequential_k1(instance: SnapshotInstance) -> SolveOutcome:
         raise ValueError(f"solve_sequential_k1 requires budget 1, got {instance.budget}")
     table = _node_table(instance.graph.adj_masks, instance.thresholds)
     pool = closed_neighborhood(instance.graph, instance.snapshot)
-    check = partial(_restricted_check, table, instance.snapshot_mask())
+    check = partial(
+        _restricted_check, table, instance.snapshot_mask(), DEFAULT_LIMITS.max_states
+    )
     return _search(_seed_masks(pool, 0, 1), check)
 
 

@@ -28,7 +28,8 @@ Check ids:
   activate and only the seed node may deactivate. The two sides take
   independent routes: an unrestricted enumeration from the seed node, and
   the closure decider ``solvers._restricted_orders``, which runs no search
-  and cannot cap. The restricted rule (on = S | u0, off = u0) only masks
+  but caps like one once its closures visit ``max_states`` configurations.
+  The restricted rule (on = S | u0, off = u0) only masks
   flips the unrestricted rule allows, so every restricted run is an
   unrestricted run and restricted reach is a subset of the unrestricted
   reachable set. The decider therefore runs only for snapshots the
@@ -208,7 +209,9 @@ def _check_clearing(instance: SnapshotInstance, limits: SearchLimits) -> list[di
         for s_mask in range(1 << n):
             # restricted reach is a subset of reach_full (see the module docstring)
             full = s_mask in reach_full
-            restricted = full and _restricted_orders(table, s_mask, u0_bit)[0] is not None
+            restricted = full and _restricted_orders(
+                table, s_mask, u0_bit, limits.max_states
+            )[0] is not None
             if restricted != full:
                 violations.append(
                     {

@@ -406,17 +406,19 @@ def test_reduce_check_cap_is_an_error_not_a_disagreement(tmp_path, capsys, monke
     argv = ["reduce", "--gadget", "seqk1", "--instance", path7, "--check"]
     assert run(argv) == 0
     assert json.loads(capsys.readouterr().out)["agree"] is True
-    # no side of a reduce check runs a search that can cap, so there is no cap to set
+    # only the seqk1 side can cap, at the solver's default cap, so there is no cap to set
     with pytest.raises(SystemExit) as exit_info:
         run(argv + ["--max-states", "2"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --max-states 2" in capsys.readouterr().err
-    # a capped side would still be an error, never a verdict
+    # a capped side is an error, never a verdict
     capped = SolveOutcome("resource_cap_hit", None, SolveStats())
     monkeypatch.setattr(reductions, "solve", lambda instance: capped)
-    assert run(["reduce", "--gadget", "embed", "--instance", path7, "--check"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
+    monkeypatch.setattr(reductions, "solve_sequential_k1", lambda instance: capped)
+    for gadget, document in [("embed", path7), ("seqk1", path7), ("dummy", corpus_path("star4.json"))]:
+        assert run(["reduce", "--gadget", gadget, "--instance", document, "--check"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_reduce_seqk1_check_on_clique10_agrees(capsys):

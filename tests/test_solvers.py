@@ -38,6 +38,7 @@ from snapshot_lab.dynamics import _node_table, _response_after_flip, _response_m
 from snapshot_lab.model import mask_of, nodes_of
 from snapshot_lab.reductions import gadget_sequential_k1, target_set_from_dict
 from snapshot_lab.solvers import (
+    DEFAULT_LIMITS,
     SolveOutcome,
     SolveStats,
     _closure,
@@ -590,7 +591,7 @@ def _assert_restricted_decider_matches_reference(instance) -> set[str]:
     kinds = set()
     for seed_mask in [0] + [1 << u for u in range(instance.n)]:
         expected = restricted_path(table, seed_mask, s_mask)
-        witness, _ = _restricted_check(table, s_mask, seed_mask)
+        witness, _ = _restricted_check(table, s_mask, DEFAULT_LIMITS.max_states, seed_mask)
         assert (witness is None) == (expected is None)
         if seed_mask & ~s_mask:
             u0 = seed_mask.bit_length() - 1
@@ -648,3 +649,34 @@ def test_k1_solver_decides_the_clique10_gadget_by_closures():
     assert out.stats.seeds_tried == 2
     assert out.certificate.witness.match_prefix == len(reduced.snapshot) - 1
     assert_certificate_replays(reduced, out)
+
+
+def _hub_of_forty_leaves(leaf_threshold: int, leaf_path: bool) -> SnapshotInstance:
+    """Hub 0 of threshold 20 joined to 40 snapshot leaves, which may also
+    form a path 1 - 2 - ... - 40; the hub is outside S."""
+    edges = [(0, v) for v in range(1, 41)]
+    if leaf_path:
+        edges += [(v, v + 1) for v in range(1, 40)]
+    thresholds = (20,) + (leaf_threshold,) * 40
+    return SnapshotInstance(
+        Graph.from_edges(41, edges), thresholds, frozenset(range(1, 41)), 1, PLAIN_SEQUENTIAL
+    )
+
+
+def test_k1_solver_on_a_high_threshold_hub_of_large_degree():
+    # C(40, 19) neighbour sets of the hub, but no leaf can switch on while
+    # the hub is on, so only the empty one is tried
+    out = solve_sequential_k1(_hub_of_forty_leaves(2, leaf_path=False))
+    assert out.verdict == "infeasible"
+    assert out.stats.seeds_tried == 42 and out.stats.states_expanded == 43
+    # the first neighbour set, leaves 1..19, lets the path finish after the
+    # hub switches off
+    out = solve_sequential_k1(_hub_of_forty_leaves(1, leaf_path=True))
+    assert out.feasible and sorted(out.certificate.seed) == [0]
+    assert out.certificate.witness.match_prefix == 41
+    assert_certificate_replays(_hub_of_forty_leaves(1, leaf_path=True), out)
+    # every leaf can switch on beside the hub, no 19 of them finish S, and
+    # the neighbour sets outnumber the cap
+    out = solve_sequential_k1(_hub_of_forty_leaves(1, leaf_path=False))
+    assert out.verdict == "resource_cap_hit"
+    assert out.stats.states_expanded > DEFAULT_LIMITS.max_states
