@@ -38,7 +38,6 @@ from .solvers import (
     reachable_configs,
     seed_feasible,
     solve,
-    solve_sequential_k1,
 )
 from .cliques import (
     CliqueAnalysis,

@@ -50,7 +50,6 @@ from .solvers import (
     _closure,
     canonical_seed_sets,
     solve,
-    solve_sequential_k1,
 )
 
 
@@ -75,11 +74,14 @@ def target_set_to_dict(ts: TargetSetInstance) -> dict:
 
 
 def target_set_from_dict(data: dict) -> TargetSetInstance:
+    """Read a target-set document, rejecting keys it has no place for."""
     if not isinstance(data, dict):
         raise InvalidInstanceError(["target-set document must be a JSON object"])
-    missing = [key for key in ("labels", "edges", "thresholds", "budget") if key not in data]
-    if missing:
-        raise InvalidInstanceError([f"missing field {key!r}" for key in missing])
+    fields = ("labels", "edges", "thresholds", "budget")
+    problems = [f"missing field {key!r}" for key in fields if key not in data]
+    problems += [f"unknown field {key!r}" for key in data if key not in fields]
+    if problems:
+        raise InvalidInstanceError(problems)
     labels, budget = label_list(data["labels"]), data["budget"]
     edges = edge_pairs(data["edges"])
     try:
@@ -249,9 +251,9 @@ def _delete_node(source: Source, v: int) -> Source:
 def _feasible(outcome: SolveOutcome) -> bool:
     """The verdict as a bool; a capped verdict raises rather than read as
     infeasible. The embedded and dummy sides are monotone or simultaneous
-    and never cap; the seqk1 side, decided by closures, caps when a seed
-    node of high threshold and degree leaves too many neighbour sets to
-    try."""
+    and never cap; the seqk1 side, a budget-1 sequential solve, caps where a
+    seed node of high threshold and degree leaves too many neighbour sets to
+    try and the search that takes that seed over outgrows the cap too."""
     if outcome.verdict == VERDICT_CAP:
         raise SearchCapExceeded("a search hit a resource cap before deciding its side")
     return outcome.feasible
@@ -265,7 +267,7 @@ def _sides(gadget: str, source: Source, mode: Optional[DynamicsMode]):
     if gadget == "seqk1":
         assert isinstance(source, TargetSetInstance)
         reduced = gadget_sequential_k1(source)
-        return has_target_set(source), _feasible(solve_sequential_k1(reduced))
+        return has_target_set(source), _feasible(solve(reduced))
     if gadget == "dummy":
         assert isinstance(source, SnapshotInstance)
         reduced = gadget_deactivation_robust(source)

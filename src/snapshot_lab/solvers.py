@@ -1,11 +1,9 @@
 """Feasibility deciders for the four dynamics, with replayable certificates.
 
 ``solve(instance)`` is the one entry that decides an instance, under the
-instance's own mode; ``solve_sequential_k1`` is a separate, restricted
-solver for budget-1 non-monotone sequential instances, kept as the pruned
-side of an acceptance check. A ``SolveOutcome`` writes its certificate
-through ``serialize.certificate_to_dict``, and
-``verification.check_certificate`` is the one replay of it.
+instance's own mode. A ``SolveOutcome`` writes its certificate through
+``serialize.certificate_to_dict``, and ``verification.check_certificate`` is
+the one replay of it.
 
 Every mode asks the same question, whether some seed of size <= k reaches the
 snapshot S, and answers it the same way: ``_search`` tries candidate seed
@@ -25,10 +23,7 @@ of a forced mask drawn from a pool:
   infeasible without trying a seed;
 * non-monotone dynamics: seeds range over all of V (a seed can sit at
   distance >= 2 from the snapshot it produces, so no neighborhood prune is
-  sound);
-* non-monotone sequential with budget 1 (``solve_sequential_k1``): candidates
-  shrink to the closed neighborhood N[S] plus the empty seed. Must agree with
-  the unrestricted solver.
+  sound in general).
 
 Per-seed checks:
 
@@ -52,48 +47,81 @@ Per-seed checks:
   configuration space is finite, so exact repeat detection settles every run
   and no step cap is needed. A ``Trace`` is built only when a certificate is
   replayed;
-* monotone sequential: the monotone closure of the seed inside S (never
-  selecting outside nodes is always safe and always sufficient), computed
-  with its canonical activation order, lowest-id eligible node first, in one
-  pass (``_closure``);
-* non-monotone sequential: ``_bfs``, the one breadth-first search over single
-  best-response moves. Any node may switch on, and node v may switch off if
-  bit v of ``off`` is set: the plain search uses off = V, the monotone
-  reachability of the oracles off = {}. Moves expand in ascending node id,
-  so the first shortest witness found is canonical. The searches of one
-  solve share a memo of response masks, since they cross the same states; a
-  state missing from it takes its parent's response and re-evaluates only
-  the neighbours of the flipped node. The unrestricted move rule does not
-  depend on the seed, so the plain searches of one solve also share a dead
-  set: a search that runs to the end without storing S adds its states,
-  since none of them can reach S, and later searches neither store nor
-  expand a dead state (a dead seed is settled with no search). Every BFS
-  parent of a state that can reach S can reach S too, so the search tree
-  over S's ancestors, and its first shortest witness, are unchanged. The
-  enumerations never use it;
-* the budget-1 restricted move rule of ``solve_sequential_k1`` and the
-  ``clearing`` check (on = S | seed, off = seed: only snapshot nodes
-  activate and only the seed may deactivate): ``_restricted_orders``, at
-  most one closure for the empty seed or a seed in S, and otherwise one
-  for the seed node's reach and two per tried set of its neighbours, which
-  can number C(deg, t - 1). Its docstring holds the argument that this is
-  exact. It runs no search, but it counts the configurations its closures
-  visit against ``max_states``.
+* monotone sequential, and non-monotone sequential of budget <= 1:
+  ``_direct_check``, closures and no search (below), unless they cap;
+* non-monotone sequential of budget >= 2: ``_bfs``, the one breadth-first
+  search over single best-response moves. Any node may switch on, and node
+  v may switch off if bit v of ``off`` is set: the plain search uses off =
+  V, the monotone reachability of the oracles off = {}. Moves expand in
+  ascending node id, so each level's states leave the queue in the order of
+  their lexicographically least shortest paths, and the first state of the
+  level before that reaches a state is its parent: its stored path is that
+  least path, the canonical witness. The searches of one solve share a memo
+  of response masks (``_bfs``) and a dead set of states that cannot reach S
+  (``_bfs_check``). Every BFS parent of a state that can reach S can reach S
+  too, so skipping dead states leaves the search tree over S's ancestors,
+  and its first shortest witness, unchanged; the enumerations use no dead set.
+
+The clearing lemma: under plain sequential dynamics, from a seed D of at
+most one node u0, every reachable configuration c has a *direct* path, in
+which only nodes of c switch on, each once, and only u0 switches off, once,
+when it is not in c. Proof: the configurations with a direct path are
+closed under legal moves. Along a direct path P to c every node but u0
+keeps the support it switched on with, less u0's once u0 is off. A node
+v != u0 switching on never did in P (it would still be on), so P, v on is
+direct, and so is P, u0 off. If u0 switches back on, P is P1, u0 off, P2,
+and P2's activations only gain support with u0 on, so P1, P2 is direct. A
+node w != u0 can switch off only by losing u0's support: it switched on
+with exactly t(w) active neighbours, u0 among them, and none switched on
+after it, so leaving w's activation out keeps every later move legal (u0's
+switch-off only gains), a direct path to c - w. A seed node with no
+neighbour in S supports no node of a direct path to S, so the empty seed,
+tried first, reaches S too. The lemma fails for two seeds (the hub pair of
+the verification tests needs relays outside S), so budget >= 2 keeps the
+BFS, chosen by the instance's budget, not per seed: a budget-2 solve's BFS
+of its empty and one-node seeds fills the dead set that settles most of
+its pairs.
+
+So S is reachable from D iff it has a direct path, which ``_direct_path``
+decides by closures from any configuration on one (D plus nodes of S):
+
+* u0 absent (D empty, u0 in S or already off): only nodes of S switch on,
+  monotonically, so S is reachable iff the closure inside S is S. This is
+  also the whole of monotone sequential, where the seed lies inside S;
+* u0 on and outside S: u0 switches off once, with at most t(u0) - 1 active
+  neighbours (never for t(u0) = 0). Before that the path activates some A
+  inside X_full, the closure inside S | u0, and after it S must be the
+  closure of A - u0 inside S. Pad A's neighbours of u0 (the ones already
+  on among them) with other neighbours of u0 in X_full to a set Y of
+  min(t(u0) - 1, their number) nodes, and let X be the closure inside
+  (S - N(u0)) | Y | u0. Then A lies inside X, u0 can still switch off, and
+  closures are monotone in start and restrict set, so the closure of X -
+  u0 inside S is S whenever A's is: S is reachable iff some such Y works.
+
+A direct path flips each node of S ^ D once, the fewest moves any path
+can make, so every shortest path is direct, and the BFS's witness is the
+lexicographically least direct path. ``_direct_check`` rebuilds it
+greedily, taking at each step the lowest-id direct move after which
+``_direct_path`` still reaches S; when u0 is absent every activation keeps
+S reachable, so the closure order, lowest id first, is that walk.
 
 One cap rule: a configuration search caps only when a new state arrives
 while ``max_states`` states are already stored, so a reachable set of exactly
 ``max_states`` states is enumerated in full; dead states are never stored,
 so a plain search can fit under a cap that its seed's whole reachable set
 exceeds. A capped search proves nothing and adds nothing to the dead set,
-which, like the response memo, holds at most ``max_states`` entries. This is
-the only cap of a search; the restricted closures stop before another
-neighbour set once they have visited ``max_states`` configurations. A check
-that caps raises ``SearchCapExceeded`` carrying the states it stored (or
-visited), and ``_search`` is the only place that turns it into a verdict:
-"infeasible" is only ever reported after every candidate was checked (or a
-forced node proves it for every seed); if any check capped first, the
-verdict degrades to "resource_cap_hit" instead of risking a silent false
-negative.
+which, like the response memo, holds at most ``max_states`` entries. The
+sets Y number C(deg, t - 1), so the closures of one seed's check, decision
+and witness alike, count the configurations they visit (each closure's
+start and one per activation) and stop before another Y once they have
+visited ``max_states``. They count repeats, so they can cap where a search
+fits; ``_direct_or_bfs_check`` then searches the seed, and a budget-1 solve
+caps only where an all-BFS one does. A check that caps raises
+``SearchCapExceeded`` carrying the states it used, and ``_search`` is the only
+place that turns it into a verdict: "infeasible" is only ever reported
+after every candidate was checked (or a forced node proves it for every
+seed); if any check capped first, the verdict degrades to
+"resource_cap_hit" instead of risking a silent false negative.
 
 Every check reads the node table of ``dynamics._node_table``, built once
 per solve by ``_seed_check`` (once per enumeration or check elsewhere): the
@@ -111,7 +139,7 @@ from __future__ import annotations
 import logging
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from heapq import heappop, heappush
 from itertools import combinations, islice
@@ -123,12 +151,10 @@ from .model import (
     DynamicsMode,
     Graph,
     Move,
-    PLAIN_SEQUENTIAL,
     SequentialWitness,
     SimultaneousWitness,
     SnapshotInstance,
     Witness,
-    closed_neighborhood,
     iter_bits,
     mask_of,
     nodes_of,
@@ -385,8 +411,7 @@ def _bfs_check(
     """
     if seed_mask in dead:
         return None, 0
-    everything = (1 << len(table)) - 1
-    parents = _bfs(table, seed_mask, s_mask, everything, max_states, responses, dead)
+    parents = _bfs(table, seed_mask, s_mask, -1, max_states, responses, dead)
     if s_mask not in parents:
         dead.update(islice(parents, max_states - len(dead)))
         return None, len(parents)
@@ -394,100 +419,89 @@ def _bfs_check(
     return SequentialWitness(moves, len(moves)), len(parents)
 
 
-def _closure_check(
-    table: NodeTable, s_mask: int, seed_mask: int
-) -> tuple[Optional[SequentialWitness], int]:
-    """Monotone sequential check: the closure of the seed inside S is S."""
-    closure, order = _closure(table, seed_mask, s_mask)
-    if closure != s_mask:
-        return None, len(order) + 1
-    return SequentialWitness(tuple([Move(v, True) for v in order]), len(order)), len(order) + 1
-
-
-def _restricted_orders(
-    table: NodeTable, s_mask: int, seed_mask: int, max_states: int
-) -> tuple[Optional[tuple[list[int], list[int]]], int]:
-    """Decide the budget-1 restricted move rule by closures: whether the
-    empty or one-node seed reaches S when only snapshot nodes may switch on
-    and only the seed node u0 may switch off (on = S | seed, off = seed).
-
-    Returns ``(before, after)``, the nodes that switch on while u0 is on and
-    after it has switched off (``after`` is empty when u0 never switches
-    off), or None; and the configurations the closures visited, one for
-    each closure's start and one per activation.
-
-    The decision is exact. Snapshot nodes only ever switch on, and only u0
-    may switch off:
-
-    * empty seed, or u0 in S: a switch-off of u0 only lowers counts and has
-      to be undone, so a run without it makes every activation the run
-      made. S is therefore reachable iff the closure of the seed inside S
-      is S, activated lowest id first (``_closure_check``'s order);
-    * u0 not in S: u0 must end off. Its active-neighbour count only grows,
-      so once u0 switches on again it can never switch off, and u0 switches
-      off exactly once. That needs at most t(u0) - 1 active neighbours, so
-      none for t(u0) = 0. Before the switch-off the run activates some set A
-      with |A & N(u0)| <= t(u0) - 1 inside S | u0, after it S must be the
-      closure of A inside S. A lies inside X_full, the closure of u0 inside
-      S | u0, so only the nodes of near = N(u0) & X_full can be among A's
-      neighbours of u0. Let Y hold A & N(u0), padded with other nodes of
-      near to min(t(u0) - 1, |near|) nodes, and let X be the closure of u0
-      inside (S - N(u0)) | Y | u0. Then A lies inside X, X still lets u0
-      switch off, and the closure is monotone in its start and its restrict
-      set, so the closure of X - u0 inside S is S whenever A's is. Hence S
-      is reachable iff some Y of that maximal size works, and the first in
-      lexicographic order gives the certificate: X's activations, u0 off,
-      then the rest of S. When near has at most t(u0) - 1 nodes, Y is near
-      and X is X_full.
-
-    Either way every node of S - seed switches on once, and a u0 outside S
-    switches off once, so the path has |S ^ seed| moves, the fewest any
-    path can have.
-
-    The Y of size t(u0) - 1 number C(|near|, t(u0) - 1), so a high
-    threshold on a seed node of high degree can make them too many to try:
-    once the closures have visited ``max_states`` configurations, starting
-    another Y raises SearchCapExceeded.
-    """
-    if not seed_mask & ~s_mask:
-        closure, order = _closure(table, seed_mask, s_mask)
-        return ((order, []) if closure == s_mask else None), len(order) + 1
-    adj, threshold, _ = table[seed_mask.bit_length() - 1]
-    if threshold == 0:
-        return None, 0
-    x, before = _closure(table, seed_mask, s_mask | seed_mask)
-    states = len(before) + 1
-    near = adj & x
-    far = s_mask & ~adj | seed_mask
-    tries = [None] if near.bit_count() < threshold else combinations(iter_bits(near), threshold - 1)
+def _direct_path(
+    table: NodeTable, s_mask: int, active: int, u0: int, max_states: int, states: int = 0
+) -> tuple[Optional[list[int]], int]:
+    """The nodes a direct path from ``active`` (u0, a bit that is 0 when it
+    lies in S or is off, plus nodes of S) to S flips, in order, or None (the
+    module docstring holds the argument); and ``states`` plus the
+    configurations its closures visited. Raises SearchCapExceeded before a
+    neighbour set Y but the first once ``states`` reaches ``max_states``."""
+    if not u0:
+        closure, order = _closure(table, active, s_mask)
+        return (order if closure == s_mask else None), states + len(order) + 1
+    adj, threshold, _ = table[u0.bit_length() - 1]
+    free = threshold - 1 - (adj & active).bit_count()
+    if free < 0:
+        return None, states
+    x, before = _closure(table, active, s_mask | u0)
+    states += len(before) + 1
+    rest = adj & x & ~active
+    tries = [None] if rest.bit_count() <= free else combinations(iter_bits(rest), free)
     for y in tries:
         if y is not None:
             if states >= max_states:
-                raise SearchCapExceeded(
-                    f"restricted closures exceeded max_states={max_states}", states
-                )
-            x, before = _closure(table, seed_mask, far | mask_of(y))
+                raise SearchCapExceeded(f"closures exceeded max_states={max_states}", states)
+            x, before = _closure(table, active, s_mask & ~adj | active | mask_of(y))
             states += len(before) + 1
-        closure, after = _closure(table, x ^ seed_mask, s_mask)
+        closure, after = _closure(table, x ^ u0, s_mask)
         states += len(after) + 1
         if closure == s_mask:
-            return (before, after), states
+            return before + [u0.bit_length() - 1] + after, states
     return None, states
 
 
-def _restricted_check(
+def _direct_check(
     table: NodeTable, s_mask: int, max_states: int, seed_mask: int
 ) -> tuple[Optional[SequentialWitness], int]:
-    """The budget-1 restricted check: ``_restricted_orders`` as a witness."""
-    orders, states = _restricted_orders(table, s_mask, seed_mask, max_states)
-    if orders is None:
+    """The closure check of a monotone sequential seed, or of a non-monotone
+    sequential seed of at most one node: ``_direct_path`` decides it, and for
+    a seed node u0 outside S a greedy walk takes the lowest-id direct move
+    that keeps S reachable, trying only moves below the last path's next
+    one. Every closure counts against one ``max_states``."""
+    u0 = seed_mask & ~s_mask
+    path, states = _direct_path(table, s_mask, seed_mask, u0, max_states)
+    if path is None:
         return None, states
-    before, after = orders
-    moves = [Move(v, True) for v in before]
-    if seed_mask & ~s_mask:
-        moves.append(Move(seed_mask.bit_length() - 1, False))
-    moves += [Move(v, True) for v in after]
-    return SequentialWitness(tuple(moves), len(moves)), states
+    active, i = seed_mask, 0
+    while active & u0:
+        response = _response_mask(table, active)
+        lower = (response & s_mask & ~active | u0 & ~response) & ((1 << path[i]) - 1)
+        for v in iter_bits(lower):
+            found, states = _direct_path(
+                table, s_mask, active ^ 1 << v, u0 & ~(1 << v), max_states, states
+            )
+            if found is not None:
+                path[i:] = [v] + found
+                break
+        active ^= 1 << path[i]
+        i += 1
+    moves = tuple(Move(v, not u0 >> v & 1) for v in path)
+    return SequentialWitness(moves, len(moves)), states
+
+
+def _direct_or_bfs_check(
+    direct: SeedCheck, bfs: SeedCheck, settled: list[int], seed_mask: int
+) -> tuple[Optional[Witness], int]:
+    """``direct``, or where its closures cap, ``bfs`` under the same cap on
+    each seed ``settled`` lists, those tried since its last run and this one
+    last, so its dead set is an all-BFS solve's. The states count every call."""
+    settled.append(seed_mask)
+    try:
+        return direct(seed_mask)
+    except SearchCapExceeded as cap:
+        states = cap.states
+    while settled:
+        mask = settled.pop(0)
+        try:
+            witness, searched = bfs(mask)
+        except SearchCapExceeded as cap:
+            if mask == seed_mask:
+                cap.states += states
+                raise
+            searched = cap.states
+        states += searched
+    return witness, states
 
 
 def _forced_seed_mask(adj_masks: Sequence[int], thresholds: Sequence[int], s_mask: int) -> int:
@@ -553,17 +567,20 @@ def _seeds(instance: SnapshotInstance) -> Iterator[int]:
 
 
 def _seed_check(instance: SnapshotInstance, limits: SearchLimits) -> SeedCheck:
-    """The per-seed check of the instance's mode. It keeps one memo for all
-    the seeds it is called on: the response masks of the masks whose run
-    never matches (simultaneous), or response masks and the states that
-    cannot reach S (non-monotone sequential)."""
+    """The per-seed check of the instance's mode and, non-monotone
+    sequential, its budget: closures for budget <= 1 (the BFS where they
+    cap), else the BFS. One memo serves all its seeds: the response masks of
+    runs that never match (simultaneous), or response masks and the states
+    that cannot reach S (the BFS)."""
     table = _node_table(instance.graph.adj_masks, instance.thresholds)
     s_mask = instance.snapshot_mask()
     if instance.mode.simultaneous:
         return partial(_simultaneous_fate, table, s_mask, instance.mode.monotone, {})
+    direct = partial(_direct_check, table, s_mask, limits.max_states)
     if instance.mode.monotone:
-        return partial(_closure_check, table, s_mask)
-    return partial(_bfs_check, table, s_mask, limits.max_states, {}, set())
+        return direct
+    bfs = partial(_bfs_check, table, s_mask, limits.max_states, {}, set())
+    return partial(_direct_or_bfs_check, direct, bfs, []) if instance.budget <= 1 else bfs
 
 
 def _reachable_mask_set(
@@ -584,8 +601,7 @@ def _reachable_mask_set(
             seen.add(cur)
             cur = _step_mask(table, cur, seed_mask, mode.monotone)
         return seen
-    everything = (1 << len(table)) - 1
-    off = 0 if mode.monotone else everything
+    off = 0 if mode.monotone else -1  # every bit set: any node may switch off
     parents = _bfs(table, seed_mask, -1, off, limits.max_states, responses)
     return set(parents)
 
@@ -611,29 +627,6 @@ def solve(instance: SnapshotInstance, limits: SearchLimits = DEFAULT_LIMITS) -> 
     return _search(_seeds(instance), _seed_check(instance, limits))
 
 
-def solve_sequential_k1(instance: SnapshotInstance) -> SolveOutcome:
-    """Budget-1 non-monotone sequential solver with the two structural prunes:
-    seed candidates come from N[S] (plus the empty seed), and each candidate
-    is decided under the restricted move rule, in which only S activates and
-    only the candidate may deactivate, by ``_restricted_orders``' closures.
-    No search runs; a seed whose closures visit more than the default
-    ``max_states`` configurations caps. ``states_expanded`` counts the
-    configurations the closures visited. Must agree with ``solve``."""
-    if instance.mode != PLAIN_SEQUENTIAL:
-        raise ValueError(
-            "solve_sequential_k1 handles sequential dynamics, "
-            f"instance mode is {instance.mode.describe()}"
-        )
-    if instance.budget != 1:
-        raise ValueError(f"solve_sequential_k1 requires budget 1, got {instance.budget}")
-    table = _node_table(instance.graph.adj_masks, instance.thresholds)
-    pool = closed_neighborhood(instance.graph, instance.snapshot)
-    check = partial(
-        _restricted_check, table, instance.snapshot_mask(), DEFAULT_LIMITS.max_states
-    )
-    return _search(_seed_masks(pool, 0, 1), check)
-
-
 def seed_feasible(
     instance: SnapshotInstance,
     seed: Iterable[int],
@@ -642,5 +635,9 @@ def seed_feasible(
     """Check one specific seed set under the instance's mode; a certificate on
     success, None otherwise. Raises SearchCapExceeded on resource caps."""
     seed_set = frozenset(seed)
-    witness, _ = _seed_check(instance, limits)(mask_of(seed_set))
+    if instance.mode.monotone and not seed_set <= instance.snapshot:
+        return None  # a monotone run keeps its seed active
+    # the seed's size as the budget: closures for one node or none, else the BFS
+    check = _seed_check(replace(instance, budget=len(seed_set)), limits)
+    witness, _ = check(mask_of(seed_set))
     return None if witness is None else Certificate(seed_set, witness)

@@ -24,16 +24,17 @@ Check ids:
   has a seed among the closed-neighborhood singletons or the empty seed.
 * ``clearing``: budget 1, non-monotone sequential: per (snapshot, seed node),
   unrestricted reachability of the exact snapshot coincides with
-  reachability under the restricted move rule, in which only snapshot nodes
-  activate and only the seed node may deactivate. The two sides take
-  independent routes: an unrestricted enumeration from the seed node, and
-  the closure decider ``solvers._restricted_orders``, which runs no search
-  but caps like one once its closures visit ``max_states`` configurations.
-  The restricted rule (on = S | u0, off = u0) only masks
-  flips the unrestricted rule allows, so every restricted run is an
-  unrestricted run and restricted reach is a subset of the unrestricted
-  reachable set. The decider therefore runs only for snapshots the
-  unrestricted enumeration reached: elsewhere both answers are "no".
+  reachability under the restricted move rule (on = S | u0, off = u0), in
+  which only snapshot nodes activate and only the seed node may deactivate:
+  an unrestricted enumeration from the seed node against the closure
+  decider ``solvers._direct_path``, which caps once its closures visit
+  ``max_states`` configurations. Restricted reach is a subset of
+  unrestricted reach, so the decider runs only for snapshots the
+  enumeration reached: elsewhere both answers are "no".
+
+``clearing`` and ``neighbor`` are proved, by the clearing lemma in the
+``solvers`` docstring on which ``solve`` decides budget 1; their checks stay
+as regression tests of the closure decider against enumeration.
 
 The simultaneous analogue of ``neighbor`` is false (a seed can sit at
 distance 2 from the snapshot it produces), which is why only the sequential
@@ -74,7 +75,7 @@ from .solvers import (
     SearchCapExceeded,
     SearchLimits,
     _reachable_mask_set,
-    _restricted_orders,
+    _direct_path,
     canonical_seed_sets,
     seed_feasible,
     solve,
@@ -209,8 +210,8 @@ def _check_clearing(instance: SnapshotInstance, limits: SearchLimits) -> list[di
         for s_mask in range(1 << n):
             # restricted reach is a subset of reach_full (see the module docstring)
             full = s_mask in reach_full
-            restricted = full and _restricted_orders(
-                table, s_mask, u0_bit, limits.max_states
+            restricted = full and _direct_path(
+                table, s_mask, u0_bit, u0_bit & ~s_mask, limits.max_states
             )[0] is not None
             if restricted != full:
                 violations.append(

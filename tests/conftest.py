@@ -1,9 +1,11 @@
-"""Shared fixtures: the worked-example graphs, a certificate assertion and
-the reference search of the budget-1 restricted move rule."""
+"""Shared fixtures: the worked-example graphs, a certificate assertion, the
+test data directory and the reference search of the budget-1 restricted
+move rule."""
 
 from __future__ import annotations
 
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -94,6 +96,11 @@ def assert_certificate_replays(instance: SnapshotInstance, outcome) -> None:
     result, problems = check_certificate(instance, outcome.to_dict())
     assert problems == []
     assert result.matched
+
+
+# target-set documents with the graph, thresholds and budget of corpus
+# instances (``<name>_target_set.json``)
+DATA = Path(__file__).parent / "data"
 
 
 @st.composite

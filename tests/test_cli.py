@@ -20,6 +20,8 @@ from snapshot_lab.cli import COMMANDS, build_parser, main
 from snapshot_lab.serialize import canonical_json, certificate_from_dict
 from snapshot_lab.solvers import SolveOutcome, SolveStats
 
+from conftest import DATA
+
 CORPUS = resources.files("snapshot_lab").joinpath("corpus")
 
 
@@ -414,7 +416,6 @@ def test_reduce_check_cap_is_an_error_not_a_disagreement(tmp_path, capsys, monke
     # a capped side is an error, never a verdict
     capped = SolveOutcome("resource_cap_hit", None, SolveStats())
     monkeypatch.setattr(reductions, "solve", lambda instance: capped)
-    monkeypatch.setattr(reductions, "solve_sequential_k1", lambda instance: capped)
     for gadget, document in [("embed", path7), ("seqk1", path7), ("dummy", corpus_path("star4.json"))]:
         assert run(["reduce", "--gadget", gadget, "--instance", document, "--check"]) == 1
         captured = capsys.readouterr()
@@ -422,10 +423,30 @@ def test_reduce_check_cap_is_an_error_not_a_disagreement(tmp_path, capsys, monke
 
 
 def test_reduce_seqk1_check_on_clique10_agrees(capsys):
-    argv = ["reduce", "--gadget", "seqk1", "--instance", corpus_path("clique10.json"), "--check"]
+    ts_path = str(DATA / "clique10_target_set.json")
+    argv = ["reduce", "--gadget", "seqk1", "--instance", ts_path, "--check"]
     assert run(argv) == 0
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["agree"] is True and verdict["right"] == "feasible"
+
+
+def test_solve_decides_the_clique10_seqk1_gadget_and_replays(tmp_path, capsys):
+    ts_path = str(DATA / "clique10_target_set.json")
+    gadget, cert = tmp_path / "gadget.json", tmp_path / "cert.json"
+    assert run(["reduce", "--gadget", "seqk1", "--instance", ts_path, "--out", str(gadget)]) == 0
+    assert run(["solve", "--instance", str(gadget), "--out", str(cert)]) == 0
+    assert json.loads(cert.read_text())["verdict"] == "feasible"
+    assert run(["simulate", "--instance", str(gadget), "--replay", str(cert)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("gadget, document", [("embed", "clique10.json"), ("seqk1", "star4.json")])
+def test_reduce_rejects_a_snapshot_instance_as_a_target_set(gadget, document, capsys):
+    argv = ["reduce", "--gadget", gadget, "--instance", corpus_path(document), "--check"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown field 'dynamics'; unknown field 'snapshot'\n"
 
 
 @pytest.mark.parametrize("gadget, document", [("seqk1", "clique10.json"), ("dummy", "star4.json")])
@@ -435,7 +456,8 @@ def test_reduce_order_applies_only_to_embed(gadget, document, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --order applies only to --gadget embed\n"
-    embed = ["reduce", "--gadget", "embed", "--instance", corpus_path(document), "--check"]
+    ts_path = str(DATA / document.replace(".json", "_target_set.json"))
+    embed = ["reduce", "--gadget", "embed", "--instance", ts_path, "--check"]
     assert run(embed + ["--order", "sequential"]) == 0
     assert json.loads(capsys.readouterr().out)["gadget"] == "embed"
 

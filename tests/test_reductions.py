@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import json
 import random
+from importlib import resources
 
 import pytest
 
 from snapshot_lab import (
     Graph,
+    InvalidInstanceError,
     MONOTONE_SEQUENTIAL,
     MONOTONE_SIMULTANEOUS,
     PLAIN_SEQUENTIAL,
@@ -21,6 +24,8 @@ from snapshot_lab import (
 )
 from snapshot_lab.reductions import target_set_from_dict, target_set_to_dict
 from snapshot_lab.serialize import instance_from_dict, instance_to_dict
+
+from conftest import DATA
 
 
 @pytest.fixture
@@ -148,3 +153,22 @@ def test_gadget_outputs_validate_and_roundtrip(star4):
 
 def test_target_set_document_roundtrip(star4_ts):
     assert target_set_from_dict(target_set_to_dict(star4_ts)) == star4_ts
+
+
+def test_target_set_document_rejects_unknown_fields(star4_ts):
+    # a snapshot-instance document would otherwise lose its snapshot and dynamics
+    doc = instance_to_dict(embed_target_set(star4_ts, MONOTONE_SIMULTANEOUS))
+    with pytest.raises(InvalidInstanceError) as info:
+        target_set_from_dict(doc)
+    assert sorted(info.value.violations) == ["unknown field 'dynamics'", "unknown field 'snapshot'"]
+    doc = dict(target_set_to_dict(star4_ts), bogus=1)
+    with pytest.raises(InvalidInstanceError, match="unknown field 'bogus'"):
+        target_set_from_dict(doc)
+
+
+@pytest.mark.parametrize("name", ["clique10", "star4"])
+def test_committed_target_sets_match_their_corpus_instances(name):
+    corpus = resources.files("snapshot_lab").joinpath("corpus", f"{name}.json")
+    inst = instance_from_dict(json.loads(corpus.read_text()))
+    doc = json.loads((DATA / f"{name}_target_set.json").read_text())
+    assert target_set_from_dict(doc) == TargetSetInstance(inst.graph, inst.thresholds, inst.budget)

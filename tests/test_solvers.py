@@ -6,7 +6,6 @@ import logging
 import random
 from collections import deque
 from dataclasses import replace
-from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,7 +30,6 @@ from snapshot_lab import (
     run_simultaneous,
     seed_feasible,
     solve,
-    solve_sequential_k1,
 )
 from snapshot_lab.generator import GeneratorParams, instance_stream
 from snapshot_lab.dynamics import _node_table, _response_after_flip, _response_mask
@@ -42,13 +40,18 @@ from snapshot_lab.solvers import (
     SolveOutcome,
     SolveStats,
     _closure,
-    _restricted_check,
+    _direct_check,
     _seeds,
     _simultaneous_fate,
     canonical_seed_sets,
 )
 
-from conftest import assert_certificate_replays, restricted_path, small_instances
+from conftest import (
+    DATA,
+    assert_certificate_replays,
+    restricted_path,
+    small_instances,
+)
 
 T4 = (1, 2, 1, 1)
 
@@ -220,19 +223,17 @@ def test_hub_pair_literal_thresholds_are_unreachable(hub_pair):
 
 
 def test_solve_sequential_k1_examples(star4_instance):
-    out = solve_sequential_k1(star4_instance({1, 2}, 1, PLAIN_SEQUENTIAL))
-    assert out.feasible and sorted(out.certificate.seed) == [1]
+    # budget 1 is decided by closures and budget 2 by the search; both agree
+    for budget in (1, 2):
+        out = solve(star4_instance({1, 2}, budget, PLAIN_SEQUENTIAL))
+        assert out.feasible and sorted(out.certificate.seed) == [1]
+        assert [m.to_wire() for m in out.certificate.witness.ordering] == [[2, "on"]]
 
-    assert solve_sequential_k1(star4_instance({0, 2, 3}, 1, PLAIN_SEQUENTIAL)).verdict == "infeasible"
-
-    with pytest.raises(ValueError):
-        solve_sequential_k1(star4_instance({1}, 2, PLAIN_SEQUENTIAL))
-    with pytest.raises(ValueError):
-        solve_sequential_k1(star4_instance({1}, 1, MONOTONE_SEQUENTIAL))
+    assert solve(star4_instance({0, 2, 3}, 1, PLAIN_SEQUENTIAL)).verdict == "infeasible"
 
 
 def test_solve_sequential_k1_empty_snapshot(star4_instance):
-    out = solve_sequential_k1(star4_instance(set(), 1, PLAIN_SEQUENTIAL))
+    out = solve(star4_instance(set(), 1, PLAIN_SEQUENTIAL))
     assert out.feasible and out.certificate.seed == frozenset()
     assert out.certificate.witness.match_prefix == 0
 
@@ -241,11 +242,12 @@ def test_solve_sequential_k1_empty_snapshot(star4_instance):
 @settings(max_examples=100, deadline=None)
 def test_k1_solver_agrees_with_unrestricted_search(instance):
     inst = replace(instance, budget=1)
-    fast, full = solve_sequential_k1(inst), solve(inst)
-    assert fast.verdict == full.verdict
-    if fast.feasible:
-        assert fast.certificate.seed == full.certificate.seed
-        assert_certificate_replays(inst, fast)
+    verdict, seed, moves, _ = _sequential_reference(inst)
+    out = solve(inst)
+    assert out.verdict == verdict
+    if out.feasible:
+        assert (out.certificate.seed, out.certificate.witness.ordering) == (seed, moves)
+        assert_certificate_replays(inst, out)
 
 
 @given(small_instances(max_n=5))
@@ -286,15 +288,16 @@ def test_budget_zero_and_empty_snapshot(star4_instance):
     assert solve(star4_instance({0}, 0, MONOTONE_SIMULTANEOUS)).verdict == "infeasible"
 
 
-def _hub_instance():
-    # hub with six leaves, everything threshold 1: S = two leaves is
-    # infeasible (the center locks active), and a tiny state cap trips first
+def _hub_instance(snapshot, budget):
+    # hub with six leaves, everything threshold 1: while a leaf is on the
+    # center locks active, so no leaf can be on without it unless seeded
     g = Graph.from_edges(7, [(0, i) for i in range(1, 7)])
-    return SnapshotInstance(g, (1,) * 7, frozenset({1, 2}), 1, PLAIN_SEQUENTIAL)
+    return SnapshotInstance(g, (1,) * 7, frozenset(snapshot), budget, PLAIN_SEQUENTIAL)
 
 
 def test_resource_cap_reported_not_infeasible():
-    inst = _hub_instance()
+    # budget 2, S = three leaves: infeasible, and the seeds are searched
+    inst = _hub_instance({1, 2, 3}, 2)
     assert solve(inst).verdict == "infeasible"
     capped = solve(inst, SearchLimits(max_states=2))
     assert capped.verdict == "resource_cap_hit"
@@ -303,18 +306,26 @@ def test_resource_cap_reported_not_infeasible():
     # search stores 64: a cap of 64 enumerates it in full, a cap of 63 trips
     assert solve(inst, SearchLimits(max_states=64)).verdict == "infeasible"
     assert solve(inst, SearchLimits(max_states=63)).verdict == "resource_cap_hit"
+    # budget 1, S = two leaves, decided by closures: a cap of 63 is never
+    # reached, and at a cap of 2 the center's closures stop before their
+    # first neighbour set and its search, run instead, caps too
+    inst = _hub_instance({1, 2}, 1)
+    assert solve(inst, SearchLimits(max_states=63)).verdict == "infeasible"
+    assert solve(inst, SearchLimits(max_states=2)).verdict == "resource_cap_hit"
 
 
 def test_capped_seed_check_logs_one_debug_line(caplog):
     caplog.set_level(logging.DEBUG, logger="snapshot_lab")
-    assert solve(_hub_instance(), SearchLimits(max_states=63)).verdict == (
-        "resource_cap_hit"
-    )
+    # only the center caps at 63 (see above): a leaf's search stores at most
+    # 33 states, the leaf locking on beside the center, and later searches
+    # skip the states earlier ones proved dead
+    inst = _hub_instance({1, 2, 3}, 2)
+    assert solve(inst, SearchLimits(max_states=63)).verdict == "resource_cap_hit"
     assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
         ("snapshot_lab", "DEBUG", "seed [0] hit the state cap with 63 states stored"),
     ]
     caplog.clear()
-    assert solve(_hub_instance()).verdict == "infeasible"
+    assert solve(inst).verdict == "infeasible"
     assert caplog.records == []
 
 
@@ -497,6 +508,18 @@ def _bfs_moves(instance, seed, max_states=None):
     return tuple(reversed(moves))
 
 
+def test_seed_feasible_searches_a_seed_of_two_nodes_at_budget_one(hub_pair, star4_instance):
+    # closures decide the seeds of at most one node that a budget-1 solve
+    # tries; a larger seed is searched, here through relays outside S
+    graph, thresholds = hub_pair(corrected=True)
+    inst = SnapshotInstance(graph, thresholds, frozenset({8, 9, 10}), 1, PLAIN_SEQUENTIAL)
+    seed = frozenset({0, 1})
+    cert = seed_feasible(inst, seed)
+    assert cert is not None and cert.witness.ordering == _bfs_moves(inst, seed)
+    # a monotone run keeps its seed active, so a seed outside S never matches
+    assert seed_feasible(star4_instance({1, 2}, 1, MONOTONE_SEQUENTIAL), {0}) is None
+
+
 def _sequential_reference(instance, max_states=None):
     """One reference BFS per canonical seed, sharing nothing between seeds:
     (verdict, seed, moves, seeds whose search capped)."""
@@ -526,6 +549,9 @@ def _assert_matches_sequential_reference(instance):
 
 
 @given(small_instances(max_n=8, max_budget=3, modes=[PLAIN_SEQUENTIAL]))
+@example(  # the search's path is 1 on, 0 off, 2 on; the closure order 1 on, 2 on, 0 off
+    SnapshotInstance(Graph.from_edges(3, [(0, 1), (1, 2)]), (2, 1, 1), frozenset({1, 2}), 1, PLAIN_SEQUENTIAL)
+)
 @settings(max_examples=150, deadline=None)
 def test_sequential_solver_matches_per_seed_bfs(instance):
     _assert_matches_sequential_reference(instance)
@@ -545,20 +571,30 @@ def test_sequential_solver_matches_per_seed_bfs_on_stream(snapshot_mode):
     small_instances(max_n=7, max_budget=3, modes=[PLAIN_SEQUENTIAL]),
     st.integers(min_value=1, max_value=20),
 )
-@example(  # {} is dead, so seed {0} fits the cap and reaches S; the reference caps
+@example(  # one closure settles seed {0}, which reaches S; the reference caps
     SnapshotInstance(Graph.from_edges(2, []), (1, 0), frozenset({0, 1}), 1, PLAIN_SEQUENTIAL), 2
 )
-@example(  # every seed falls to the dead {} at once; the reference caps on each
+@example(  # {} is dead, so seed {0} fits the cap and reaches S; the reference caps
+    SnapshotInstance(Graph.from_edges(2, []), (1, 0), frozenset({0, 1}), 2, PLAIN_SEQUENTIAL), 2
+)
+@example(  # one closure settles each seed; the reference caps on each
     SnapshotInstance(Graph.from_edges(2, []), (1, 1), frozenset({0, 1}), 1, PLAIN_SEQUENTIAL), 1
+)
+@example(  # the witness walk of seed {0} caps after 11 visits; its search fits
+    SnapshotInstance(Graph.from_edges(4, [(0, 1), (0, 2)]), (2, 0, 1, 1), frozenset({1, 2}), 1, PLAIN_SEQUENTIAL), 11
 )
 @settings(max_examples=300, deadline=None)
 def test_state_cap_never_reads_as_infeasible(instance, max_states):
     out = solve(instance, SearchLimits(max_states=max_states))
     if out.verdict == "infeasible":
         assert _sequential_reference(instance)[0] == "infeasible"
+    if out.feasible:
+        assert_certificate_replays(instance, out)
+        assert out.certificate.witness.ordering == _bfs_moves(instance, out.certificate.seed)
     # Against the reference under the same cap: a search that skips dead
     # states stores a subset of the reference's states, so it caps no more
-    # often, and every seed the reference settles it settles the same way.
+    # often; closures that cap hand their seed to such a search; and every
+    # seed the reference settles it settles the same way.
     verdict, seed, moves, capped = _sequential_reference(instance, max_states)
     if verdict == "infeasible":
         assert out.verdict == "infeasible"
@@ -591,8 +627,8 @@ def _assert_restricted_decider_matches_reference(instance) -> set[str]:
     kinds = set()
     for seed_mask in [0] + [1 << u for u in range(instance.n)]:
         expected = restricted_path(table, seed_mask, s_mask)
-        witness, _ = _restricted_check(table, s_mask, DEFAULT_LIMITS.max_states, seed_mask)
-        assert (witness is None) == (expected is None)
+        witness, _ = _direct_check(table, s_mask, DEFAULT_LIMITS.max_states, seed_mask)
+        assert (witness and witness.ordering) == expected
         if seed_mask & ~s_mask:
             u0 = seed_mask.bit_length() - 1
             kind = "u0 outside S"
@@ -608,8 +644,6 @@ def _assert_restricted_decider_matches_reference(instance) -> set[str]:
         assert witness.match_prefix == len(witness.ordering) == (s_mask ^ seed_mask).bit_count()
         outcome = SolveOutcome("feasible", Certificate(nodes_of(seed_mask), witness), SolveStats())
         assert_certificate_replays(checked, outcome)
-        if not seed_mask & ~s_mask:
-            assert witness.ordering == expected
     return kinds
 
 
@@ -642,9 +676,9 @@ def test_restricted_decider_matches_the_reference_search_on_stream():
 
 
 def test_k1_solver_decides_the_clique10_gadget_by_closures():
-    document = resources.files("snapshot_lab").joinpath("corpus", "clique10.json").read_text()
-    reduced = gadget_sequential_k1(target_set_from_dict(json.loads(document)))
-    out = solve_sequential_k1(reduced)
+    document = json.loads((DATA / "clique10_target_set.json").read_text())
+    reduced = gadget_sequential_k1(target_set_from_dict(document))
+    out = solve(reduced)
     assert out.feasible and sorted(out.certificate.seed) == [0]
     assert out.stats.seeds_tried == 2
     assert out.certificate.witness.match_prefix == len(reduced.snapshot) - 1
@@ -666,17 +700,35 @@ def _hub_of_forty_leaves(leaf_threshold: int, leaf_path: bool) -> SnapshotInstan
 def test_k1_solver_on_a_high_threshold_hub_of_large_degree():
     # C(40, 19) neighbour sets of the hub, but no leaf can switch on while
     # the hub is on, so only the empty one is tried
-    out = solve_sequential_k1(_hub_of_forty_leaves(2, leaf_path=False))
+    out = solve(_hub_of_forty_leaves(2, leaf_path=False))
     assert out.verdict == "infeasible"
     assert out.stats.seeds_tried == 42 and out.stats.states_expanded == 43
     # the first neighbour set, leaves 1..19, lets the path finish after the
     # hub switches off
-    out = solve_sequential_k1(_hub_of_forty_leaves(1, leaf_path=True))
+    out = solve(_hub_of_forty_leaves(1, leaf_path=True))
     assert out.feasible and sorted(out.certificate.seed) == [0]
     assert out.certificate.witness.match_prefix == 41
     assert_certificate_replays(_hub_of_forty_leaves(1, leaf_path=True), out)
     # every leaf can switch on beside the hub, no 19 of them finish S, and
-    # the neighbour sets outnumber the cap
-    out = solve_sequential_k1(_hub_of_forty_leaves(1, leaf_path=False))
+    # the neighbour sets outnumber the cap, as do the 2^40 configurations of
+    # the search that takes over (a lowered cap keeps that search small)
+    out = solve(_hub_of_forty_leaves(1, leaf_path=False), SearchLimits(max_states=20_000))
     assert out.verdict == "resource_cap_hit"
-    assert out.stats.states_expanded > DEFAULT_LIMITS.max_states
+    assert out.stats.states_expanded > 2 * 20_000
+
+
+def test_capped_closures_hand_the_seed_to_the_search():
+    # hub 0 of threshold 6 joined to 11 snapshot leaves of threshold 1: the
+    # hub's closures visit 3,246 configurations, C(11, 5) neighbour sets of
+    # 7 visits each, but the search from {0} stores 3,072 (every leaf set
+    # with the hub on, the sets of at most 5 with it off), 3,071 besides
+    # the {} the empty seed proves dead
+    graph = Graph.from_edges(12, [(0, v) for v in range(1, 12)])
+    inst = SnapshotInstance(graph, (6,) + (1,) * 11, frozenset(range(1, 12)), 1, PLAIN_SEQUENTIAL)
+    table = _node_table(graph.adj_masks, inst.thresholds)
+    assert _direct_check(table, inst.snapshot_mask(), 10**6, 1) == (None, 3246)
+    with pytest.raises(SearchCapExceeded):
+        _direct_check(table, inst.snapshot_mask(), 3071, 1)
+    assert solve(inst).stats.states_expanded == 3258
+    assert solve(inst, SearchLimits(max_states=3071)).verdict == "infeasible"
+    assert solve(inst, SearchLimits(max_states=3070)).verdict == "resource_cap_hit"
