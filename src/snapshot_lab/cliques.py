@@ -1,31 +1,32 @@
-"""Clique preprocessing rules in front of the exact seed search for
-monotone simultaneous dynamics.
+"""Clique preprocessing rules in front of ``solve`` for monotone
+simultaneous dynamics.
 
 On a clique an inactive node sees exactly |active| active neighbors, so the
 whole cascade is driven by active-set counts and threshold values. The five
-rules narrow the seed search, which then runs the generic monotone
-simultaneous check on the surviving candidates, deduplicated by threshold
-multiset:
+rules report what holds of every matching seed, and they may settle the
+instance: P1 or P3 over budget as infeasible, P5 by its one seed.
+Everything else is ``solve``; the rules feed no seed pool or filter of
+their own:
 
 P1  snapshot nodes whose threshold is at least |S| can never activate by best
-    response, so they are forced into the seed;
+    response, so every matching seed contains them;
 P2  an outside node with threshold <= budget activates in the first round of
-    any budget-sized seed, so seeds of size exactly k are excluded (seeds
+    any budget-sized seed, so no seed of size exactly k matches (seeds
     smaller than k stay in play);
 P3  a snapshot node sharing its threshold with an outside node would activate
-    together with it, so it is forced into the seed;
+    together with it, so every matching seed contains it;
 P4  outside nodes with thresholds above the outside minimum activate weakly
     later than an outside node of minimum threshold, so they never decide a
-    run; the rule is reported only;
+    run;
 P5  when |S| is below every outside threshold no over-activation is possible
     and feasibility reduces to whether the k highest-threshold snapshot nodes
     close over S.
 
-Every rule and the search run on the instance as given, so every node id in
-a report or certificate is an id of that instance. P4 needs no reduced copy:
-every inactive node sees the same active count, so a pruned node never
-activates before a minimum-threshold outside node, and a monotone run is
-over in the sweep its first outside node activates.
+Every rule runs on the instance as given, so every node id in a report or
+certificate is an id of that instance. P4 needs no reduced copy: every
+inactive node sees the same active count, so a pruned node never activates
+before a minimum-threshold outside node, and a monotone run is over in the
+sweep its first outside node activates.
 
 Rule soundness is validated against the unrestricted brute-force solver in
 the test suite.
@@ -36,10 +37,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .dynamics import _node_table
-from .model import SnapshotInstance, iter_bits, mask_of
+from .model import SnapshotInstance, mask_of
 from .solvers import (
     DEFAULT_LIMITS,
     SolveOutcome,
@@ -48,7 +49,7 @@ from .solvers import (
     _closure,
     _search,
     _seed_check,
-    _seed_masks,
+    solve,
 )
 
 ACTION_FORCED = "forced_seed"
@@ -222,9 +223,9 @@ class CliqueAnalysis:
 
 
 def clique_analysis(instance: SnapshotInstance) -> CliqueAnalysis:
-    """Run the rule chain, then search the surviving seed candidates with the
-    generic monotone simultaneous check. Agrees with the generic monotone
-    simultaneous solver on the verdict."""
+    """Run the rule chain. P1 or P3 over budget settles the instance as
+    infeasible, and P5 by its one seed; every other instance is decided by
+    ``solve``. The reports explain the instance either way."""
     assert_clique(instance)
     if not (instance.mode.simultaneous and instance.mode.monotone):
         raise ValueError("clique rules cover monotone simultaneous dynamics only")
@@ -243,36 +244,19 @@ def clique_analysis(instance: SnapshotInstance) -> CliqueAnalysis:
         return done(infeasible)
     forced = frozenset(r1.nodes) if r1.action == ACTION_FORCED else frozenset()
 
-    r2 = rule_low_threshold_outside(instance)
-    reports.append(r2)
-    excluded_size = r2.size if r2.action == ACTION_EXCLUDED_SIZE else None
+    reports.append(rule_low_threshold_outside(instance))
 
     r3 = rule_threshold_collision(instance, already_forced=forced)
     reports.append(r3)
     if r3.action == ACTION_INFEASIBLE:
         return done(infeasible)
-    if r3.action == ACTION_FORCED:
-        forced |= frozenset(r3.nodes)
 
     reports.append(rule_prune_outside(instance))
 
     r5 = rule_isolated_snapshot(instance)
     reports.append(r5)
-    if r5.action == ACTION_REDUCED:
-        if not r5.feasible:
-            return done(infeasible)
-        seeds: Iterable[int] = [mask_of(r5.nodes)]
-    else:
-        seen_multisets: set[tuple[int, ...]] = set()
-
-        def admissible(seed_mask: int) -> bool:
-            if seed_mask.bit_count() == excluded_size:
-                return False
-            key = tuple(sorted(instance.thresholds[v] for v in iter_bits(seed_mask)))
-            if key in seen_multisets:
-                return False
-            seen_multisets.add(key)
-            return True
-
-        seeds = filter(admissible, _seed_masks(instance.snapshot, mask_of(forced), instance.budget))
-    return done(_search(seeds, _seed_check(instance, DEFAULT_LIMITS)))
+    if r5.action != ACTION_REDUCED:
+        return done(solve(instance))
+    if not r5.feasible:
+        return done(infeasible)
+    return done(_search([mask_of(r5.nodes)], _seed_check(instance, DEFAULT_LIMITS)))

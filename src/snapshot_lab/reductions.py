@@ -37,7 +37,6 @@ from .model import (
     PLAIN_SIMULTANEOUS,
     SnapshotInstance,
     induced_subgraph,
-    mask_of,
     validate_instance,
     value_violations,
     _Slotted,
@@ -48,7 +47,7 @@ from .solvers import (
     SearchCapExceeded,
     SolveOutcome,
     _closure,
-    canonical_seed_sets,
+    _seed_masks,
     solve,
 )
 
@@ -103,10 +102,10 @@ def has_target_set(ts: TargetSetInstance) -> bool:
     """Exhaustive oracle: some seed of size <= budget closes over all of V."""
     full = ts.graph.full_mask()
     table = _node_table(ts.graph.adj_masks, ts.thresholds)
-    for seed in canonical_seed_sets(range(ts.graph.n), ts.budget):
-        if _closure(table, mask_of(seed), full)[0] == full:
-            return True
-    return False
+    return any(
+        _closure(table, seed_mask, full)[0] == full
+        for seed_mask in _seed_masks(range(ts.graph.n), 0, ts.budget)
+    )
 
 
 def embed_target_set(ts: TargetSetInstance, mode: DynamicsMode) -> SnapshotInstance:

@@ -13,8 +13,9 @@ check returns a witness, so outputs are fully deterministic. Only the seed
 pool, the check and the move rule differ by mode. ``_search`` is the only
 loop that counts seeds and states.
 
-Seed pools are the load-bearing prunes; ``_seed_masks`` lists the supersets
-of a forced mask drawn from a pool:
+Seed pools are the load-bearing prunes; ``_seed_masks``, the one seed
+enumerator (the exhaustive oracles draw from it too), lists the supersets of
+a forced mask drawn from a pool:
 
 * monotone dynamics, either order: seeds are subsets of S (a committed seed
   node is still active at match time), and only supersets of the forced set
@@ -41,12 +42,11 @@ Per-seed checks:
   R(s) from R(p), re-reading only that node's neighbours. p is nearly
   always stored: canonical order tries p before s, and p's run either never
   matched, which stored p, or matched, which ended the search. A p that was
-  never tried (the empty seed's, one lacking a forced node, one a filtered
-  pool dropped) falls back to the full kernel; every entry is an exact R,
-  so no verdict depends on a hit. Later sweeps use the full kernel. The
-  configuration space is finite, so exact repeat detection settles every run
-  and no step cap is needed. A ``Trace`` is built only when a certificate is
-  replayed;
+  never tried (the empty seed's, one lacking a forced node) falls back to
+  the full kernel; every entry is an exact R, so no verdict depends on a
+  hit. Later sweeps use the full kernel. The configuration space is
+  finite, so exact repeat detection settles every run and no step cap is
+  needed. A ``Trace`` is built only when a certificate is replayed;
 * monotone sequential, and non-monotone sequential of budget <= 1:
   ``_direct_check``, closures and no search (below), unless they cap;
 * non-monotone sequential of budget >= 2: ``_bfs``, the one breadth-first
@@ -155,11 +155,12 @@ from .model import (
     SimultaneousWitness,
     SnapshotInstance,
     Witness,
+    is_int,
     iter_bits,
     mask_of,
     nodes_of,
 )
-from .serialize import certificate_to_dict
+from .serialize import certificate_to_dict, seed_ids
 
 log = logging.getLogger("snapshot_lab")
 
@@ -184,8 +185,8 @@ class SearchLimits:
     max_states: int = 1 << 20
 
     def __post_init__(self):
-        if self.max_states < 1:
-            raise ValueError("search limits must be positive")
+        if not is_int(self.max_states) or self.max_states < 1:
+            raise ValueError(f"search limits must be positive integers, got {self.max_states!r}")
 
 
 DEFAULT_LIMITS = SearchLimits()
@@ -229,24 +230,19 @@ class SolveOutcome:
 SeedCheck = Callable[[int], tuple[Optional[Witness], int]]
 
 
-def canonical_seed_sets(candidates: Iterable[int], max_size: int) -> Iterator[tuple[int, ...]]:
-    """Seed sets by increasing size, lexicographic within a size."""
-    pool = sorted(candidates)
-    for size in range(0, min(max_size, len(pool)) + 1):
-        yield from combinations(pool, size)
-
-
 def _seed_masks(pool: Iterable[int], forced: int, budget: int) -> Iterator[int]:
     """Seed masks of size <= budget that contain ``forced`` and draw the rest
-    from ``pool``, in canonical order.
+    from ``pool``, in canonical order: by size, lexicographic over sorted ids
+    within a size. The one seed enumerator of the package.
 
     Enumerating by the free part keeps the canonical order of the full space:
     same size, and the least element of a symmetric difference is never a
     forced node. A forced mask over budget yields nothing.
     """
-    free_pool = [v for v in pool if not forced >> v & 1]
-    for free in canonical_seed_sets(free_pool, budget - forced.bit_count()):
-        yield forced | mask_of(free)
+    free_pool = sorted(v for v in pool if not forced >> v & 1)
+    for size in range(min(budget - forced.bit_count(), len(free_pool)) + 1):
+        for free in combinations(free_pool, size):
+            yield forced | mask_of(free)
 
 
 def _search(seeds: Iterable[int], check: SeedCheck) -> SolveOutcome:
@@ -615,9 +611,11 @@ def reachable_configs(
 ) -> set[frozenset[int]]:
     """Every configuration reachable from the seed under the mode: the whole
     move-reachable space for sequential dynamics, the trajectory up to cycle
-    closure for simultaneous dynamics."""
+    closure for simultaneous dynamics. Raises ``InvalidInstanceError`` on a
+    seed id outside the graph."""
+    seed_mask = mask_of(seed_ids(list(seed), graph.n))
     table = _node_table(graph.adj_masks, thresholds)
-    masks = _reachable_mask_set(table, mask_of(seed), mode, limits, {})
+    masks = _reachable_mask_set(table, seed_mask, mode, limits, {})
     return {nodes_of(m) for m in masks}
 
 
@@ -633,8 +631,9 @@ def seed_feasible(
     limits: SearchLimits = DEFAULT_LIMITS,
 ) -> Optional[Certificate]:
     """Check one specific seed set under the instance's mode; a certificate on
-    success, None otherwise. Raises SearchCapExceeded on resource caps."""
-    seed_set = frozenset(seed)
+    success, None otherwise. Raises SearchCapExceeded on resource caps, and
+    ``InvalidInstanceError`` on a seed id outside the instance."""
+    seed_set = seed_ids(list(seed), instance.n)
     if instance.mode.monotone and not seed_set <= instance.snapshot:
         return None  # a monotone run keeps its seed active
     # the seed's size as the budget: closures for one node or none, else the BFS

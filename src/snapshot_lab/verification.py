@@ -76,7 +76,7 @@ from .solvers import (
     SearchLimits,
     _reachable_mask_set,
     _direct_path,
-    canonical_seed_sets,
+    _seed_masks,
     seed_feasible,
     solve,
 )
@@ -96,8 +96,8 @@ def _feasible_masks(
     out: set[int] = set()
     table = _node_table(graph.adj_masks, thresholds)
     responses: dict[int, int] = {}
-    for seed in canonical_seed_sets(range(graph.n), k):
-        out |= _reachable_mask_set(table, mask_of(seed), mode, limits, responses)
+    for seed_mask in _seed_masks(range(graph.n), 0, k):
+        out |= _reachable_mask_set(table, seed_mask, mode, limits, responses)
     return out
 
 

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snapshot_lab import (
+    Graph,
     MONOTONE_SIMULTANEOUS,
     NotACliqueError,
     PLAIN_SIMULTANEOUS,
@@ -135,3 +139,27 @@ def test_rule_soundness_against_brute_force(clique):
         p5 = analysis.reports[-1]
         if p5.rule == "P5" and p5.feasible:
             assert p5.nodes == tuple(sorted(analysis.outcome.certificate.seed))
+
+
+@st.composite
+def clique_instances(draw, max_n=8, max_budget=3):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    graph = Graph.from_edges(n, list(combinations(range(n), 2)))
+    thresholds = tuple(draw(st.integers(min_value=0, max_value=n)) for _ in range(n))
+    snapshot = frozenset(v for v in range(n) if draw(st.booleans()))
+    budget = draw(st.integers(min_value=0, max_value=max_budget))
+    return SnapshotInstance(graph, thresholds, snapshot, budget, MONOTONE_SIMULTANEOUS)
+
+
+@given(clique_instances())
+@settings(max_examples=300, deadline=None)
+def test_a_clique_no_rule_decides_is_solved_by_solve(instance):
+    analysis = clique_analysis(instance)
+    decided = [r for r in analysis.reports if r.feasible is not None]
+    out = solve(instance)
+    assert analysis.outcome.verdict == out.verdict
+    if not decided:
+        assert analysis.outcome.to_dict() == out.to_dict()
+    elif decided[0].rule == "P5" and decided[0].feasible:
+        assert analysis.outcome.certificate.seed == frozenset(decided[0].nodes)
+        assert_certificate_replays(instance, analysis.outcome)

@@ -12,7 +12,9 @@ from snapshot_lab import (
     reachable_configs,
     validate_instance,
 )
+from snapshot_lab.model import nodes_of
 from snapshot_lab.serialize import instance_to_dict
+from snapshot_lab.solvers import _seed_masks
 
 
 def take(params, count):
@@ -66,9 +68,7 @@ def test_reachable_snapshot_mode_emits_reachable_sets():
     )
     for inst in take(params, 15):
         feasible = set()
-        from snapshot_lab.solvers import canonical_seed_sets
-
-        for seed in canonical_seed_sets(range(inst.graph.n), inst.budget):
+        for seed in map(nodes_of, _seed_masks(range(inst.graph.n), 0, inst.budget)):
             feasible |= reachable_configs(inst.graph, inst.thresholds, seed, inst.mode)
         assert inst.snapshot in feasible
 

@@ -15,6 +15,7 @@ from snapshot_lab import (
     ALL_MODES,
     Certificate,
     Graph,
+    InvalidInstanceError,
     MONOTONE_SEQUENTIAL,
     MONOTONE_SIMULTANEOUS,
     PLAIN_SEQUENTIAL,
@@ -41,9 +42,9 @@ from snapshot_lab.solvers import (
     SolveStats,
     _closure,
     _direct_check,
+    _seed_masks,
     _seeds,
     _simultaneous_fate,
-    canonical_seed_sets,
 )
 
 from conftest import (
@@ -57,8 +58,11 @@ T4 = (1, 2, 1, 1)
 
 
 def test_canonical_seed_order():
-    assert list(canonical_seed_sets([2, 0, 1], 2)) == [
-        (), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)
+    assert list(map(sorted, map(nodes_of, _seed_masks([2, 0, 1], 0, 2)))) == [
+        [], [0], [1], [2], [0, 1], [0, 2], [1, 2]
+    ]
+    assert list(map(sorted, map(nodes_of, _seed_masks([3, 0, 1, 2], 0b100, 2)))) == [
+        [2], [0, 2], [1, 2], [2, 3]
     ]
 
 
@@ -130,7 +134,7 @@ def test_monotone_sequential_matches_brute_force(instance):
     graph, thresholds, s = instance.graph, instance.thresholds, instance.snapshot
     expected = next(
         (
-            seed for seed in map(frozenset, canonical_seed_sets(s, instance.budget))
+            seed for seed in map(nodes_of, _seed_masks(s, 0, instance.budget))
             if monotone_closure(graph, thresholds, seed, restrict_to=s) == s
         ),
         None,
@@ -288,6 +292,23 @@ def test_budget_zero_and_empty_snapshot(star4_instance):
     assert solve(star4_instance({0}, 0, MONOTONE_SIMULTANEOUS)).verdict == "infeasible"
 
 
+@pytest.mark.parametrize("mode", ALL_MODES, ids=lambda mode: mode.describe())
+def test_seed_ids_outside_the_graph_are_invalid(mode):
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    inst = SnapshotInstance(path, (1, 1, 1), frozenset({0, 1}), 1, mode)
+    for seed in ([5], [-1], [0, 3]):
+        with pytest.raises(InvalidInstanceError, match="outside 0..2"):
+            seed_feasible(inst, seed)
+        with pytest.raises(InvalidInstanceError, match="outside 0..2"):
+            reachable_configs(path, inst.thresholds, seed, mode)
+
+
+@pytest.mark.parametrize("max_states", [2.5, True, "5", None, 0, -1])
+def test_search_limits_take_positive_integers_only(max_states):
+    with pytest.raises(ValueError, match="positive integers"):
+        SearchLimits(max_states=max_states)
+
+
 def _hub_instance(snapshot, budget):
     # hub with six leaves, everything threshold 1: while a leaf is on the
     # center locks active, so no leaf can be on without it unless seeded
@@ -344,7 +365,7 @@ def _per_seed_reference(instance):
     Every run settles (match, fixed point or cycle) well inside the default
     step cap, so the reference never reads a cap."""
     pool = sorted(instance.snapshot) if instance.mode.monotone else range(instance.n)
-    for seed in map(frozenset, canonical_seed_sets(pool, instance.budget)):
+    for seed in map(nodes_of, _seed_masks(pool, 0, instance.budget)):
         result = run_simultaneous(
             instance.graph, instance.thresholds, seed, instance.mode, target=instance.snapshot
         )
@@ -450,22 +471,23 @@ def test_simultaneous_memo_holds_exact_responses_of_runs_that_never_match(instan
 
 
 def test_clique_filter_dropping_the_one_smaller_seed_agrees_with_solve(clique):
-    # P3 forces node 5, the highest id, so the clique search tries {5}, {0, 5}
-    # and {1, 5} while the memo never holds {0} or {1}; solve tries both
+    # P3 forces node 5, the highest id, but no rule decides, so the analysis
+    # is solve's: its seeds, states, seed and witness
     inst = clique(6, (1, 4, 1, 2, 3, 3), {0, 1, 2, 3, 5}, 2, MONOTONE_SIMULTANEOUS)
     analysis = clique_analysis(inst)
     assert [r.nodes for r in analysis.reports if r.rule == "P3"] == [(5,)]
-    assert analysis.outcome.stats.seeds_tried == 3
-    summary = _summary(solve(inst))
+    out = solve(inst)
+    summary = _summary(out)
     assert summary[:2] == ("feasible", {1, 5}) and summary[2] > 0
-    assert _summary(analysis.outcome) == summary
+    assert analysis.outcome.to_dict() == out.to_dict()
+    assert out.to_dict()["stats"] == {"seeds_tried": 13, "states_expanded": 18}
 
 
 @given(small_instances(max_n=7, max_budget=3, modes=[MONOTONE_SIMULTANEOUS]))
 @settings(max_examples=150, deadline=None)
 def test_every_matching_monotone_seed_contains_forced_nodes(instance):
     forced = _forced(instance)
-    for seed in map(frozenset, canonical_seed_sets(instance.snapshot, instance.budget)):
+    for seed in map(nodes_of, _seed_masks(instance.snapshot, 0, instance.budget)):
         if run_simultaneous(
             instance.graph, instance.thresholds, seed, instance.mode, target=instance.snapshot
         ).matched:
@@ -524,7 +546,7 @@ def _sequential_reference(instance, max_states=None):
     """One reference BFS per canonical seed, sharing nothing between seeds:
     (verdict, seed, moves, seeds whose search capped)."""
     capped = []
-    for seed in map(frozenset, canonical_seed_sets(range(instance.n), instance.budget)):
+    for seed in map(nodes_of, _seed_masks(range(instance.n), 0, instance.budget)):
         try:
             moves = _bfs_moves(instance, seed, max_states)
         except SearchCapExceeded:
