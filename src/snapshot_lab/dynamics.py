@@ -39,6 +39,8 @@ from .model import (
     mask_of,
     nodes_of,
 )
+from .serialize import seed_ids
+
 
 class EngineInvariantError(RuntimeError):
     """A dynamics invariant failed; signals an engine bug, not a user error."""
@@ -203,11 +205,12 @@ def legal_moves(
     Activations for inactive nodes whose threshold is met; in non-monotone
     mode also deactivations for active nodes whose threshold is unmet (seed
     nodes included). Monotone mode excludes deactivations entirely: no run
-    that starts from a committed seed ever makes one legal.
+    that starts from a committed seed ever makes one legal. Raises
+    ``InvalidInstanceError`` on a node id outside the graph.
     """
     if not mode.sequential:
         raise ValueError("legal_moves requires sequential order dynamics")
-    mask = mask_of(active)
+    mask = mask_of(seed_ids(list(active), graph.n, "active"))
     flips = _response_mask(_node_table(graph.adj_masks, thresholds), mask) ^ mask
     if mode.monotone:
         flips &= ~mask

@@ -124,21 +124,24 @@ def instance_from_dict(
 def load_instance_file(
     path, mode_override: Optional[DynamicsMode] = None
 ) -> SnapshotInstance:
+    """The instance document at ``path``; every ``InvalidInstanceError`` it
+    raises names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return instance_from_dict(json.load(fh), mode_override=mode_override)
         except json.JSONDecodeError as exc:
-            raise InvalidInstanceError(
-                [f"{path}: not valid JSON (line {exc.lineno}: {exc.msg})"]
-            ) from None
-    return instance_from_dict(data, mode_override=mode_override)
+            violations = [f"not valid JSON (line {exc.lineno}: {exc.msg})"]
+        except InvalidInstanceError as exc:
+            violations = exc.violations
+    raise InvalidInstanceError([f"{path}: {v}" for v in violations])
 
 
-def seed_ids(ids: list, n: int) -> frozenset[int]:
-    """The seed of a list of node ids, each an ``int`` in 0..n-1."""
+def seed_ids(ids: list, n: int, role: str = "seed") -> frozenset[int]:
+    """The node set of a list of node ids, each an ``int`` in 0..n-1; the
+    error names the ids by ``role``."""
     outside = [v for v in ids if not is_int(v) or not 0 <= v < n]
     if outside:
-        raise InvalidInstanceError([f"seed ids {outside} outside 0..{n - 1}"])
+        raise InvalidInstanceError([f"{role} ids {outside} outside 0..{n - 1}"])
     return frozenset(ids)
 
 

@@ -56,11 +56,14 @@ Per-seed checks:
   ascending node id, so each level's states leave the queue in the order of
   their lexicographically least shortest paths, and the first state of the
   level before that reaches a state is its parent: its stored path is that
-  least path, the canonical witness. The searches of one solve share a memo
-  of response masks (``_bfs``) and a dead set of states that cannot reach S
-  (``_bfs_check``). Every BFS parent of a state that can reach S can reach S
-  too, so skipping dead states leaves the search tree over S's ancestors,
-  and its first shortest witness, unchanged; the enumerations use no dead set.
+  least path, the canonical witness. ``_bfs`` neither stores nor expands
+  the states of a ``known`` set, whose whole reachable sets are accounted
+  for: the dead set of states that cannot reach S, shared by the searches
+  of one solve (``_bfs_check``), or the exhaustive oracles' union of what
+  earlier seeds reached, so each seed enumerates only what no earlier seed
+  did. Every BFS parent of a state that can reach S can reach S too, so
+  skipping dead states leaves the search tree over S's ancestors, and its
+  first shortest witness, unchanged.
 
 The clearing lemma: under plain sequential dynamics, from a seed D of at
 most one node u0, every reachable configuration c has a *direct* path, in
@@ -107,16 +110,16 @@ S reachable, so the closure order, lowest id first, is that walk.
 
 One cap rule: a configuration search caps only when a new state arrives
 while ``max_states`` states are already stored, so a reachable set of exactly
-``max_states`` states is enumerated in full; dead states are never stored,
-so a plain search can fit under a cap that its seed's whole reachable set
-exceeds. A capped search proves nothing and adds nothing to the dead set,
-which, like the response memo, holds at most ``max_states`` entries. The
-sets Y number C(deg, t - 1), so the closures of one seed's check, decision
-and witness alike, count the configurations they visit (each closure's
-start and one per activation) and stop before another Y once they have
-visited ``max_states``. They count repeats, so they can cap where a search
-fits; ``_direct_or_bfs_check`` then searches the seed, and a budget-1 solve
-caps only where an all-BFS one does. A check that caps raises
+``max_states`` states is enumerated in full; known states are never stored,
+so a plain search, or an oracle's enumeration of one seed, can fit under a
+cap that its seed's whole reachable set exceeds. A capped search proves
+nothing and adds nothing to the dead set, which holds at most
+``max_states`` entries. The sets Y number C(deg, t - 1), so the closures of
+one seed's check, decision and witness alike, count the configurations they
+visit (each closure's start and one per activation) and stop before another
+Y once they have visited ``max_states``. They count repeats, so they can cap
+where a search fits; ``_direct_or_bfs_check`` then searches the seed, and a
+budget-1 solve caps only where an all-BFS one does. A check that caps raises
 ``SearchCapExceeded`` carrying the states it used, and ``_search`` is the only
 place that turns it into a verdict: "infeasible" is only ever reported
 after every candidate was checked (or a forced node proves it for every
@@ -321,8 +324,7 @@ def _bfs(
     target: int,
     off: int,
     max_states: int,
-    responses: dict[int, int],
-    dead: AbstractSet[int] = frozenset(),
+    known: AbstractSet[int] = frozenset(),
 ) -> dict[int, Optional[int]]:
     """Breadth-first search over single best-response moves from ``start``:
     any node may switch on, and node v may switch off if bit v of ``off`` is
@@ -332,38 +334,29 @@ def _bfs(
     move into a state flips the one bit of ``parent ^ state``. Stops once
     ``target`` is stored (-1 enumerates every reachable state). Raises
     SearchCapExceeded when a new state arrives while ``max_states`` states
-    are already stored. ``responses`` memoizes the response mask of up to
-    ``max_states`` states for every search on the same graph that shares it;
-    searches from different seeds of one instance cross the same states. A
-    state missing from it gets its response from its parent's memoized one,
-    re-evaluating only the neighbours of the flipped node. States in
-    ``dead`` are known not to reach ``target`` under this move rule; they are
-    neither stored nor expanded, which leaves the search tree over the
-    states that can reach ``target`` unchanged.
+    are already stored. Each queued state carries its response mask: the
+    start's from the full kernel, every other's from its parent's,
+    re-reading only the neighbours of the flipped node. States in ``known``
+    have their whole reachable set accounted for already (the solve's dead
+    set, or an oracle's union of what earlier seeds reached); they are
+    neither stored nor expanded, and a start in it stores nothing. Skipping
+    them leaves the search tree over the states that can reach ``target``
+    unchanged.
     """
+    if start in known:
+        return {}
     parents: dict[int, Optional[int]] = {start: None}
     if start == target:
         return parents
-    queue = deque([start])
+    queue = deque([(start, _response_mask(table, start))])
     while queue:
-        cur = queue.popleft()
-        response = responses.get(cur)
-        if response is None:
-            prev = parents[cur]
-            prev_response = None if prev is None else responses.get(prev)
-            if prev_response is None:
-                response = _response_mask(table, cur)
-            else:
-                node = (prev ^ cur).bit_length() - 1
-                response = _response_after_flip(table, cur, node, prev_response)
-            if len(responses) < max_states:
-                responses[cur] = response
+        cur, response = queue.popleft()
         flips = (response ^ cur) & (off | ~cur)
         while flips:
             bit = flips & -flips
             flips ^= bit
             nxt = cur ^ bit
-            if nxt in parents or nxt in dead:
+            if nxt in parents or nxt in known:
                 continue
             if len(parents) >= max_states:
                 raise SearchCapExceeded(
@@ -372,7 +365,7 @@ def _bfs(
             parents[nxt] = cur
             if nxt == target:
                 return parents
-            queue.append(nxt)
+            queue.append((nxt, _response_after_flip(table, nxt, bit.bit_length() - 1, response)))
     return parents
 
 
@@ -392,7 +385,6 @@ def _bfs_check(
     table: NodeTable,
     s_mask: int,
     max_states: int,
-    responses: dict[int, int],
     dead: set[int],
     seed_mask: int,
 ) -> tuple[Optional[SequentialWitness], int]:
@@ -401,13 +393,11 @@ def _bfs_check(
 
     The move rule does not depend on the seed, so a search that runs to the
     end without storing S proves that none of its states can reach S: they
-    go into ``dead`` (up to ``max_states`` entries), which later searches
-    neither store nor expand, and a seed inside it is settled with no
-    search. A capped search raises before it adds anything.
+    go into ``dead`` (up to ``max_states`` entries), the ``known`` set of
+    later searches, and a seed inside it is settled with no search. A capped
+    search raises before it adds anything.
     """
-    if seed_mask in dead:
-        return None, 0
-    parents = _bfs(table, seed_mask, s_mask, -1, max_states, responses, dead)
+    parents = _bfs(table, seed_mask, s_mask, -1, max_states, dead)
     if s_mask not in parents:
         dead.update(islice(parents, max_states - len(dead)))
         return None, len(parents)
@@ -566,8 +556,8 @@ def _seed_check(instance: SnapshotInstance, limits: SearchLimits) -> SeedCheck:
     """The per-seed check of the instance's mode and, non-monotone
     sequential, its budget: closures for budget <= 1 (the BFS where they
     cap), else the BFS. One memo serves all its seeds: the response masks of
-    runs that never match (simultaneous), or response masks and the states
-    that cannot reach S (the BFS)."""
+    runs that never match (simultaneous), or the states that cannot reach S
+    (the BFS)."""
     table = _node_table(instance.graph.adj_masks, instance.thresholds)
     s_mask = instance.snapshot_mask()
     if instance.mode.simultaneous:
@@ -575,7 +565,7 @@ def _seed_check(instance: SnapshotInstance, limits: SearchLimits) -> SeedCheck:
     direct = partial(_direct_check, table, s_mask, limits.max_states)
     if instance.mode.monotone:
         return direct
-    bfs = partial(_bfs_check, table, s_mask, limits.max_states, {}, set())
+    bfs = partial(_bfs_check, table, s_mask, limits.max_states, set())
     return partial(_direct_or_bfs_check, direct, bfs, []) if instance.budget <= 1 else bfs
 
 
@@ -584,22 +574,22 @@ def _reachable_mask_set(
     seed_mask: int,
     mode: DynamicsMode,
     limits: SearchLimits,
-    responses: dict[int, int],
+    known: AbstractSet[int] = frozenset(),
 ) -> set[int]:
-    """All configuration masks a run from the seed can visit. A sequential
-    enumeration raises SearchCapExceeded when it outgrows ``max_states``;
-    those on one graph may share the ``responses`` memo. A simultaneous run
-    is followed to its first repeat."""
+    """All configuration masks a run from the seed can visit, less those of
+    ``known``, a set that holds the whole reachable set of each of its
+    masks. A sequential enumeration is ``_bfs`` under its cap rule; a
+    simultaneous run is followed to its first repeat or known mask, since
+    the step map does not depend on the seed."""
     if mode.simultaneous:
         seen: set[int] = set()
         cur = seed_mask
-        while cur not in seen:
+        while cur not in seen and cur not in known:
             seen.add(cur)
             cur = _step_mask(table, cur, seed_mask, mode.monotone)
         return seen
     off = 0 if mode.monotone else -1  # every bit set: any node may switch off
-    parents = _bfs(table, seed_mask, -1, off, limits.max_states, responses)
-    return set(parents)
+    return set(_bfs(table, seed_mask, -1, off, limits.max_states, known))
 
 
 def reachable_configs(
@@ -615,7 +605,7 @@ def reachable_configs(
     seed id outside the graph."""
     seed_mask = mask_of(seed_ids(list(seed), graph.n))
     table = _node_table(graph.adj_masks, thresholds)
-    masks = _reachable_mask_set(table, seed_mask, mode, limits, {})
+    masks = _reachable_mask_set(table, seed_mask, mode, limits)
     return {nodes_of(m) for m in masks}
 
 

@@ -69,7 +69,7 @@ from .model import (
     mask_of,
     nodes_of,
 )
-from .serialize import certificate_from_dict, instance_from_dict, instance_to_dict
+from .serialize import certificate_from_dict, instance_from_dict, instance_to_dict, seed_ids
 from .solvers import (
     DEFAULT_LIMITS,
     SearchCapExceeded,
@@ -93,11 +93,12 @@ def _feasible_masks(
     mode: DynamicsMode,
     limits: SearchLimits,
 ) -> set[int]:
+    """The union of the seeds' reachable sets: as each next seed's ``known``
+    set, it leaves that seed to store only what no earlier seed reached."""
     out: set[int] = set()
     table = _node_table(graph.adj_masks, thresholds)
-    responses: dict[int, int] = {}
     for seed_mask in _seed_masks(range(graph.n), 0, k):
-        out |= _reachable_mask_set(table, seed_mask, mode, limits, responses)
+        out |= _reachable_mask_set(table, seed_mask, mode, limits, out)
     return out
 
 
@@ -180,10 +181,10 @@ def _check_feasible_sim_2(instance: SnapshotInstance, limits: SearchLimits) -> l
 def _check_neighbor(instance: SnapshotInstance, limits: SearchLimits) -> list[dict]:
     g = instance.graph
     table = _node_table(g.adj_masks, instance.thresholds)
-    responses: dict[int, int] = {}
-    reach_empty = _reachable_mask_set(table, 0, PLAIN_SEQUENTIAL, limits, responses)
+    reach_empty = _reachable_mask_set(table, 0, PLAIN_SEQUENTIAL, limits)
+    # a snapshot the empty seed reaches passes, so the singletons skip those
     reach = [
-        _reachable_mask_set(table, 1 << u, PLAIN_SEQUENTIAL, limits, responses)
+        _reachable_mask_set(table, 1 << u, PLAIN_SEQUENTIAL, limits, reach_empty)
         for u in range(g.n)
     ]
     feasible = set(reach_empty)
@@ -200,26 +201,20 @@ def _check_neighbor(instance: SnapshotInstance, limits: SearchLimits) -> list[di
 
 
 def _check_clearing(instance: SnapshotInstance, limits: SearchLimits) -> list[dict]:
-    n = instance.n
     table = _node_table(instance.graph.adj_masks, instance.thresholds)
     violations = []
-    responses: dict[int, int] = {}
-    for u0 in range(n):
+    for u0 in range(instance.n):
         u0_bit = 1 << u0
-        reach_full = _reachable_mask_set(table, u0_bit, PLAIN_SEQUENTIAL, limits, responses)
-        for s_mask in range(1 << n):
-            # restricted reach is a subset of reach_full (see the module docstring)
-            full = s_mask in reach_full
-            restricted = full and _direct_path(
-                table, s_mask, u0_bit, u0_bit & ~s_mask, limits.max_states
-            )[0] is not None
-            if restricted != full:
+        # restricted reach is a subset of unrestricted reach (see the module
+        # docstring), so only a reached snapshot can tell them apart
+        for s_mask in sorted(_reachable_mask_set(table, u0_bit, PLAIN_SEQUENTIAL, limits)):
+            if _direct_path(table, s_mask, u0_bit, u0_bit & ~s_mask, limits.max_states)[0] is None:
                 violations.append(
                     {
                         "snapshot": sorted(nodes_of(s_mask)),
                         "u0": u0,
-                        "unrestricted": full,
-                        "restricted": restricted,
+                        "unrestricted": True,
+                        "restricted": False,
                     }
                 )
     return violations
@@ -334,11 +329,12 @@ def seed_distance(
     """Aggregate over seed nodes of the shortest-path distance to the nearest
     snapshot node: 0 for an empty seed or a seed inside the snapshot,
     infinity when some (max) or every (min) seed node cannot reach the
-    snapshot at all."""
+    snapshot at all. Raises ``InvalidInstanceError`` on a node id outside
+    the graph."""
     if aggregate not in ("max", "min"):
         raise ValueError("aggregate must be 'max' or 'min'")
-    seed_set = sorted(set(seed))
-    sources = sorted(set(snapshot))
+    seed_set = sorted(seed_ids(list(seed), graph.n))
+    sources = sorted(seed_ids(list(snapshot), graph.n, "snapshot"))
     if not seed_set:
         return 0
     if not sources:

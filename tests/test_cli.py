@@ -383,7 +383,9 @@ def test_enumerate_cap_exits_one_with_message(tmp_path, capsys):
 
 
 def test_enumerate_state_cap_boundary(tmp_path, capsys):
-    # one seed of this star reaches exactly 65 states, so a cap of 65 holds
+    # the hub of this star reaches 65 states, one of them the empty
+    # configuration that the empty seed enumerated first; the hub's
+    # enumeration stores only the other 64, so a cap of 64 holds
     star7 = _write(tmp_path / "star7.json", {
         "labels": [f"s{i}" for i in range(7)],
         "edges": [[0, i] for i in range(1, 7)],
@@ -392,10 +394,11 @@ def test_enumerate_state_cap_boundary(tmp_path, capsys):
         "budget": 1,
         "dynamics": {"order": "sequential", "monotone": False},
     })
-    assert run(["enumerate", "--instance", star7, "--max-states", "65"]) == 0
-    capsys.readouterr()
-    assert run(["enumerate", "--instance", star7, "--max-states", "64"]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert run(["enumerate", "--instance", star7, "--max-states", "64"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 65 + 6  # and each lone leaf
+    assert run(["enumerate", "--instance", star7, "--max-states", "63"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_reduce_check_cap_is_an_error_not_a_disagreement(tmp_path, capsys, monkeypatch):
@@ -674,6 +677,17 @@ def test_bench_csv(tmp_path, capsys):
     lines = out_csv.read_text().strip().split("\n")
     assert lines[0] == "digest,mode,n,k,verdict,states_expanded"
     assert len(lines) == 3
+
+
+def test_bench_error_names_the_file(tmp_path, capsys):
+    bench_dir = tmp_path / "instances"
+    bench_dir.mkdir()
+    (bench_dir / "a.json").write_text(Path(corpus_path("star4.json")).read_text())
+    (bench_dir / "b.json").write_text(json.dumps({"entries": []}))
+    assert run(["bench", "--dir", str(bench_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bench_dir / 'b.json'}: missing field 'labels'\n"
 
 
 def test_dot_export(tmp_path, star4_file):

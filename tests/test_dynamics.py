@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from snapshot_lab import (
     Graph,
+    InvalidInstanceError,
     MONOTONE_SEQUENTIAL,
     MONOTONE_SIMULTANEOUS,
     Move,
@@ -161,6 +162,12 @@ def test_legal_moves_star4(star4):
     moves = legal_moves(star4, T4, cfg(1), MONOTONE_SEQUENTIAL)
     assert moves == [Move(0, True), Move(2, True), Move(3, True)]
     assert legal_moves(star4, T4, cfg(), PLAIN_SEQUENTIAL) == []
+
+
+@pytest.mark.parametrize("active", [{9}, {-1}, {0, 4}])
+def test_legal_moves_rejects_node_ids_outside_the_graph(star4, active):
+    with pytest.raises(InvalidInstanceError, match=r"outside 0\.\.3"):
+        legal_moves(star4, T4, frozenset(active), PLAIN_SEQUENTIAL)
 
 
 def test_legal_moves_requires_sequential(star4):

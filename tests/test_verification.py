@@ -3,19 +3,22 @@ from __future__ import annotations
 import json
 import math
 import shutil
-from itertools import islice
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snapshot_lab import (
     CorpusError,
     GeneratorParams,
+    InvalidInstanceError,
     MONOTONE_SEQUENTIAL,
     MONOTONE_SIMULTANEOUS,
     PLAIN_SEQUENTIAL,
     PLAIN_SIMULTANEOUS,
+    SearchCapExceeded,
     SnapshotInstance,
     check_lemma,
     closed_neighborhood,
@@ -80,6 +83,33 @@ def test_feasible_snapshots_monotone_in_budget(instance):
         assert smaller <= larger
 
 
+@given(small_instances(max_n=7, max_budget=3), st.integers(min_value=1, max_value=64))
+@settings(max_examples=200, deadline=None)
+def test_feasible_snapshots_is_the_union_of_the_seeds_reachable_sets(instance, max_states):
+    g, t, k = instance.graph, instance.thresholds, instance.budget
+    per_seed = [
+        reachable_configs(g, t, seed, instance.mode)
+        for size in range(k + 1)
+        for seed in combinations(range(instance.n), size)
+    ]
+    union = set().union(*per_seed)
+    assert feasible_snapshots(g, t, k, instance.mode) == union
+    # a sequential seed stores only what no earlier seed reached, so the
+    # oracle caps only where that outgrows the cap, never where every seed's
+    # whole reachable set fits; a simultaneous run has no cap
+    fresh, reached = [], set()
+    for configs in per_seed:
+        fresh.append(len(configs - reached))
+        reached |= configs
+    over = instance.mode.sequential and max(fresh) > max_states
+    assert not over or max(map(len, per_seed)) > max_states
+    try:
+        capped = feasible_snapshots(g, t, k, instance.mode, SearchLimits(max_states))
+    except SearchCapExceeded:
+        capped = None
+    assert capped == (None if over else union)
+
+
 def fixed_stream(instance):
     while True:
         yield instance
@@ -112,10 +142,9 @@ def _clearing_reference(instance, limits):
     n = instance.n
     table = _node_table(instance.graph.adj_masks, instance.thresholds)
     violations = []
-    responses = {}
     for u0 in range(n):
         u0_bit = 1 << u0
-        reach_full = _reachable_mask_set(table, u0_bit, PLAIN_SEQUENTIAL, limits, responses)
+        reach_full = _reachable_mask_set(table, u0_bit, PLAIN_SEQUENTIAL, limits)
         for s_mask in range(1 << n):
             restricted = restricted_path(table, u0_bit, s_mask) is not None
             full = s_mask in reach_full
@@ -195,6 +224,14 @@ def test_seed_distance_aggregates_and_edge_cases(star4):
     assert seed_distance(star4, {0, 1}, {0}, aggregate="min") == 0
     with pytest.raises(ValueError):
         seed_distance(star4, {0}, {1}, aggregate="median")
+
+
+@pytest.mark.parametrize(
+    "seed, snapshot", [([9], [0]), ([-1], [0]), ([0], [9]), ([], [-1]), ([0], [True])]
+)
+def test_seed_distance_rejects_node_ids_outside_the_graph(star4, seed, snapshot):
+    with pytest.raises(InvalidInstanceError, match=r"outside 0\.\.3"):
+        seed_distance(star4, seed, snapshot)
 
 
 def test_seed_distance_disconnected():
