@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .dynamics import _node_table
@@ -259,4 +260,5 @@ def clique_analysis(instance: SnapshotInstance) -> CliqueAnalysis:
         return done(solve(instance))
     if not r5.feasible:
         return done(infeasible)
-    return done(_search([mask_of(r5.nodes)], _seed_check(instance, DEFAULT_LIMITS)))
+    check = partial(_seed_check, instance, instance.snapshot_mask(), DEFAULT_LIMITS)
+    return done(_search([mask_of(r5.nodes)], check))

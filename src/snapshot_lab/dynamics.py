@@ -38,8 +38,8 @@ from .model import (
     iter_bits,
     mask_of,
     nodes_of,
+    seed_ids,
 )
-from .serialize import seed_ids
 
 
 class EngineInvariantError(RuntimeError):
@@ -159,11 +159,13 @@ def run_simultaneous(
     exact detection), or the step cap ``max_steps`` if one is given: the
     state space is finite, so every uncapped run ends. Deterministic; this
     is the reference run that ``simulate`` and certificate replay use.
+    Raises ``InvalidInstanceError`` on a seed id outside the graph.
     """
     if not mode.simultaneous:
         raise ValueError("run_simultaneous requires simultaneous order dynamics")
     if max_steps is not None and max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    seed = seed_ids(list(seed), graph.n)
     table, seed_mask = _node_table(graph.adj_masks, thresholds), mask_of(seed)
     target_mask = None if target is None else mask_of(target)
 
@@ -171,7 +173,7 @@ def run_simultaneous(
     match_time: Optional[int] = None
     cur = seed_mask
     if target_mask is not None and cur == target_mask:
-        trace = Trace(seed=frozenset(seed), mode=mode, steps=(), match_time=0)
+        trace = Trace(seed=seed, mode=mode, steps=(), match_time=0)
         return RunResult(trace, Termination("matched"))
     first_seen = {cur: 0}
     termination = Termination("step_cap_hit")
@@ -192,7 +194,7 @@ def run_simultaneous(
             break
         first_seen[new] = t
         cur = new
-    trace = Trace(seed=frozenset(seed), mode=mode, steps=tuple(steps), match_time=match_time)
+    trace = Trace(seed=seed, mode=mode, steps=tuple(steps), match_time=match_time)
     return RunResult(trace, termination)
 
 
@@ -231,9 +233,11 @@ def apply_ordering(
     whose best response equals its state is a legal no-op that still advances
     time. Under monotone dynamics active nodes never deactivate. match_time is
     the first prefix (time 0 included) whose active set equals the target.
+    Raises ``InvalidInstanceError`` on a seed id outside the graph.
     """
     if not mode.sequential:
         raise ValueError("apply_ordering requires sequential order dynamics")
+    seed = seed_ids(list(seed), graph.n)
     table = _node_table(graph.adj_masks, thresholds)
     for v in ordering:
         if not (0 <= v < graph.n):
@@ -253,6 +257,6 @@ def apply_ordering(
         steps.append(TraceStep(t, Move(v, bool(active & bit)), nodes_of(active)))
         if match_time is None and target_mask is not None and active == target_mask:
             match_time = t
-    trace = Trace(seed=frozenset(seed), mode=mode, steps=tuple(steps), match_time=match_time)
+    trace = Trace(seed=seed, mode=mode, steps=tuple(steps), match_time=match_time)
     kind = "matched" if match_time is not None else "ordering_exhausted"
     return RunResult(trace, Termination(kind))

@@ -59,6 +59,15 @@ def is_int(x) -> bool:
     return type(x) is int
 
 
+def seed_ids(ids: list, n: int, role: str = "seed") -> frozenset[int]:
+    """The node set of a list of node ids, each an ``int`` in 0..n-1; the
+    error names the ids by ``role``."""
+    outside = [v for v in ids if not is_int(v) or not 0 <= v < n]
+    if outside:
+        raise InvalidInstanceError([f"{role} ids {outside} outside 0..{n - 1}"])
+    return frozenset(ids)
+
+
 def mask_of(nodes: Iterable[int]) -> int:
     """Pack node ids into an int bitmask."""
     m = 0
@@ -355,8 +364,9 @@ def _closed_neighborhood_mask(graph: Graph, s_mask: int) -> int:
 
 
 def closed_neighborhood(graph: Graph, s: Iterable[int]) -> frozenset[int]:
-    """N[s]: the nodes of s together with all their neighbors."""
-    return nodes_of(_closed_neighborhood_mask(graph, mask_of(s)))
+    """N[s]: the nodes of s together with all their neighbors. Raises
+    ``InvalidInstanceError`` on a node id outside the graph."""
+    return nodes_of(_closed_neighborhood_mask(graph, mask_of(seed_ids(list(s), graph.n, "node"))))
 
 
 def induced_subgraph(

@@ -29,6 +29,7 @@ from .model import (
     SimultaneousWitness,
     SnapshotInstance,
     is_int,
+    seed_ids,
     validate_instance,
 )
 
@@ -134,15 +135,6 @@ def load_instance_file(
         except InvalidInstanceError as exc:
             violations = exc.violations
     raise InvalidInstanceError([f"{path}: {v}" for v in violations])
-
-
-def seed_ids(ids: list, n: int, role: str = "seed") -> frozenset[int]:
-    """The node set of a list of node ids, each an ``int`` in 0..n-1; the
-    error names the ids by ``role``."""
-    outside = [v for v in ids if not is_int(v) or not 0 <= v < n]
-    if outside:
-        raise InvalidInstanceError([f"{role} ids {outside} outside 0..{n - 1}"])
-    return frozenset(ids)
 
 
 def certificate_to_dict(certificate: Certificate) -> dict:

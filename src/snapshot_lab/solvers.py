@@ -13,18 +13,30 @@ check returns a witness, so outputs are fully deterministic. Only the seed
 pool, the check and the move rule differ by mode. ``_search`` is the only
 loop that counts seeds and states.
 
-Seed pools are the load-bearing prunes; ``_seed_masks``, the one seed
-enumerator (the exhaustive oracles draw from it too), lists the supersets of
-a forced mask drawn from a pool:
+Seed pools are the load-bearing prunes. ``_seed_pool`` draws the solve's
+from S's mask and the forced set F = {v in S : |N(v) & S| < t(v)} before the
+node table exists, and the table is built only once a seed is tried;
+``_seed_masks``, the one seed enumerator (the exhaustive oracles draw from it
+too), lists the supersets of a forced mask drawn from a pool. Every pool is a
+subsequence of the canonical order, and every seed it drops is proved to
+fail, so the reported seed and witness do not depend on it:
 
 * monotone dynamics, either order: seeds are subsets of S (a committed seed
-  node is still active at match time), and only supersets of the forced set
-  F = {v in S : |N(v) & S| < t(v)}. Before a match every configuration lies
-  inside S, so a node of F can never activate and must be seeded; |F| > k is
-  infeasible without trying a seed;
-* non-monotone dynamics: seeds range over all of V (a seed can sit at
-  distance >= 2 from the snapshot it produces, so no neighborhood prune is
-  sound in general).
+  node is still active at match time), and only supersets of F. Before a
+  match every configuration lies inside S, so a node of F can never
+  activate and must be seeded; |F| > k is infeasible without trying a
+  seed;
+* plain sequential of budget <= 1, the clearing pool: the empty seed if F
+  is empty, a node u0 of S if F lies inside {u0}, and a node u0 outside S
+  if t(u0) >= 1 and every node of F lacks exactly one neighbour in S and
+  neighbours u0. Proof, from the clearing lemma below: S is reached along a
+  direct path, on which only nodes of S switch on and only u0 switches
+  off, so a node of F that is not the seed switches on with at most u0
+  beyond its neighbours in S, and u0 outside S must switch off, which
+  t(u0) = 0 forbids;
+* any other mode: seeds range over all of V (a seed can sit at distance
+  >= 2 from the snapshot it produces, so no neighborhood prune is sound in
+  general).
 
 Per-seed checks:
 
@@ -118,16 +130,19 @@ nothing and adds nothing to the dead set, which holds at most
 one seed's check, decision and witness alike, count the configurations they
 visit (each closure's start and one per activation) and stop before another
 Y once they have visited ``max_states``. They count repeats, so they can cap
-where a search fits; ``_direct_or_bfs_check`` then searches the seed, and a
-budget-1 solve caps only where an all-BFS one does. A check that caps raises
+where a search fits; ``_direct_or_bfs_check`` then searches every canonical
+seed since its last search through this one, those the clearing pool
+dropped included, so its dead set is an all-BFS solve's, and a budget-1
+solve caps only where an all-BFS one does. A check that caps raises
 ``SearchCapExceeded`` carrying the states it used, and ``_search`` is the only
 place that turns it into a verdict: "infeasible" is only ever reported
-after every candidate was checked (or a forced node proves it for every
+after every candidate was checked (or its pool proves it for every
 seed); if any check capped first, the verdict degrades to
 "resource_cap_hit" instead of risking a silent false negative.
 
 Every check reads the node table of ``dynamics._node_table``, built once
-per solve by ``_seed_check`` (once per enumeration or check elsewhere): the
+per solve by ``_seed_check`` at its first seed (once per enumeration or
+check elsewhere): the
 step map, ``_closure`` and the neighbour-only response update that ``_bfs``
 and the simultaneous first sweep share read the same rows, and
 ``dynamics._response_mask`` is the one full response kernel.
@@ -248,17 +263,20 @@ def _seed_masks(pool: Iterable[int], forced: int, budget: int) -> Iterator[int]:
             yield forced | mask_of(free)
 
 
-def _search(seeds: Iterable[int], check: SeedCheck) -> SolveOutcome:
-    """Run ``check`` on each seed mask in order and report the first seed
-    whose check returns a witness. A seed whose check raises
-    SearchCapExceeded counts as capped and logs one DEBUG line, and a search
-    that finds no seed then reads ``resource_cap_hit`` rather than
-    ``infeasible``."""
+def _search(seeds: Iterable[int], make_check: Callable[[], SeedCheck]) -> SolveOutcome:
+    """Run the check ``make_check`` builds at the first seed on each seed
+    mask in order, and report the first seed whose check returns a witness.
+    A seed whose check raises SearchCapExceeded counts as capped and logs
+    one DEBUG line, and a search that finds no seed then reads
+    ``resource_cap_hit`` rather than ``infeasible``."""
     t0 = time.perf_counter()
     stats = SolveStats()
     verdict, cert = VERDICT_INFEASIBLE, None
+    check: Optional[SeedCheck] = None
     for seed_mask in seeds:
         stats.seeds_tried += 1
+        if check is None:
+            check = make_check()
         try:
             witness, states = check(seed_mask)
         except SearchCapExceeded as cap:
@@ -284,10 +302,14 @@ def monotone_closure(
     """Least fixed point of threshold activation from the seed.
 
     Only nodes inside ``restrict_to`` (default: all of V) may activate; the
-    result is independent of activation order.
+    result is independent of activation order. Raises
+    ``InvalidInstanceError`` on a node id outside the graph.
     """
-    restrict = graph.full_mask() if restrict_to is None else mask_of(restrict_to)
-    seed_mask = mask_of(seed)
+    seed_mask = mask_of(seed_ids(list(seed), graph.n))
+    if restrict_to is None:
+        restrict = graph.full_mask()
+    else:
+        restrict = mask_of(seed_ids(list(restrict_to), graph.n, "restrict_to"))
     if seed_mask & ~restrict:
         raise ValueError("seed must lie inside restrict_to")
     return nodes_of(_closure(_node_table(graph.adj_masks, thresholds), seed_mask, restrict)[0])
@@ -467,18 +489,17 @@ def _direct_check(
 
 
 def _direct_or_bfs_check(
-    direct: SeedCheck, bfs: SeedCheck, settled: list[int], seed_mask: int
+    direct: SeedCheck, bfs: SeedCheck, replay: Iterator[int], seed_mask: int
 ) -> tuple[Optional[Witness], int]:
     """``direct``, or where its closures cap, ``bfs`` under the same cap on
-    each seed ``settled`` lists, those tried since its last run and this one
-    last, so its dead set is an all-BFS solve's. The states count every call."""
-    settled.append(seed_mask)
+    each seed ``replay`` yields up to this one: the canonical seeds since its
+    last run, those no pool tried included, so its dead set is an all-BFS
+    solve's. The states count every call."""
     try:
         return direct(seed_mask)
     except SearchCapExceeded as cap:
         states = cap.states
-    while settled:
-        mask = settled.pop(0)
+    for mask in replay:
         try:
             witness, searched = bfs(mask)
         except SearchCapExceeded as cap:
@@ -487,20 +508,23 @@ def _direct_or_bfs_check(
                 raise
             searched = cap.states
         states += searched
+        if mask == seed_mask:
+            break
     return witness, states
 
 
-def _forced_seed_mask(adj_masks: Sequence[int], thresholds: Sequence[int], s_mask: int) -> int:
-    """Snapshot nodes with fewer than their threshold of neighbors inside S.
-
-    Under monotone dynamics, simultaneous or sequential, every configuration
-    before a match lies inside S, so such a node can never activate before
-    the match and must already be in the seed.
-    """
-    return mask_of(
-        v for v in iter_bits(s_mask)
-        if (adj_masks[v] & s_mask).bit_count() < thresholds[v]
-    )
+def _forced(adj_masks: Sequence[int], thresholds: Sequence[int], s_mask: int) -> tuple[int, int]:
+    """F, the snapshot nodes with fewer than their threshold of neighbours
+    inside S, and the nodes adjacent to every node of F when each has
+    exactly one neighbour too few (all of V for F empty; none if some node
+    of F falls two or more short)."""
+    forced, common = 0, -1
+    for v in iter_bits(s_mask):
+        deficit = thresholds[v] - (adj_masks[v] & s_mask).bit_count()
+        if deficit > 0:
+            forced |= 1 << v
+            common &= adj_masks[v] if deficit == 1 else 0
+    return forced, common
 
 
 def _simultaneous_fate(
@@ -542,31 +566,52 @@ def _simultaneous_fate(
     return SimultaneousWitness(len(path)), len(path)
 
 
-def _seeds(instance: SnapshotInstance) -> Iterator[int]:
-    """Candidate seed masks of the instance's mode: all of V, or under
-    monotone dynamics the supersets of the forced set inside S."""
-    if not instance.mode.monotone:
-        return _seed_masks(range(instance.n), 0, instance.budget)
-    s_mask = instance.snapshot_mask()
-    forced = _forced_seed_mask(instance.graph.adj_masks, instance.thresholds, s_mask)
-    return _seed_masks(instance.snapshot, forced, instance.budget)
+def _seed_pool(instance: SnapshotInstance, s_mask: int) -> tuple[str, Optional[int], Iterable[int]]:
+    """The candidate seed masks of the instance's mode in canonical order,
+    the name of the rule that drew them, and F where the rule reads it (the
+    module docstring has the rules)."""
+    n, budget, mode = instance.n, instance.budget, instance.mode
+    if not mode.monotone and (mode.simultaneous or budget > 1):
+        return "all of V", None, _seed_masks(range(n), 0, budget)
+    thresholds = instance.thresholds
+    forced, common = _forced(instance.graph.adj_masks, thresholds, s_mask)
+    if mode.monotone:
+        return "supersets of F in S", forced, _seed_masks(instance.snapshot, forced, budget)
+    seeds = [] if forced else [0]
+    if budget:
+        # u0 in S needs F inside {u0}; u0 outside S must be able to switch off
+        inside = s_mask if not forced else 0 if forced & (forced - 1) else forced
+        outside = common & instance.graph.full_mask() & ~s_mask
+        outside = mask_of(v for v in iter_bits(outside) if thresholds[v])
+        seeds += [1 << v for v in iter_bits(inside | outside)]
+    return "clearing", forced, seeds
 
 
-def _seed_check(instance: SnapshotInstance, limits: SearchLimits) -> SeedCheck:
+def _seed_check(
+    instance: SnapshotInstance,
+    s_mask: int,
+    limits: SearchLimits,
+    replay: Optional[Iterable[int]] = None,
+) -> SeedCheck:
     """The per-seed check of the instance's mode and, non-monotone
-    sequential, its budget: closures for budget <= 1 (the BFS where they
-    cap), else the BFS. One memo serves all its seeds: the response masks of
-    runs that never match (simultaneous), or the states that cannot reach S
-    (the BFS)."""
+    sequential, its budget: closures for budget <= 1, else the BFS. Where
+    the closures of a seed cap, the BFS searches the seeds of ``replay`` up
+    to that one (by default every seed of size <= budget, in canonical
+    order). One memo serves all its seeds: the response masks of runs that
+    never match (simultaneous), or the states that cannot reach S (the
+    BFS)."""
     table = _node_table(instance.graph.adj_masks, instance.thresholds)
-    s_mask = instance.snapshot_mask()
     if instance.mode.simultaneous:
         return partial(_simultaneous_fate, table, s_mask, instance.mode.monotone, {})
     direct = partial(_direct_check, table, s_mask, limits.max_states)
     if instance.mode.monotone:
         return direct
     bfs = partial(_bfs_check, table, s_mask, limits.max_states, set())
-    return partial(_direct_or_bfs_check, direct, bfs, []) if instance.budget <= 1 else bfs
+    if instance.budget > 1:
+        return bfs
+    if replay is None:
+        replay = _seed_masks(range(instance.n), 0, instance.budget)
+    return partial(_direct_or_bfs_check, direct, bfs, iter(replay))
 
 
 def _reachable_mask_set(
@@ -611,8 +656,16 @@ def reachable_configs(
 
 def solve(instance: SnapshotInstance, limits: SearchLimits = DEFAULT_LIMITS) -> SolveOutcome:
     """Decide the instance under its own dynamics mode: the one decision entry
-    for every mode."""
-    return _search(_seeds(instance), _seed_check(instance, limits))
+    for every mode. The seed pool is drawn before the node table, which is
+    built only once a seed is tried; one DEBUG line names the pool."""
+    s_mask = instance.snapshot_mask()
+    rule, forced, seeds = _seed_pool(instance, s_mask)
+    if log.isEnabledFor(logging.DEBUG):
+        seeds = list(seeds)
+        if forced is None:
+            forced = _forced(instance.graph.adj_masks, instance.thresholds, s_mask)[0]
+        log.debug("seed pool %s: %d seeds, |F| = %d", rule, len(seeds), forced.bit_count())
+    return _search(seeds, partial(_seed_check, instance, s_mask, limits))
 
 
 def seed_feasible(
@@ -627,6 +680,7 @@ def seed_feasible(
     if instance.mode.monotone and not seed_set <= instance.snapshot:
         return None  # a monotone run keeps its seed active
     # the seed's size as the budget: closures for one node or none, else the BFS
-    check = _seed_check(replace(instance, budget=len(seed_set)), limits)
-    witness, _ = check(mask_of(seed_set))
+    seed_mask = mask_of(seed_set)
+    sized = replace(instance, budget=len(seed_set))
+    witness, _ = _seed_check(sized, instance.snapshot_mask(), limits, [seed_mask])(seed_mask)
     return None if witness is None else Certificate(seed_set, witness)

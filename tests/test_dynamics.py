@@ -170,6 +170,20 @@ def test_legal_moves_rejects_node_ids_outside_the_graph(star4, active):
         legal_moves(star4, T4, frozenset(active), PLAIN_SEQUENTIAL)
 
 
+@pytest.mark.parametrize("seed", [{9}, {-1}, {0, 4}])
+def test_apply_ordering_rejects_seed_ids_outside_the_graph(star4, seed):
+    for mode in (PLAIN_SEQUENTIAL, MONOTONE_SEQUENTIAL):
+        with pytest.raises(InvalidInstanceError, match=r"seed ids \[\S+\] outside 0\.\.3"):
+            apply_ordering(star4, T4, frozenset(seed), [0], mode)
+
+
+@pytest.mark.parametrize("seed", [{9}, {-1}, {0, 4}])
+def test_run_simultaneous_rejects_seed_ids_outside_the_graph(star4, seed):
+    for mode in (PLAIN_SIMULTANEOUS, MONOTONE_SIMULTANEOUS):
+        with pytest.raises(InvalidInstanceError, match=r"seed ids \[\S+\] outside 0\.\.3"):
+            run_simultaneous(star4, T4, frozenset(seed), mode)
+
+
 def test_legal_moves_requires_sequential(star4):
     with pytest.raises(ValueError):
         legal_moves(star4, T4, cfg(), PLAIN_SIMULTANEOUS)

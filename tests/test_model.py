@@ -88,6 +88,12 @@ def test_closed_neighborhood_star4(star4):
     assert closed_neighborhood(star4, set()) == frozenset()
 
 
+@pytest.mark.parametrize("ids", [[9], [-1], [0, 4], [True]])
+def test_closed_neighborhood_rejects_node_ids_outside_the_graph(star4, ids):
+    with pytest.raises(InvalidInstanceError, match=r"^node ids \[\S+\] outside 0\.\.3$"):
+        closed_neighborhood(star4, ids)
+
+
 def test_induced_subgraph_star4_leaves(star4):
     sub, sub_t = induced_subgraph(star4, (1, 2, 1, 1), [2, 0, 2])
     assert sub.n == 2 and sub.edges() == []

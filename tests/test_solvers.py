@@ -43,7 +43,7 @@ from snapshot_lab.solvers import (
     _closure,
     _direct_check,
     _seed_masks,
-    _seeds,
+    _seed_pool,
     _simultaneous_fate,
 )
 
@@ -80,6 +80,14 @@ def test_monotone_closure_respects_restriction(star4):
     assert monotone_closure(star4, T4, {1}, restrict_to={1, 2}) == frozenset({1, 2})
     with pytest.raises(ValueError):
         monotone_closure(star4, T4, {0}, restrict_to={1})
+
+
+@pytest.mark.parametrize("ids", [[9], [-1], [0, 4], [True]])
+def test_monotone_closure_rejects_node_ids_outside_the_graph(star4, ids):
+    with pytest.raises(InvalidInstanceError, match=r"^seed ids \[\S+\] outside 0\.\.3$"):
+        monotone_closure(star4, T4, ids)
+    with pytest.raises(InvalidInstanceError, match=r"^restrict_to ids \[\S+\] outside 0\.\.3$"):
+        monotone_closure(star4, T4, [0], restrict_to=[0, 1] + ids)
 
 
 @given(small_instances())
@@ -341,13 +349,15 @@ def test_capped_seed_check_logs_one_debug_line(caplog):
     # 33 states, the leaf locking on beside the center, and later searches
     # skip the states earlier ones proved dead
     inst = _hub_instance({1, 2, 3}, 2)
+    pool = ("snapshot_lab", "DEBUG", "seed pool all of V: 29 seeds, |F| = 3")
     assert solve(inst, SearchLimits(max_states=63)).verdict == "resource_cap_hit"
     assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        pool,
         ("snapshot_lab", "DEBUG", "seed [0] hit the state cap with 63 states stored"),
     ]
     caplog.clear()
     assert solve(inst).verdict == "infeasible"
-    assert caplog.records == []
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [pool]
 
 
 def test_stats_are_populated(star4_instance):
@@ -456,7 +466,7 @@ def test_simultaneous_memo_holds_exact_responses_of_runs_that_never_match(instan
     table = _node_table(graph.adj_masks, thresholds)
     memo: dict[int, int] = {}
     checked: set[int] = set()
-    for seed_mask in _seeds(instance):
+    for seed_mask in _seed_pool(instance, mask_of(s))[2]:
         witness, _ = _simultaneous_fate(table, mask_of(s), instance.mode.monotone, memo, seed_mask)
         run = run_simultaneous(graph, thresholds, nodes_of(seed_mask), instance.mode, target=s)
         assert (witness and witness.match_time) == run.trace.match_time
@@ -528,6 +538,105 @@ def _bfs_moves(instance, seed, max_states=None):
         state, move = parents[state]
         moves.append(move)
     return tuple(reversed(moves))
+
+
+def _assert_matching_seeds_lie_in_the_pool(instance) -> set[str]:
+    """The clearing pool of a plain sequential instance of budget <= 1 keeps
+    the canonical order and every seed whose reference search reaches S.
+    Returns the kinds of seeds it covered: kept or dropped, by whether F is
+    empty and where the seed node lies."""
+    s_mask = instance.snapshot_mask()
+    rule, forced, pool = _seed_pool(instance, s_mask)
+    assert rule == "clearing"
+    canonical = list(_seed_masks(range(instance.n), 0, instance.budget))
+    assert pool == [m for m in canonical if m in pool]
+    kinds = set()
+    for seed_mask in canonical:
+        matched = _bfs_moves(instance, nodes_of(seed_mask)) is not None
+        assert seed_mask in pool or not matched
+        where = "empty" if not seed_mask else "in S" if seed_mask & s_mask else "outside S"
+        state = "matched" if matched else "kept" if seed_mask in pool else "dropped"
+        kinds.add(f"F {'nonempty' if forced else 'empty'}, seed {where}, {state}")
+    return kinds
+
+
+@given(small_instances(max_n=8, max_budget=1, modes=[PLAIN_SEQUENTIAL]))
+@example(  # F = {0, 1}, each one neighbour short, and node 2 their common neighbour
+    SnapshotInstance(Graph.from_edges(3, [(0, 2), (2, 1)]), (1, 1, 1), frozenset({0, 1}), 1, PLAIN_SEQUENTIAL)
+)
+@settings(max_examples=300, deadline=None)
+def test_every_matching_budget_one_seed_lies_in_the_clearing_pool(instance):
+    _assert_matching_seeds_lie_in_the_pool(instance)
+
+
+def test_every_matching_budget_one_seed_lies_in_the_clearing_pool_on_stream():
+    kinds = set()
+    for snapshot_mode in ("arbitrary", "reachable"):
+        params = GeneratorParams(
+            n_min=2, n_max=9, edge_prob=0.35, threshold_law="mixed", budget_min=0,
+            budget_max=1, snapshot_mode=snapshot_mode, mode=PLAIN_SEQUENTIAL, rng_seed=20,
+        )
+        for instance in itertools.islice(instance_stream(params), 150):
+            kinds |= _assert_matching_seeds_lie_in_the_pool(instance)
+    for kind in (
+        "F empty, seed empty, matched", "F empty, seed in S, matched",
+        "F empty, seed outside S, dropped", "F nonempty, seed empty, dropped",
+        "F nonempty, seed in S, matched", "F nonempty, seed in S, dropped",
+        "F nonempty, seed outside S, matched", "F nonempty, seed outside S, kept",
+        "F nonempty, seed outside S, dropped",
+    ):
+        assert kind in kinds
+
+
+def test_capped_closures_search_the_seeds_the_pool_dropped():
+    # path 0 - 2 - 1, S = {0, 1}: both lack their one neighbour, so the pool
+    # is {2}, whose closures cap at 3. The search that takes over runs {},
+    # {0} and {1} first, as an all-search solve would, and their dead states
+    # keep the search from {2} under the cap
+    inst = SnapshotInstance(
+        Graph.from_edges(3, [(0, 2), (2, 1)]), (1, 1, 1), frozenset({0, 1}), 1, PLAIN_SEQUENTIAL
+    )
+    assert _seed_pool(inst, inst.snapshot_mask())[2] == [0b100]
+    out = solve(inst, SearchLimits(max_states=3))
+    assert out.verdict == "infeasible"
+    assert out.to_dict()["stats"] == {"seeds_tried": 1, "states_expanded": 13}
+    assert solve(inst, SearchLimits(max_states=2)).verdict == "resource_cap_hit"
+
+
+def test_an_empty_seed_pool_is_infeasible_without_a_seed(caplog):
+    caplog.set_level(logging.DEBUG, logger="snapshot_lab")
+    # path 0 - 1 - 2 - 3, S = {0, 3}: each end lacks its one neighbour, and
+    # no node neighbours both
+    inst = SnapshotInstance(
+        Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), (1,) * 4, frozenset({0, 3}), 1, PLAIN_SEQUENTIAL
+    )
+    out = solve(inst)
+    assert out.verdict == "infeasible"
+    assert out.to_dict()["stats"] == {"seeds_tried": 0, "states_expanded": 0}
+    assert _sequential_reference(inst)[0] == "infeasible"
+    assert [r.getMessage() for r in caplog.records] == ["seed pool clearing: 0 seeds, |F| = 2"]
+
+
+def test_each_solve_logs_its_seed_pool(caplog, star4_instance):
+    caplog.set_level(logging.DEBUG, logger="snapshot_lab")
+    # S = {0, 1, 2} under T4: node 1 has two neighbours in S, the leaves one
+    # each, so F is empty
+    solve(star4_instance({0, 1, 2}, 1, MONOTONE_SIMULTANEOUS))
+    solve(star4_instance({0, 2, 3}, 2, MONOTONE_SEQUENTIAL))
+    solve(star4_instance({0, 1, 2}, 1, PLAIN_SEQUENTIAL))
+    solve(star4_instance({0, 2}, 1, PLAIN_SEQUENTIAL))
+    solve(star4_instance({0, 2}, 2, PLAIN_SEQUENTIAL))
+    solve(star4_instance({0, 2}, 1, PLAIN_SIMULTANEOUS))
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("snapshot_lab", "DEBUG", message) for message in (
+            "seed pool supersets of F in S: 4 seeds, |F| = 0",
+            "seed pool supersets of F in S: 0 seeds, |F| = 3",
+            "seed pool clearing: 5 seeds, |F| = 0",
+            "seed pool clearing: 1 seeds, |F| = 2",
+            "seed pool all of V: 11 seeds, |F| = 2",
+            "seed pool all of V: 5 seeds, |F| = 2",
+        )
+    ]
 
 
 def test_seed_feasible_searches_a_seed_of_two_nodes_at_budget_one(hub_pair, star4_instance):
@@ -720,11 +829,16 @@ def _hub_of_forty_leaves(leaf_threshold: int, leaf_path: bool) -> SnapshotInstan
 
 
 def test_k1_solver_on_a_high_threshold_hub_of_large_degree():
-    # C(40, 19) neighbour sets of the hub, but no leaf can switch on while
-    # the hub is on, so only the empty one is tried
-    out = solve(_hub_of_forty_leaves(2, leaf_path=False))
+    # every leaf has no neighbour in S and threshold 2, and one seed node
+    # supplies at most one, so the seed pool is empty and no closure runs
+    inst = _hub_of_forty_leaves(2, leaf_path=False)
+    out = solve(inst)
     assert out.verdict == "infeasible"
-    assert out.stats.seeds_tried == 42 and out.stats.states_expanded == 43
+    assert out.stats.seeds_tried == 0 and out.stats.states_expanded == 0
+    # the hub's own closures: C(40, 19) neighbour sets, but no leaf can
+    # switch on while the hub is on, so only the empty one is tried
+    table = _node_table(inst.graph.adj_masks, inst.thresholds)
+    assert _direct_check(table, inst.snapshot_mask(), DEFAULT_LIMITS.max_states, 1) == (None, 2)
     # the first neighbour set, leaves 1..19, lets the path finish after the
     # hub switches off
     out = solve(_hub_of_forty_leaves(1, leaf_path=True))
@@ -744,13 +858,15 @@ def test_capped_closures_hand_the_seed_to_the_search():
     # hub's closures visit 3,246 configurations, C(11, 5) neighbour sets of
     # 7 visits each, but the search from {0} stores 3,072 (every leaf set
     # with the hub on, the sets of at most 5 with it off), 3,071 besides
-    # the {} the empty seed proves dead
+    # the {} the empty seed proves dead. Every leaf lacks one neighbour in
+    # S, so the pool is the hub alone; the search still runs the empty seed
+    # first, as an all-search solve would
     graph = Graph.from_edges(12, [(0, v) for v in range(1, 12)])
     inst = SnapshotInstance(graph, (6,) + (1,) * 11, frozenset(range(1, 12)), 1, PLAIN_SEQUENTIAL)
     table = _node_table(graph.adj_masks, inst.thresholds)
     assert _direct_check(table, inst.snapshot_mask(), 10**6, 1) == (None, 3246)
     with pytest.raises(SearchCapExceeded):
         _direct_check(table, inst.snapshot_mask(), 3071, 1)
-    assert solve(inst).stats.states_expanded == 3258
+    assert solve(inst).stats.states_expanded == 3246
     assert solve(inst, SearchLimits(max_states=3071)).verdict == "infeasible"
     assert solve(inst, SearchLimits(max_states=3070)).verdict == "resource_cap_hit"
