@@ -75,8 +75,11 @@ def best_response(
 ) -> bool:
     """True iff the node's best response is to be active: at least
     ``thresholds[node]`` of its neighbors are in ``active``. Threshold 0 means
-    the active state is always the best response."""
-    return (graph.adj_masks[node] & mask_of(active)).bit_count() >= thresholds[node]
+    the active state is always the best response. Raises
+    ``InvalidInstanceError`` on an active or node id outside the graph."""
+    active_mask = mask_of(seed_ids(list(active), graph.n, "active"))
+    seed_ids([node], graph.n, "node")
+    return (graph.adj_masks[node] & active_mask).bit_count() >= thresholds[node]
 
 
 # One row per node: (neighbour mask, threshold, node bit).
@@ -159,7 +162,7 @@ def run_simultaneous(
     exact detection), or the step cap ``max_steps`` if one is given: the
     state space is finite, so every uncapped run ends. Deterministic; this
     is the reference run that ``simulate`` and certificate replay use.
-    Raises ``InvalidInstanceError`` on a seed id outside the graph.
+    Raises ``InvalidInstanceError`` on a seed or target id outside the graph.
     """
     if not mode.simultaneous:
         raise ValueError("run_simultaneous requires simultaneous order dynamics")
@@ -167,7 +170,7 @@ def run_simultaneous(
         raise ValueError("max_steps must be >= 1")
     seed = seed_ids(list(seed), graph.n)
     table, seed_mask = _node_table(graph.adj_masks, thresholds), mask_of(seed)
-    target_mask = None if target is None else mask_of(target)
+    target_mask = None if target is None else mask_of(seed_ids(list(target), graph.n, "target"))
 
     steps: list[TraceStep] = []
     match_time: Optional[int] = None
@@ -233,16 +236,15 @@ def apply_ordering(
     whose best response equals its state is a legal no-op that still advances
     time. Under monotone dynamics active nodes never deactivate. match_time is
     the first prefix (time 0 included) whose active set equals the target.
-    Raises ``InvalidInstanceError`` on a seed id outside the graph.
+    Raises ``InvalidInstanceError`` on a seed, ordering or target id outside
+    the graph.
     """
     if not mode.sequential:
         raise ValueError("apply_ordering requires sequential order dynamics")
     seed = seed_ids(list(seed), graph.n)
+    seed_ids(list(ordering), graph.n, "ordering")
     table = _node_table(graph.adj_masks, thresholds)
-    for v in ordering:
-        if not (0 <= v < graph.n):
-            raise ValueError(f"ordering selects node {v}, outside 0..{graph.n - 1}")
-    target_mask = None if target is None else mask_of(target)
+    target_mask = None if target is None else mask_of(seed_ids(list(target), graph.n, "target"))
     active = mask_of(seed)
     match_time: Optional[int] = None
     if target_mask is not None and active == target_mask:

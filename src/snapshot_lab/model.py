@@ -378,8 +378,9 @@ def induced_subgraph(
     The rows of the kept nodes, masked to s, lose the bit of each dropped
     node, highest first: the bits below it stay and the bits above it move
     down one place. An induced subgraph of a checked graph needs no check.
+    Raises ``InvalidInstanceError`` on a kept id outside the graph.
     """
-    kept = sorted(set(s))
+    kept = sorted(seed_ids(list(s), graph.n, "kept"))
     kept_mask = mask_of(kept)
     rows = [graph.adj_masks[u] & kept_mask for u in kept]
     for v in reversed(list(iter_bits(graph.full_mask() & ~kept_mask))):

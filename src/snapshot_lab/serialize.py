@@ -185,12 +185,10 @@ def certificate_from_dict(data, n: int) -> Certificate:
         raise InvalidInstanceError(
             ["certificate 'ordering' must be a list of [node, 'on'|'off'] pairs"]
         )
+    seed_ids([node for node, _ in ordering], n, "ordering")
     # from a list, as in dynamics._node_table
     moves = tuple([*map(Move.from_wire, ordering)])
     prefix = _witness_int(witness, "match_prefix", len(moves))
-    for move in moves:
-        if not 0 <= move.node < n:
-            raise InvalidInstanceError([f"ordering selects node {move.node}, outside 0..{n - 1}"])
     return Certificate(seed_set, SequentialWitness(moves, prefix))
 
 

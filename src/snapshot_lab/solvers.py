@@ -26,17 +26,19 @@ fail, so the reported seed and witness do not depend on it:
   match every configuration lies inside S, so a node of F can never
   activate and must be seeded; |F| > k is infeasible without trying a
   seed;
-* plain sequential of budget <= 1, the clearing pool: the empty seed if F
-  is empty, a node u0 of S if F lies inside {u0}, and a node u0 outside S
-  if t(u0) >= 1 and every node of F lacks exactly one neighbour in S and
-  neighbours u0. Proof, from the clearing lemma below: S is reached along a
-  direct path, on which only nodes of S switch on and only u0 switches
-  off, so a node of F that is not the seed switches on with at most u0
-  beyond its neighbours in S, and u0 outside S must switch off, which
-  t(u0) = 0 forbids;
-* any other mode: seeds range over all of V (a seed can sit at distance
-  >= 2 from the snapshot it produces, so no neighborhood prune is sound in
-  general).
+* plain sequential, at every budget, the clearing pool for the seeds of at
+  most one node: the empty seed if F is empty, a node u0 of S if F lies
+  inside {u0}, and a node u0 outside S if t(u0) >= 1 and every node of F
+  lacks exactly one neighbour in S and neighbours u0. Proof, from the
+  clearing lemma below: S is reached along a direct path, on which only
+  nodes of S switch on and only u0 switches off, so a node of F that is
+  not the seed switches on with at most u0 beyond its neighbours in S, and
+  u0 outside S must switch off, which t(u0) = 0 forbids. Every seed of two
+  or more nodes follows, all of V (the canonical masks after the first
+  n + 1);
+* plain simultaneous: seeds range over all of V (a seed can sit at
+  distance >= 2 from the snapshot it produces, so no neighborhood prune is
+  sound in general).
 
 Per-seed checks:
 
@@ -59,10 +61,10 @@ Per-seed checks:
   hit. Later sweeps use the full kernel. The configuration space is
   finite, so exact repeat detection settles every run and no step cap is
   needed. A ``Trace`` is built only when a certificate is replayed;
-* monotone sequential, and non-monotone sequential of budget <= 1:
-  ``_direct_check``, closures and no search (below), unless they cap;
-* non-monotone sequential of budget >= 2: ``_bfs``, the one breadth-first
-  search over single best-response moves. Any node may switch on, and node
+* monotone sequential, and a non-monotone sequential seed of at most one
+  node: ``_direct_check``, closures and no search (below), unless they cap;
+* a non-monotone sequential seed of two or more nodes: ``_bfs``, the one
+  breadth-first search over single best-response moves. Any node may switch on, and node
   v may switch off if bit v of ``off`` is set: the plain search uses off =
   V, the monotone reachability of the oracles off = {}. Moves expand in
   ascending node id, so each level's states leave the queue in the order of
@@ -92,10 +94,14 @@ after it, so leaving w's activation out keeps every later move legal (u0's
 switch-off only gains), a direct path to c - w. A seed node with no
 neighbour in S supports no node of a direct path to S, so the empty seed,
 tried first, reaches S too. The lemma fails for two seeds (the hub pair of
-the verification tests needs relays outside S), so budget >= 2 keeps the
-BFS, chosen by the instance's budget, not per seed: a budget-2 solve's BFS
-of its empty and one-node seeds fills the dead set that settles most of
-its pairs.
+the verification tests needs relays outside S), so the decider is chosen
+per seed, not by the budget: closures for a seed of at most one node, the
+BFS for a larger one. Every seed of at most one node precedes every pair
+in canonical order, so verdict, seed and witness are those of a solve
+that searches every seed. The dead states of the small seeds' searches
+barely shrink the pairs' searches: budget-2 solves of arbitrary snapshots
+expand 573.0 states each without those searches against 575.3 with them
+(seq-search benchmark, seeds 1 and 2).
 
 So S is reachable from D iff it has a direct path, which ``_direct_path``
 decides by closures from any configuration on one (D plus nodes of S):
@@ -130,15 +136,23 @@ nothing and adds nothing to the dead set, which holds at most
 one seed's check, decision and witness alike, count the configurations they
 visit (each closure's start and one per activation) and stop before another
 Y once they have visited ``max_states``. They count repeats, so they can cap
-where a search fits; ``_direct_or_bfs_check`` then searches every canonical
-seed since its last search through this one, those the clearing pool
-dropped included, so its dead set is an all-BFS solve's, and a budget-1
-solve caps only where an all-BFS one does. A check that caps raises
-``SearchCapExceeded`` carrying the states it used, and ``_search`` is the only
-place that turns it into a verdict: "infeasible" is only ever reported
-after every candidate was checked (or its pool proves it for every
-seed); if any check capped first, the verdict degrades to
-"resource_cap_hit" instead of risking a silent false negative.
+where a search fits, and the search of a pair can cap where the same
+search fits under the dead set the small seeds' searches would have left.
+So at the first cap ``_plain_sequential_check`` clears its dead set and
+searches every canonical seed up to the capped one, those decided by
+closures or dropped by the clearing pool included. From then on a solve
+of budget >= 2 decides each seed as an all-search solve does, searching
+it after every canonical seed before it, so a verdict, seed or witness
+that differs from that solve's is the uncapped one; a budget-1 solve
+searches only the seeds whose closures cap, after those since its last
+search. Every search from the first cap on sees an all-search solve's
+dead set, so a solve caps only where an all-search one does. A check
+that caps raises ``SearchCapExceeded`` carrying the states it used, and
+``_search`` is the only place that turns it into a verdict: "infeasible"
+is only ever reported after every candidate was checked (or its pool
+proves it for every seed); if any check capped first, the verdict
+degrades to "resource_cap_hit" instead of risking a silent false
+negative.
 
 Every check reads the node table of ``dynamics._node_table``, built once
 per solve by ``_seed_check`` at its first seed (once per enumeration or
@@ -157,10 +171,10 @@ from __future__ import annotations
 import logging
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Sequence
 
 from .dynamics import NodeTable, _node_table, _response_after_flip, _response_mask, _step_mask
@@ -488,31 +502,6 @@ def _direct_check(
     return SequentialWitness(moves, len(moves)), states
 
 
-def _direct_or_bfs_check(
-    direct: SeedCheck, bfs: SeedCheck, replay: Iterator[int], seed_mask: int
-) -> tuple[Optional[Witness], int]:
-    """``direct``, or where its closures cap, ``bfs`` under the same cap on
-    each seed ``replay`` yields up to this one: the canonical seeds since its
-    last run, those no pool tried included, so its dead set is an all-BFS
-    solve's. The states count every call."""
-    try:
-        return direct(seed_mask)
-    except SearchCapExceeded as cap:
-        states = cap.states
-    for mask in replay:
-        try:
-            witness, searched = bfs(mask)
-        except SearchCapExceeded as cap:
-            if mask == seed_mask:
-                cap.states += states
-                raise
-            searched = cap.states
-        states += searched
-        if mask == seed_mask:
-            break
-    return witness, states
-
-
 def _forced(adj_masks: Sequence[int], thresholds: Sequence[int], s_mask: int) -> tuple[int, int]:
     """F, the snapshot nodes with fewer than their threshold of neighbours
     inside S, and the nodes adjacent to every node of F when each has
@@ -571,7 +560,7 @@ def _seed_pool(instance: SnapshotInstance, s_mask: int) -> tuple[str, Optional[i
     the name of the rule that drew them, and F where the rule reads it (the
     module docstring has the rules)."""
     n, budget, mode = instance.n, instance.budget, instance.mode
-    if not mode.monotone and (mode.simultaneous or budget > 1):
+    if mode.simultaneous and not mode.monotone:
         return "all of V", None, _seed_masks(range(n), 0, budget)
     thresholds = instance.thresholds
     forced, common = _forced(instance.graph.adj_masks, thresholds, s_mask)
@@ -584,7 +573,58 @@ def _seed_pool(instance: SnapshotInstance, s_mask: int) -> tuple[str, Optional[i
         outside = common & instance.graph.full_mask() & ~s_mask
         outside = mask_of(v for v in iter_bits(outside) if thresholds[v])
         seeds += [1 << v for v in iter_bits(inside | outside)]
-    return "clearing", forced, seeds
+    if budget < 2:
+        return "clearing", forced, seeds
+    # every seed of two or more nodes: the canonical masks after {} and the n singletons
+    larger = islice(_seed_masks(range(n), 0, budget), n + 1, None)
+    return "clearing, then all of V", forced, chain(seeds, larger)
+
+
+def _plain_sequential_check(
+    table: NodeTable, s_mask: int, max_states: int, replay: Iterable[int], sticky: bool
+) -> SeedCheck:
+    """The plain sequential check, chosen per seed: closures
+    (``_direct_check``) decide a seed of at most one node, the BFS
+    (``_bfs_check``) a larger one, and the searches share one dead set.
+
+    The first cap clears that set and hands the seed to the BFS, which
+    first searches the seeds ``replay`` yields before it; from then on each
+    search runs after the replay seeds before its seed, so it sees the dead
+    set of a solve that searched every replay seed (the module docstring has
+    why). ``sticky`` hands the BFS every later seed; otherwise closures
+    still decide first. A seed that ``replay`` does not hold keeps its cap:
+    a larger one searched again under the same dead set would cap again."""
+    direct = partial(_direct_check, table, s_mask, max_states)
+    dead: set[int] = set()
+    bfs = partial(_bfs_check, table, s_mask, max_states, dead)
+    pending: Optional[Iterator[int]] = None  # replay, from the first cap on
+
+    def check(seed_mask: int) -> tuple[Optional[Witness], int]:
+        nonlocal pending
+        small = not seed_mask & (seed_mask - 1)
+        states = 0
+        if pending is None or small and not sticky:
+            try:
+                return (direct if small else bfs)(seed_mask)
+            except SearchCapExceeded as cap:
+                states = cap.states
+            if pending is None:
+                pending = iter(replay)
+                dead.clear()
+        for mask in pending:
+            try:
+                witness, searched = bfs(mask)
+            except SearchCapExceeded as cap:
+                if mask == seed_mask:
+                    cap.states += states
+                    raise
+                searched = cap.states
+            states += searched
+            if mask == seed_mask:
+                return witness, states
+        raise SearchCapExceeded(f"configuration search exceeded max_states={max_states}", states)
+
+    return check
 
 
 def _seed_check(
@@ -593,25 +633,20 @@ def _seed_check(
     limits: SearchLimits,
     replay: Optional[Iterable[int]] = None,
 ) -> SeedCheck:
-    """The per-seed check of the instance's mode and, non-monotone
-    sequential, its budget: closures for budget <= 1, else the BFS. Where
-    the closures of a seed cap, the BFS searches the seeds of ``replay`` up
-    to that one (by default every seed of size <= budget, in canonical
-    order). One memo serves all its seeds: the response masks of runs that
-    never match (simultaneous), or the states that cannot reach S (the
-    BFS)."""
+    """The per-seed check of the instance's mode: the simultaneous run,
+    closures (monotone sequential) or ``_plain_sequential_check``, whose
+    searches after a cap replay ``replay`` (by default every seed of size
+    <= budget, in canonical order). One memo serves all its seeds: the
+    response masks of runs that never match (simultaneous), or the states
+    that cannot reach S (the BFS)."""
     table = _node_table(instance.graph.adj_masks, instance.thresholds)
     if instance.mode.simultaneous:
         return partial(_simultaneous_fate, table, s_mask, instance.mode.monotone, {})
-    direct = partial(_direct_check, table, s_mask, limits.max_states)
     if instance.mode.monotone:
-        return direct
-    bfs = partial(_bfs_check, table, s_mask, limits.max_states, set())
-    if instance.budget > 1:
-        return bfs
+        return partial(_direct_check, table, s_mask, limits.max_states)
     if replay is None:
         replay = _seed_masks(range(instance.n), 0, instance.budget)
-    return partial(_direct_or_bfs_check, direct, bfs, iter(replay))
+    return _plain_sequential_check(table, s_mask, limits.max_states, replay, instance.budget > 1)
 
 
 def _reachable_mask_set(
@@ -679,8 +714,9 @@ def seed_feasible(
     seed_set = seed_ids(list(seed), instance.n)
     if instance.mode.monotone and not seed_set <= instance.snapshot:
         return None  # a monotone run keeps its seed active
-    # the seed's size as the budget: closures for one node or none, else the BFS
+    # capped closures hand a seed of at most one node to its own search; a
+    # capped search of a larger seed stands
     seed_mask = mask_of(seed_set)
-    sized = replace(instance, budget=len(seed_set))
-    witness, _ = _seed_check(sized, instance.snapshot_mask(), limits, [seed_mask])(seed_mask)
+    replay = [seed_mask] if len(seed_set) <= 1 else []
+    witness, _ = _seed_check(instance, instance.snapshot_mask(), limits, replay)(seed_mask)
     return None if witness is None else Certificate(seed_set, witness)

@@ -6,6 +6,8 @@ import logging
 import random
 from collections import deque
 from dataclasses import replace
+from functools import partial
+from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,12 +38,15 @@ from snapshot_lab.generator import GeneratorParams, instance_stream
 from snapshot_lab.dynamics import _node_table, _response_after_flip, _response_mask
 from snapshot_lab.model import mask_of, nodes_of
 from snapshot_lab.reductions import gadget_sequential_k1, target_set_from_dict
+from snapshot_lab.serialize import load_instance_file
 from snapshot_lab.solvers import (
     DEFAULT_LIMITS,
     SolveOutcome,
     SolveStats,
+    _bfs_check,
     _closure,
     _direct_check,
+    _search,
     _seed_masks,
     _seed_pool,
     _simultaneous_fate,
@@ -325,16 +330,19 @@ def _hub_instance(snapshot, budget):
 
 
 def test_resource_cap_reported_not_infeasible():
-    # budget 2, S = three leaves: infeasible, and the seeds are searched
+    # budget 2, S = three leaves: infeasible, and the seeds are checked
     inst = _hub_instance({1, 2, 3}, 2)
     assert solve(inst).verdict == "infeasible"
     capped = solve(inst, SearchLimits(max_states=2))
     assert capped.verdict == "resource_cap_hit"
-    # the largest reachable set of one seed (the center) has 65 states, but
-    # the empty seed proves the state {} dead before it is searched, so that
-    # search stores 64: a cap of 64 enumerates it in full, a cap of 63 trips
-    assert solve(inst, SearchLimits(max_states=64)).verdict == "infeasible"
-    assert solve(inst, SearchLimits(max_states=63)).verdict == "resource_cap_hit"
+    # closures decide the center, the one seed of the clearing pool, so the
+    # largest search is the first pair's: {0, 1} locks the center on with
+    # the other five leaves free, 32 states. A cap of 32 enumerates it in
+    # full and its dead states settle the later pairs; at a cap of 31 it
+    # trips, as an all-search solve does below 64, where the center's own
+    # search trips
+    assert solve(inst, SearchLimits(max_states=32)).verdict == "infeasible"
+    assert solve(inst, SearchLimits(max_states=31)).verdict == "resource_cap_hit"
     # budget 1, S = two leaves, decided by closures: a cap of 63 is never
     # reached, and at a cap of 2 the center's closures stop before their
     # first neighbour set and its search, run instead, caps too
@@ -343,17 +351,29 @@ def test_resource_cap_reported_not_infeasible():
     assert solve(inst, SearchLimits(max_states=2)).verdict == "resource_cap_hit"
 
 
+def test_seed_feasible_searches_a_capped_pair_once():
+    # {0, 1} stores 32 states (see above); at a cap of 31 its one search
+    # caps, and the cap stands without a second search
+    inst = _hub_instance({1, 2, 3}, 2)
+    assert seed_feasible(inst, {0, 1}, SearchLimits(max_states=32)) is None
+    with pytest.raises(SearchCapExceeded) as capped:
+        seed_feasible(inst, {0, 1}, SearchLimits(max_states=31))
+    assert capped.value.states == 31
+
+
 def test_capped_seed_check_logs_one_debug_line(caplog):
     caplog.set_level(logging.DEBUG, logger="snapshot_lab")
-    # only the center caps at 63 (see above): a leaf's search stores at most
-    # 33 states, the leaf locking on beside the center, and later searches
-    # skip the states earlier ones proved dead
+    # at a cap of 31 (see above) each pair caps and logs one line. {0, 1}
+    # caps first with no dead states, then hands over to the search of the
+    # seeds before it, {} and the singletons, and caps again: 280 states in
+    # all. Every later pair stores 31 states before its cap
     inst = _hub_instance({1, 2, 3}, 2)
-    pool = ("snapshot_lab", "DEBUG", "seed pool all of V: 29 seeds, |F| = 3")
-    assert solve(inst, SearchLimits(max_states=63)).verdict == "resource_cap_hit"
-    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
-        pool,
-        ("snapshot_lab", "DEBUG", "seed [0] hit the state cap with 63 states stored"),
+    pool = ("snapshot_lab", "DEBUG", "seed pool clearing, then all of V: 22 seeds, |F| = 3")
+    assert solve(inst, SearchLimits(max_states=31)).verdict == "resource_cap_hit"
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [pool] + [
+        ("snapshot_lab", "DEBUG", f"seed {list(pair)} hit the state cap with "
+         f"{280 if pair == (0, 1) else 31} states stored")
+        for pair in itertools.combinations(range(7), 2)
     ]
     caplog.clear()
     assert solve(inst).verdict == "infeasible"
@@ -633,7 +653,7 @@ def test_each_solve_logs_its_seed_pool(caplog, star4_instance):
             "seed pool supersets of F in S: 0 seeds, |F| = 3",
             "seed pool clearing: 5 seeds, |F| = 0",
             "seed pool clearing: 1 seeds, |F| = 2",
-            "seed pool all of V: 11 seeds, |F| = 2",
+            "seed pool clearing, then all of V: 7 seeds, |F| = 2",
             "seed pool all of V: 5 seeds, |F| = 2",
         )
     ]
@@ -870,3 +890,58 @@ def test_capped_closures_hand_the_seed_to_the_search():
     assert solve(inst).stats.states_expanded == 3246
     assert solve(inst, SearchLimits(max_states=3071)).verdict == "infeasible"
     assert solve(inst, SearchLimits(max_states=3070)).verdict == "resource_cap_hit"
+
+
+def _all_search(instance, limits=DEFAULT_LIMITS):
+    """The all-search reference of a plain sequential solve: one BFS per
+    canonical seed of size <= k, all sharing one dead set."""
+    table = _node_table(instance.graph.adj_masks, instance.thresholds)
+    check = partial(_bfs_check, table, instance.snapshot_mask(), limits.max_states, set())
+    return _search(_seed_masks(range(instance.n), 0, instance.budget), lambda: check)
+
+
+def _decision(outcome):
+    cert = outcome.certificate
+    return outcome.verdict, cert and cert.seed, cert and cert.witness.ordering
+
+
+def _assert_matches_all_search(instance, caps=()):
+    """Uncapped, the solve decides as the all-search reference. Under each
+    cap it reads ``resource_cap_hit`` only where the reference does, and
+    any verdict, seed or witness that differs from the reference's is the
+    uncapped one."""
+    out = solve(instance)
+    assert _decision(out) == _decision(_all_search(instance))
+    for cap in caps:
+        limits = SearchLimits(max_states=cap)
+        capped, reference = _decision(solve(instance, limits)), _decision(_all_search(instance, limits))
+        if capped[0] == "resource_cap_hit":
+            assert reference[0] == "resource_cap_hit"
+        assert capped in (reference, _decision(out))
+
+
+@given(
+    small_instances(max_n=8, modes=[PLAIN_SEQUENTIAL]),
+    st.integers(min_value=2, max_value=3),
+    st.lists(st.integers(min_value=1, max_value=300), max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_closures_and_larger_seed_searches_match_the_all_search_solve(instance, budget, caps):
+    _assert_matches_all_search(replace(instance, budget=budget), caps)
+
+
+@pytest.mark.parametrize("snapshot_mode", ["arbitrary", "reachable"])
+def test_closures_and_larger_seed_searches_match_the_all_search_solve_on_stream(snapshot_mode):
+    params = GeneratorParams(
+        n_min=7, n_max=10, edge_prob=0.3, threshold_law="le2", budget_min=2,
+        budget_max=3, snapshot_mode=snapshot_mode, mode=PLAIN_SEQUENTIAL, rng_seed=21,
+    )
+    for instance in itertools.islice(instance_stream(params), 40):
+        _assert_matches_all_search(instance, caps=(1, 3, 5, 10, 20, 40, 60, 100, 300))
+
+
+@pytest.mark.parametrize("name", ["hub_pair_corrected.json", "hub_pair_literal.json"])
+def test_closures_and_larger_seed_searches_match_the_all_search_solve_on_hub_pairs(name):
+    instance = load_instance_file(resources.files("snapshot_lab").joinpath("corpus", name))
+    assert instance.mode == PLAIN_SEQUENTIAL and instance.budget == 2
+    _assert_matches_all_search(instance, caps=(1, 50, 100, 186, 187, 188, 300))
