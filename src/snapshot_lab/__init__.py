@@ -60,7 +60,7 @@ from .reductions import (
     gadget_sequential_k1,
     has_target_set,
 )
-from .generator import GeneratorParams, instance_stream, random_instance
+from .generator import GeneratorParams, instance_stream
 from .verification import (
     CHECK_IDS,
     CorpusError,

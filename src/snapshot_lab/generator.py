@@ -93,7 +93,3 @@ def instance_stream(params: GeneratorParams) -> Iterator[SnapshotInstance]:
         yield validate_instance(graph, thresholds, snapshot, budget, mode)
         index += 1
 
-
-def random_instance(params: GeneratorParams) -> SnapshotInstance:
-    """First instance of the stream for the given parameters."""
-    return next(instance_stream(params))

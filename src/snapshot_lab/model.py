@@ -1,6 +1,8 @@
 """Core data model: graphs, thresholds, dynamics modes, instances, traces, certificates.
 
 All types are immutable after construction and safe to share across workers.
+Graphs and snapshot instances are checked once, at construction, however
+they are built, so no later step checks them again.
 Node ids are dense integers 0..n-1; labels are presentation-only. Algorithms
 work on ids (and on int bitmasks internally); every file format carries labels.
 A ``Graph`` keeps one adjacency, a neighbour bitmask per node: degrees, edge
@@ -259,7 +261,13 @@ ALL_MODES = (
 @dataclass(frozen=True)
 class SnapshotInstance(_Slotted):
     """A feasibility question: can some seed of size <= budget produce exactly
-    ``snapshot`` as the active set at some finite time under ``mode``?"""
+    ``snapshot`` as the active set at some finite time under ``mode``?
+
+    Checked once, at construction, as a ``Graph`` is: thresholds, snapshot
+    ids and budget as given must pass ``value_violations`` against the
+    graph, and are stored as a tuple and a frozenset. The graph was checked
+    when it was built. ``dataclasses.replace`` goes through the same check.
+    """
 
     __slots__ = ("graph", "thresholds", "snapshot", "budget", "mode")
     graph: Graph
@@ -267,6 +275,11 @@ class SnapshotInstance(_Slotted):
     snapshot: frozenset[int]
     budget: int
     mode: DynamicsMode
+
+    def __post_init__(self):
+        thresholds, snapshot = _checked_values(self.graph, self.thresholds, self.snapshot, self.budget)
+        object.__setattr__(self, "thresholds", thresholds)
+        object.__setattr__(self, "snapshot", frozenset(snapshot))
 
     @property
     def n(self) -> int:
@@ -414,6 +427,19 @@ def value_violations(
     return violations
 
 
+def _checked_values(
+    graph: Graph, thresholds: Iterable[int], snapshot: Iterable[int], budget: int
+) -> tuple[tuple[int, ...], tuple]:
+    """Thresholds and snapshot as tuples, after ``value_violations`` passes
+    on them; raises ``InvalidInstanceError`` otherwise. The snapshot is
+    checked as a tuple, so a ``True`` in it is rejected, not merged with 1."""
+    thresholds, snapshot = tuple(thresholds), tuple(snapshot)
+    violations = value_violations(graph.n, thresholds, snapshot, budget)
+    if violations:
+        raise InvalidInstanceError(violations)
+    return thresholds, snapshot
+
+
 def validate_instance(
     graph: Graph,
     thresholds: Iterable[int],
@@ -421,22 +447,10 @@ def validate_instance(
     budget: int,
     mode: DynamicsMode,
 ) -> SnapshotInstance:
-    """Check thresholds, snapshot and budget against ``graph`` and return the
-    instance. The graph itself was checked when it was built and is not
-    rebuilt here.
+    """The checked instance: ``SnapshotInstance`` checks its values at
+    construction, and the graph was checked when it was built.
 
     Empty snapshots and budget 0 are both legal: the time-0 configuration of
     the empty seed counts as produced.
     """
-    thresholds = tuple(thresholds)
-    snapshot = tuple(snapshot)
-    violations = value_violations(graph.n, thresholds, snapshot, budget)
-    if violations:
-        raise InvalidInstanceError(violations)
-    return SnapshotInstance(
-        graph=graph,
-        thresholds=thresholds,
-        snapshot=frozenset(snapshot),
-        budget=budget,
-        mode=mode,
-    )
+    return SnapshotInstance(graph, thresholds, snapshot, budget, mode)

@@ -39,6 +39,7 @@ from .model import (
     induced_subgraph,
     validate_instance,
     value_violations,
+    _checked_values,
     _Slotted,
 )
 from .serialize import document_digest, edge_pairs, instance_to_dict, label_list
@@ -55,12 +56,17 @@ from .solvers import (
 @dataclass(frozen=True)
 class TargetSetInstance(_Slotted):
     """Seed-the-whole-graph question: is there a seed of size <= budget whose
-    monotone closure is all of V?"""
+    monotone closure is all of V? Checked once, at construction, as a
+    ``SnapshotInstance`` is; the thresholds are stored as a tuple."""
 
     __slots__ = ("graph", "thresholds", "budget")
     graph: Graph
     thresholds: tuple[int, ...]
     budget: int
+
+    def __post_init__(self):
+        thresholds, _ = _checked_values(self.graph, self.thresholds, (), self.budget)
+        object.__setattr__(self, "thresholds", thresholds)
 
 
 def target_set_to_dict(ts: TargetSetInstance) -> dict:
@@ -87,14 +93,11 @@ def target_set_from_dict(data: dict) -> TargetSetInstance:
         thresholds = tuple(data["thresholds"])
     except TypeError:
         raise InvalidInstanceError(["'thresholds' must be a list"]) from None
-    graph, violations = None, []
     try:
         graph = Graph.from_edges(len(labels), edges, labels)
     except InvalidInstanceError as exc:
-        violations = list(exc.violations)
-    violations += value_violations(len(labels), thresholds, (), budget)
-    if violations:
-        raise InvalidInstanceError(violations)
+        violations = exc.violations + value_violations(len(labels), thresholds, (), budget)
+        raise InvalidInstanceError(violations) from None
     return TargetSetInstance(graph, thresholds, budget)
 
 
@@ -121,6 +124,22 @@ def embed_target_set(ts: TargetSetInstance, mode: DynamicsMode) -> SnapshotInsta
     )
 
 
+def _add_fan(labels: list, thresholds: list, edges: list, v: int, prefix: str, tip: str) -> int:
+    """Join t(v) new nodes <prefix>:<i> to node v and one new node ``tip``
+    to those, all of threshold 1, and return the tip's id. New ids run on
+    from ``len(labels)``."""
+    first = len(labels)
+    for i in range(thresholds[v]):
+        edges.append((v, len(labels)))
+        labels.append(f"{prefix}:{i}")
+        thresholds.append(1)
+    tip_id = len(labels)
+    edges.extend((u, tip_id) for u in range(first, tip_id))
+    labels.append(tip)
+    thresholds.append(1)
+    return tip_id
+
+
 def gadget_deactivation_robust(inst: SnapshotInstance) -> SnapshotInstance:
     """Attach to every node v: thresholds[v] dummies adjacent only to v, plus
     one extra dummy adjacent to v and to those dummies; all new thresholds 1.
@@ -129,26 +148,13 @@ def gadget_deactivation_robust(inst: SnapshotInstance) -> SnapshotInstance:
     are diffable."""
     if not (inst.mode.simultaneous and inst.mode.monotone):
         raise ValueError("source instance must use monotone simultaneous dynamics")
-    n = inst.graph.n
     labels = list(inst.graph.labels)
     edges = list(inst.graph.edges())
     thresholds = list(inst.thresholds)
-    next_id = n
-    for v in range(n):
-        plain = []
-        for i in range(inst.thresholds[v]):
-            labels.append(f"d:{inst.graph.labels[v]}:{i}")
-            thresholds.append(1)
-            edges.append((v, next_id))
-            plain.append(next_id)
-            next_id += 1
-        labels.append(f"e:{inst.graph.labels[v]}")
-        thresholds.append(1)
-        edges.append((v, next_id))
-        edges.extend((d, next_id) for d in plain)
-        next_id += 1
+    for v, label in enumerate(inst.graph.labels):
+        edges.append((v, _add_fan(labels, thresholds, edges, v, f"d:{label}", f"e:{label}")))
     return validate_instance(
-        graph=Graph.from_edges(next_id, edges, labels),
+        graph=Graph.from_edges(len(labels), edges, labels),
         thresholds=thresholds,
         snapshot=inst.snapshot,
         budget=inst.budget,
@@ -168,34 +174,21 @@ def gadget_sequential_k1(ts: TargetSetInstance) -> SnapshotInstance:
     for v, t in enumerate(ts.thresholds):
         if t == 0:
             raise ValueError(f"t_i = 0 unsupported by gadget: node {v}")
-    n = ts.graph.n
     labels = list(ts.graph.labels)
     edges = list(ts.graph.edges())
     thresholds = list(ts.thresholds)
-    next_id = n
-    collectors = []
-    for i in range(n):
-        relays = []
-        for j in range(ts.thresholds[i]):
-            labels.append(f"v:{ts.graph.labels[i]}:{j}")
-            thresholds.append(1)
-            edges.append((i, next_id))
-            relays.append(next_id)
-            next_id += 1
-        labels.append(f"u':{ts.graph.labels[i]}")
-        thresholds.append(1)
-        edges.extend((r, next_id) for r in relays)
-        collectors.append(next_id)
-        next_id += 1
+    collectors = [
+        _add_fan(labels, thresholds, edges, i, f"v:{label}", f"u':{label}")
+        for i, label in enumerate(ts.graph.labels)
+    ]
+    hub = len(labels)
     labels.append("v0")
     thresholds.append(ts.budget + 1)
-    hub = next_id
     edges.extend((c, hub) for c in collectors)
-    next_id += 1
     return validate_instance(
-        graph=Graph.from_edges(next_id, edges, labels),
+        graph=Graph.from_edges(hub + 1, edges, labels),
         thresholds=thresholds,
-        snapshot=frozenset(range(next_id)) - {hub},
+        snapshot=frozenset(range(hub)),
         budget=1,
         mode=PLAIN_SEQUENTIAL,
     )
@@ -252,7 +245,7 @@ def _feasible(outcome: SolveOutcome) -> bool:
     infeasible. The embedded and dummy sides are monotone or simultaneous
     and never cap; the seqk1 side, a budget-1 sequential solve, caps where a
     seed node of high threshold and degree leaves too many neighbour sets to
-    try and the search that takes that seed over outgrows the cap too."""
+    try and the searches from that seed on outgrow the cap too."""
     if outcome.verdict == VERDICT_CAP:
         raise SearchCapExceeded("a search hit a resource cap before deciding its side")
     return outcome.feasible

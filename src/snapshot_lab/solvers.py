@@ -138,15 +138,14 @@ visit (each closure's start and one per activation) and stop before another
 Y once they have visited ``max_states``. They count repeats, so they can cap
 where a search fits, and the search of a pair can cap where the same
 search fits under the dead set the small seeds' searches would have left.
-So at the first cap ``_plain_sequential_check`` clears its dead set and
-searches every canonical seed up to the capped one, those decided by
-closures or dropped by the clearing pool included. From then on a solve
-of budget >= 2 decides each seed as an all-search solve does, searching
-it after every canonical seed before it, so a verdict, seed or witness
-that differs from that solve's is the uncapped one; a budget-1 solve
-searches only the seeds whose closures cap, after those since its last
-search. Every search from the first cap on sees an all-search solve's
-dead set, so a solve caps only where an all-search one does. A check
+So a plain sequential solve, at any budget, keeps one rule: at its first
+cap ``_plain_sequential_check`` clears its dead set, and from then on it
+searches that seed and every later one after every canonical seed before
+it, those decided by closures or dropped by the clearing pool included.
+Each such search sees an all-search solve's dead set, so the solve
+decides each seed from its first cap on as that solve does: a verdict,
+seed or witness that differs from that solve's is the uncapped one, and
+a solve caps only where an all-search one does. A check
 that caps raises ``SearchCapExceeded`` carrying the states it used, and
 ``_search`` is the only place that turns it into a verdict: "infeasible"
 is only ever reported after every candidate was checked (or its pool
@@ -581,18 +580,15 @@ def _seed_pool(instance: SnapshotInstance, s_mask: int) -> tuple[str, Optional[i
 
 
 def _plain_sequential_check(
-    table: NodeTable, s_mask: int, max_states: int, replay: Iterable[int], sticky: bool
+    table: NodeTable, s_mask: int, max_states: int, replay: Iterable[int]
 ) -> SeedCheck:
     """The plain sequential check, chosen per seed: closures
     (``_direct_check``) decide a seed of at most one node, the BFS
     (``_bfs_check``) a larger one, and the searches share one dead set.
 
-    The first cap clears that set and hands the seed to the BFS, which
-    first searches the seeds ``replay`` yields before it; from then on each
-    search runs after the replay seeds before its seed, so it sees the dead
-    set of a solve that searched every replay seed (the module docstring has
-    why). ``sticky`` hands the BFS every later seed; otherwise closures
-    still decide first. A seed that ``replay`` does not hold keeps its cap:
+    From the first cap on, the module docstring's cap rule holds: the dead
+    set is cleared, and each seed is searched after the seeds ``replay``
+    yields before it. A seed that ``replay`` does not hold keeps its cap:
     a larger one searched again under the same dead set would cap again."""
     direct = partial(_direct_check, table, s_mask, max_states)
     dead: set[int] = set()
@@ -601,16 +597,14 @@ def _plain_sequential_check(
 
     def check(seed_mask: int) -> tuple[Optional[Witness], int]:
         nonlocal pending
-        small = not seed_mask & (seed_mask - 1)
         states = 0
-        if pending is None or small and not sticky:
+        if pending is None:
             try:
-                return (direct if small else bfs)(seed_mask)
+                return (bfs if seed_mask & (seed_mask - 1) else direct)(seed_mask)
             except SearchCapExceeded as cap:
                 states = cap.states
-            if pending is None:
-                pending = iter(replay)
-                dead.clear()
+            pending = iter(replay)
+            dead.clear()
         for mask in pending:
             try:
                 witness, searched = bfs(mask)
@@ -646,7 +640,7 @@ def _seed_check(
         return partial(_direct_check, table, s_mask, limits.max_states)
     if replay is None:
         replay = _seed_masks(range(instance.n), 0, instance.budget)
-    return _plain_sequential_check(table, s_mask, limits.max_states, replay, instance.budget > 1)
+    return _plain_sequential_check(table, s_mask, limits.max_states, replay)
 
 
 def _reachable_mask_set(

@@ -33,8 +33,10 @@ Check ids:
   enumeration reached: elsewhere both answers are "no".
 
 ``clearing`` and ``neighbor`` are proved, by the clearing lemma in the
-``solvers`` docstring on which ``solve`` decides budget 1; their checks stay
-as regression tests of the closure decider against enumeration.
+``solvers`` docstring on which ``solve`` decides every plain sequential seed
+of at most one node; their checks stay as regression tests of the closure
+decider against enumeration. ``serial`` and ``feasible_sim_2`` are one
+containment check, bound to two pairs of modes.
 
 The simultaneous analogue of ``neighbor`` is false (a seed can sit at
 distance 2 from the snapshot it produces), which is why only the sequential
@@ -47,6 +49,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 from itertools import islice
 from typing import Iterable, Optional, Sequence
@@ -80,8 +83,6 @@ from .solvers import (
     seed_feasible,
     solve,
 )
-
-CHECK_IDS = ("serial", "serial2", "feasible_sim_2", "neighbor", "clearing")
 
 ORACLE_MAX_N = 14  # exhaustive feasible-set oracles are for desk-scale graphs
 
@@ -148,14 +149,13 @@ class LemmaVerdict:
         return out
 
 
-def _check_serial(instance: SnapshotInstance, limits: SearchLimits) -> list[dict]:
+def _check_contained(
+    wider: DynamicsMode, narrower: DynamicsMode, instance: SnapshotInstance, limits: SearchLimits
+) -> list[dict]:
+    """The snapshots feasible under ``wider`` and not under ``narrower``."""
     g, t, k = instance.graph, instance.thresholds, instance.budget
-    mono_sim = _feasible_masks(g, t, k, MONOTONE_SIMULTANEOUS, limits)
-    mono_seq = _feasible_masks(g, t, k, MONOTONE_SEQUENTIAL, limits)
-    return [
-        {"snapshot": sorted(nodes_of(m)), "budget": k}
-        for m in sorted(mono_sim - mono_seq)
-    ]
+    outside = _feasible_masks(g, t, k, wider, limits) - _feasible_masks(g, t, k, narrower, limits)
+    return [{"snapshot": sorted(nodes_of(m)), "budget": k} for m in sorted(outside)]
 
 
 def _check_serial2(instance: SnapshotInstance, limits: SearchLimits) -> list[dict]:
@@ -166,16 +166,6 @@ def _check_serial2(instance: SnapshotInstance, limits: SearchLimits) -> list[dic
     if in_seq != in_sim:
         return [{"budget": k, "monotone_sequential": in_seq, "monotone_simultaneous": in_sim}]
     return []
-
-
-def _check_feasible_sim_2(instance: SnapshotInstance, limits: SearchLimits) -> list[dict]:
-    g, t, k = instance.graph, instance.thresholds, instance.budget
-    mono_seq = _feasible_masks(g, t, k, MONOTONE_SEQUENTIAL, limits)
-    plain_seq = _feasible_masks(g, t, k, PLAIN_SEQUENTIAL, limits)
-    return [
-        {"snapshot": sorted(nodes_of(m)), "budget": k}
-        for m in sorted(mono_seq - plain_seq)
-    ]
 
 
 def _check_neighbor(instance: SnapshotInstance, limits: SearchLimits) -> list[dict]:
@@ -221,12 +211,13 @@ def _check_clearing(instance: SnapshotInstance, limits: SearchLimits) -> list[di
 
 
 _CHECKS = {
-    "serial": _check_serial,
+    "serial": partial(_check_contained, MONOTONE_SIMULTANEOUS, MONOTONE_SEQUENTIAL),
     "serial2": _check_serial2,
-    "feasible_sim_2": _check_feasible_sim_2,
+    "feasible_sim_2": partial(_check_contained, MONOTONE_SEQUENTIAL, PLAIN_SEQUENTIAL),
     "neighbor": _check_neighbor,
     "clearing": _check_clearing,
 }
+CHECK_IDS = tuple(_CHECKS)
 
 
 def check_lemma(

@@ -8,7 +8,6 @@ from snapshot_lab import (
     GeneratorParams,
     MONOTONE_SIMULTANEOUS,
     instance_stream,
-    random_instance,
     reachable_configs,
     validate_instance,
 )
@@ -26,7 +25,6 @@ def test_same_seed_gives_identical_stream():
     first = [instance_to_dict(i) for i in take(params, 6)]
     second = [instance_to_dict(i) for i in take(params, 6)]
     assert first == second
-    assert random_instance(params) == take(params, 1)[0]
 
 
 def test_different_seed_changes_stream():
@@ -36,9 +34,9 @@ def test_different_seed_changes_stream():
 
 
 def test_edge_probability_extremes():
-    full = random_instance(GeneratorParams(n_min=4, n_max=4, edge_prob=1.0, rng_seed=7))
+    full = next(instance_stream(GeneratorParams(n_min=4, n_max=4, edge_prob=1.0, rng_seed=7)))
     assert len(full.graph.edges()) == 6  # a clique on 4 nodes
-    empty = random_instance(GeneratorParams(n_min=5, n_max=5, edge_prob=0.0, rng_seed=7))
+    empty = next(instance_stream(GeneratorParams(n_min=5, n_max=5, edge_prob=0.0, rng_seed=7)))
     assert empty.graph.edges() == []
 
 

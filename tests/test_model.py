@@ -15,6 +15,7 @@ from snapshot_lab import (
     Move,
     PLAIN_SEQUENTIAL,
     PLAIN_SIMULTANEOUS,
+    SnapshotInstance,
     TargetSetInstance,
     closed_neighborhood,
     embed_target_set,
@@ -239,6 +240,33 @@ def test_slotted_values_pickle_copy_and_replace(star4):
         dataclasses.replace(star4, labels=("a", "b", "c"))
     with pytest.raises(InvalidInstanceError, match="self-loop at node 0"):
         dataclasses.replace(star4, adj_masks=(0b11, 0b1101, 0b10, 0b10))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda g: SnapshotInstance(g, (1, 2, 1, 1), frozenset({1}), -1, PLAIN_SEQUENTIAL), "budget -1 is negative"),
+        (lambda g: SnapshotInstance(g, (1, 2, 1, 1), frozenset({9}), 1, PLAIN_SEQUENTIAL), "snapshot node 9 outside"),
+        (lambda g: TargetSetInstance(g, (1, 2, 1, 1), -1), "budget -1 is negative"),
+        (lambda g: TargetSetInstance(g, (1, 2, 1), 1), "3 thresholds for 4 nodes"),
+        (lambda g: dataclasses.replace(_star4_instance(g), budget=-1), "budget -1 is negative"),
+        (lambda g: dataclasses.replace(_star4_instance(g), thresholds=(1, -2, 1, 1)), "threshold of node 1"),
+    ],
+    ids=["budget", "snapshot", "target-set-budget", "target-set-thresholds", "replace-budget", "replace-threshold"],
+)
+def test_instances_are_checked_however_they_are_built(star4, build, message):
+    with pytest.raises(InvalidInstanceError, match=message):
+        build(star4)
+
+
+def test_instances_store_thresholds_as_a_tuple_and_the_snapshot_as_a_frozenset(star4):
+    instance = SnapshotInstance(star4, [1, 2, 1, 1], [0, 1, 1], 1, PLAIN_SEQUENTIAL)
+    assert instance.thresholds == (1, 2, 1, 1) and instance.snapshot == frozenset({0, 1})
+    assert TargetSetInstance(star4, [1, 2, 1, 1], 1).thresholds == (1, 2, 1, 1)
+    document = instance_to_dict(instance)
+    document["snapshot"] = [1, True]  # checked as given: True is not merged with 1
+    with pytest.raises(InvalidInstanceError, match="snapshot node True must be an integer"):
+        instance_from_dict(document)
 
 
 @pytest.fixture

@@ -922,8 +922,15 @@ def _assert_matches_all_search(instance, caps=()):
 
 @given(
     small_instances(max_n=8, modes=[PLAIN_SEQUENTIAL]),
-    st.integers(min_value=2, max_value=3),
+    st.integers(min_value=0, max_value=3),
     st.lists(st.integers(min_value=1, max_value=300), max_size=4),
+)
+@example(  # [0] caps in closures and search; [3] by closures is neither [0] nor the reference's cap
+    SnapshotInstance(
+        Graph.from_edges(4, [(0, 1), (0, 3), (2, 3)]), (2, 0, 0, 1), frozenset({1, 3}), 1, PLAIN_SEQUENTIAL
+    ),
+    1,
+    [1],
 )
 @settings(max_examples=200, deadline=None)
 def test_closures_and_larger_seed_searches_match_the_all_search_solve(instance, budget, caps):
@@ -933,7 +940,7 @@ def test_closures_and_larger_seed_searches_match_the_all_search_solve(instance, 
 @pytest.mark.parametrize("snapshot_mode", ["arbitrary", "reachable"])
 def test_closures_and_larger_seed_searches_match_the_all_search_solve_on_stream(snapshot_mode):
     params = GeneratorParams(
-        n_min=7, n_max=10, edge_prob=0.3, threshold_law="le2", budget_min=2,
+        n_min=7, n_max=10, edge_prob=0.3, threshold_law="le2", budget_min=0,
         budget_max=3, snapshot_mode=snapshot_mode, mode=PLAIN_SEQUENTIAL, rng_seed=21,
     )
     for instance in itertools.islice(instance_stream(params), 40):
