@@ -38,6 +38,7 @@ from .serialize import (
     instance_from_dict,
     instance_to_dict,
     load_instance_file,
+    mode_to_dict,
     seed_ids,
     trace_jsonl,
 )
@@ -170,7 +171,7 @@ def _cmd_enumerate(args) -> int:
     )
     payload = {
         "budget": budget,
-        "dynamics": {"order": instance.mode.order, "monotone": instance.mode.monotone},
+        "dynamics": mode_to_dict(instance.mode),
         "count": len(snapshots),
         "snapshots": sorted(sorted(s) for s in snapshots),
     }

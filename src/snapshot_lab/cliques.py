@@ -3,10 +3,11 @@ simultaneous dynamics.
 
 On a clique an inactive node sees exactly |active| active neighbors, so the
 whole cascade is driven by active-set counts and threshold values. The five
-rules report what holds of every matching seed, and they may settle the
-instance: P1 or P3 over budget as infeasible, P5 by its one seed.
-Everything else is ``solve``; the rules feed no seed pool or filter of
-their own:
+rules report what holds of every matching seed, and the first that settles
+the instance ends the chain: it hands ``solvers._solve``, the one decision
+front ``solve`` runs through too, a pool of zero or one seed. P1 or P3 over
+budget hand it none, and P5 its one seed if that closes over S, none if
+not. Everything else is ``solve``, and no rule filters its pool:
 
 P1  snapshot nodes whose threshold is at least |S| can never activate by best
     response, so every matching seed contains them;
@@ -35,23 +36,12 @@ the test suite.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
-from functools import partial
-from typing import Optional
+from typing import Iterator, Optional
 
 from .dynamics import _node_table
 from .model import SnapshotInstance, mask_of
-from .solvers import (
-    DEFAULT_LIMITS,
-    SolveOutcome,
-    SolveStats,
-    VERDICT_INFEASIBLE,
-    _closure,
-    _search,
-    _seed_check,
-    solve,
-)
+from .solvers import DEFAULT_LIMITS, SolveOutcome, _closure, _solve, solve
 
 ACTION_FORCED = "forced_seed"
 ACTION_INFEASIBLE = "infeasible"
@@ -223,42 +213,32 @@ class CliqueAnalysis:
     reports: tuple[RuleReport, ...]
 
 
+def _rule_chain(instance: SnapshotInstance) -> Iterator[RuleReport]:
+    """The reports of P1 to P5 in order; P3 counts P1's forced nodes (P1
+    over budget settles the instance, so the chain never gets to P3)."""
+    r1 = rule_forced_seed(instance)
+    yield r1
+    yield rule_low_threshold_outside(instance)
+    yield rule_threshold_collision(instance, already_forced=frozenset(r1.nodes))
+    yield rule_prune_outside(instance)
+    yield rule_isolated_snapshot(instance)
+
+
 def clique_analysis(instance: SnapshotInstance) -> CliqueAnalysis:
-    """Run the rule chain. P1 or P3 over budget settles the instance as
-    infeasible, and P5 by its one seed; every other instance is decided by
+    """Run the rule chain up to the first report that settles the instance:
+    P1 or P3 over budget hands the seed search an empty pool, P5 the pool of
+    its one seed or an empty one. An instance no rule settles is decided by
     ``solve``. The reports explain the instance either way."""
     assert_clique(instance)
     if not (instance.mode.simultaneous and instance.mode.monotone):
         raise ValueError("clique rules cover monotone simultaneous dynamics only")
-    t0 = time.perf_counter()
     reports: list[RuleReport] = []
-
-    def done(outcome: SolveOutcome) -> CliqueAnalysis:
-        outcome.stats.wall_time = time.perf_counter() - t0
-        return CliqueAnalysis(outcome, tuple(reports))
-
-    infeasible = SolveOutcome(VERDICT_INFEASIBLE, None, SolveStats())
-
-    r1 = rule_forced_seed(instance)
-    reports.append(r1)
-    if r1.action == ACTION_INFEASIBLE:
-        return done(infeasible)
-    forced = frozenset(r1.nodes) if r1.action == ACTION_FORCED else frozenset()
-
-    reports.append(rule_low_threshold_outside(instance))
-
-    r3 = rule_threshold_collision(instance, already_forced=forced)
-    reports.append(r3)
-    if r3.action == ACTION_INFEASIBLE:
-        return done(infeasible)
-
-    reports.append(rule_prune_outside(instance))
-
-    r5 = rule_isolated_snapshot(instance)
-    reports.append(r5)
-    if r5.action != ACTION_REDUCED:
-        return done(solve(instance))
-    if not r5.feasible:
-        return done(infeasible)
-    check = partial(_seed_check, instance, instance.snapshot_mask(), DEFAULT_LIMITS)
-    return done(_search([mask_of(r5.nodes)], check))
+    for report in _rule_chain(instance):
+        reports.append(report)
+        if report.feasible is not None:
+            seeds = [mask_of(report.nodes)] if report.feasible else []
+            outcome = _solve(
+                instance, instance.snapshot_mask(), DEFAULT_LIMITS, f"clique {report.rule}", seeds
+            )
+            return CliqueAnalysis(outcome, tuple(reports))
+    return CliqueAnalysis(solve(instance), tuple(reports))

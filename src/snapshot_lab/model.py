@@ -263,10 +263,11 @@ class SnapshotInstance(_Slotted):
     """A feasibility question: can some seed of size <= budget produce exactly
     ``snapshot`` as the active set at some finite time under ``mode``?
 
-    Checked once, at construction, as a ``Graph`` is: thresholds, snapshot
-    ids and budget as given must pass ``value_violations`` against the
-    graph, and are stored as a tuple and a frozenset. The graph was checked
-    when it was built. ``dataclasses.replace`` goes through the same check.
+    Checked once, at construction, as a ``Graph`` is: the graph must be a
+    ``Graph`` and the mode a ``DynamicsMode``, and thresholds, snapshot ids
+    and budget as given must pass ``value_violations`` against the graph,
+    and are stored as a tuple and a frozenset. The graph was checked when
+    it was built. ``dataclasses.replace`` goes through the same check.
     """
 
     __slots__ = ("graph", "thresholds", "snapshot", "budget", "mode")
@@ -277,6 +278,8 @@ class SnapshotInstance(_Slotted):
     mode: DynamicsMode
 
     def __post_init__(self):
+        if not isinstance(self.mode, DynamicsMode):
+            raise InvalidInstanceError([f"mode must be a DynamicsMode, not {type(self.mode).__name__}"])
         thresholds, snapshot = _checked_values(self.graph, self.thresholds, self.snapshot, self.budget)
         object.__setattr__(self, "thresholds", thresholds)
         object.__setattr__(self, "snapshot", frozenset(snapshot))
@@ -431,8 +434,11 @@ def _checked_values(
     graph: Graph, thresholds: Iterable[int], snapshot: Iterable[int], budget: int
 ) -> tuple[tuple[int, ...], tuple]:
     """Thresholds and snapshot as tuples, after ``value_violations`` passes
-    on them; raises ``InvalidInstanceError`` otherwise. The snapshot is
-    checked as a tuple, so a ``True`` in it is rejected, not merged with 1."""
+    on them against ``graph``, which must be a ``Graph``; raises
+    ``InvalidInstanceError`` otherwise. The snapshot is checked as a tuple,
+    so a ``True`` in it is rejected, not merged with 1."""
+    if not isinstance(graph, Graph):
+        raise InvalidInstanceError([f"graph must be a Graph, not {type(graph).__name__}"])
     thresholds, snapshot = tuple(thresholds), tuple(snapshot)
     violations = value_violations(graph.n, thresholds, snapshot, budget)
     if violations:

@@ -1,9 +1,12 @@
 """Feasibility deciders for the four dynamics, with replayable certificates.
 
-``solve(instance)`` is the one entry that decides an instance, under the
-instance's own mode. A ``SolveOutcome`` writes its certificate through
-``serialize.certificate_to_dict``, and ``verification.check_certificate`` is
-the one replay of it.
+``solve(instance)`` is the public entry that decides an instance, under the
+instance's own mode. It and the clique rules decide through one front,
+``_solve``, which logs a seed pool and hands it, with the mode's per-seed
+check, to ``_search``: a rule that settles an instance before any search
+is a pool of zero seeds or one. A ``SolveOutcome`` writes its certificate
+through ``serialize.certificate_to_dict``, and
+``verification.check_certificate`` is the one replay of it.
 
 Every mode asks the same question, whether some seed of size <= k reaches the
 snapshot S, and answers it the same way: ``_search`` tries candidate seed
@@ -554,17 +557,17 @@ def _simultaneous_fate(
     return SimultaneousWitness(len(path)), len(path)
 
 
-def _seed_pool(instance: SnapshotInstance, s_mask: int) -> tuple[str, Optional[int], Iterable[int]]:
-    """The candidate seed masks of the instance's mode in canonical order,
-    the name of the rule that drew them, and F where the rule reads it (the
-    module docstring has the rules)."""
+def _seed_pool(instance: SnapshotInstance, s_mask: int) -> tuple[str, Iterable[int]]:
+    """The name of the rule that draws the candidate seed masks of the
+    instance's mode, and those masks in canonical order (the module
+    docstring has the rules)."""
     n, budget, mode = instance.n, instance.budget, instance.mode
     if mode.simultaneous and not mode.monotone:
-        return "all of V", None, _seed_masks(range(n), 0, budget)
+        return "all of V", _seed_masks(range(n), 0, budget)
     thresholds = instance.thresholds
     forced, common = _forced(instance.graph.adj_masks, thresholds, s_mask)
     if mode.monotone:
-        return "supersets of F in S", forced, _seed_masks(instance.snapshot, forced, budget)
+        return "supersets of F in S", _seed_masks(instance.snapshot, forced, budget)
     seeds = [] if forced else [0]
     if budget:
         # u0 in S needs F inside {u0}; u0 outside S must be able to switch off
@@ -573,10 +576,10 @@ def _seed_pool(instance: SnapshotInstance, s_mask: int) -> tuple[str, Optional[i
         outside = mask_of(v for v in iter_bits(outside) if thresholds[v])
         seeds += [1 << v for v in iter_bits(inside | outside)]
     if budget < 2:
-        return "clearing", forced, seeds
+        return "clearing", seeds
     # every seed of two or more nodes: the canonical masks after {} and the n singletons
     larger = islice(_seed_masks(range(n), 0, budget), n + 1, None)
-    return "clearing, then all of V", forced, chain(seeds, larger)
+    return "clearing, then all of V", chain(seeds, larger)
 
 
 def _plain_sequential_check(
@@ -683,18 +686,25 @@ def reachable_configs(
     return {nodes_of(m) for m in masks}
 
 
+def _solve(
+    instance: SnapshotInstance, s_mask: int, limits: SearchLimits, rule: str, seeds: Iterable[int]
+) -> SolveOutcome:
+    """The one decision front: search the seed pool ``seeds``, drawn by
+    ``rule``, with the per-seed check of the instance's mode. One DEBUG line
+    names the pool, its size and |F|."""
+    if log.isEnabledFor(logging.DEBUG):
+        seeds = list(seeds)
+        forced = _forced(instance.graph.adj_masks, instance.thresholds, s_mask)[0]
+        log.debug("seed pool %s: %d seeds, |F| = %d", rule, len(seeds), forced.bit_count())
+    return _search(seeds, partial(_seed_check, instance, s_mask, limits))
+
+
 def solve(instance: SnapshotInstance, limits: SearchLimits = DEFAULT_LIMITS) -> SolveOutcome:
     """Decide the instance under its own dynamics mode: the one decision entry
     for every mode. The seed pool is drawn before the node table, which is
-    built only once a seed is tried; one DEBUG line names the pool."""
+    built only once a seed is tried."""
     s_mask = instance.snapshot_mask()
-    rule, forced, seeds = _seed_pool(instance, s_mask)
-    if log.isEnabledFor(logging.DEBUG):
-        seeds = list(seeds)
-        if forced is None:
-            forced = _forced(instance.graph.adj_masks, instance.thresholds, s_mask)[0]
-        log.debug("seed pool %s: %d seeds, |F| = %d", rule, len(seeds), forced.bit_count())
-    return _search(seeds, partial(_seed_check, instance, s_mask, limits))
+    return _solve(instance, s_mask, limits, *_seed_pool(instance, s_mask))
 
 
 def seed_feasible(

@@ -667,6 +667,93 @@ def test_clique_subcommand(capsys):
     assert run(["clique", "--instance", corpus_path("star4.json")]) == 2  # not a clique
 
 
+def _clique3_file(tmp_path, thresholds, budget):
+    """A triangle a, b, c under monotone simultaneous dynamics, S = {a, b}."""
+    doc = {
+        "labels": ["a", "b", "c"], "edges": [[0, 1], [0, 2], [1, 2]], "thresholds": list(thresholds),
+        "snapshot": [0, 1], "budget": budget, "dynamics": {"order": "simultaneous", "monotone": True},
+    }
+    path = tmp_path / "clique3.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+_NO_P1 = {"rule": "P1", "action": "inapplicable", "justification": "no snapshot threshold reaches |S|=2"}
+_P5_REPORTS = [_NO_P1] + [
+    {"rule": "P2", "action": "inapplicable", "justification": "no outside threshold <= budget"},
+    {"rule": "P3", "action": "inapplicable", "justification": "snapshot and outside threshold values are disjoint"},
+    {"rule": "P4", "action": "inapplicable", "justification": "no outside threshold exceeds the minimum 3"},
+]
+_NO_SEARCH = {"seeds_tried": 0, "states_expanded": 0}
+
+
+@pytest.mark.parametrize(
+    "thresholds, budget, code, document, text",
+    [
+        ((2, 2, 3), 1, 1, {
+            "rules": [{"rule": "P1", "action": "infeasible", "feasible": False, "nodes": [0, 1],
+                       "justification": "2 nodes (a,b) can only be seeded but budget is 1"}],
+            "stats": _NO_SEARCH, "verdict": "infeasible",
+        }, "P1: infeasible [0, 1]\nverdict: infeasible\n"),
+        ((1, 1, 1), 1, 1, {
+            "rules": [_NO_P1, {
+                "rule": "P2", "action": "excluded_seed_size", "nodes": [2], "size": 1,
+                "justification": "outside nodes c activate in round one of any size-1 seed",
+            }, {
+                "rule": "P3", "action": "infeasible", "feasible": False, "nodes": [0, 1],
+                "justification": "forcing a,b exceeds budget 1 together with earlier forced nodes",
+            }],
+            "stats": _NO_SEARCH, "verdict": "infeasible",
+        }, "P1: inapplicable\nP2: excluded_seed_size [2]\nP3: infeasible [0, 1]\nverdict: infeasible\n"),
+        ((0, 1, 3), 1, 0, {
+            "rules": _P5_REPORTS + [{
+                "rule": "P5", "action": "reduced_to_target_set", "feasible": True, "nodes": [1],
+                "justification": "|S| < outside minimum: no over-activation risk; "
+                                 "highest-threshold seed b closes over S",
+            }],
+            "seed": [1], "stats": {"seeds_tried": 1, "states_expanded": 1}, "verdict": "feasible",
+            "witness": {"match_time": 1, "type": "simultaneous"},
+        }, "P1: inapplicable\nP2: inapplicable\nP3: inapplicable\nP4: inapplicable\n"
+           "P5: reduced_to_target_set [1]\nverdict: feasible\nseed: [1]\n"),
+        ((1, 1, 3), 0, 1, {
+            "rules": _P5_REPORTS + [{
+                "rule": "P5", "action": "reduced_to_target_set", "feasible": False,
+                "justification": "|S| < outside minimum: no over-activation risk; "
+                                 "highest-threshold seed (empty) does not close over S",
+            }],
+            "stats": _NO_SEARCH, "verdict": "infeasible",
+        }, "P1: inapplicable\nP2: inapplicable\nP3: inapplicable\nP4: inapplicable\n"
+           "P5: reduced_to_target_set\nverdict: infeasible\n"),
+    ],
+    ids=["P1", "P3", "P5-feasible", "P5-infeasible"],
+)
+def test_clique_settled_by_a_rule_prints_its_bytes(tmp_path, capsys, thresholds, budget, code, document, text):
+    path = _clique3_file(tmp_path, thresholds, budget)
+    assert run(["clique", "--instance", path, "--format", "json"]) == code
+    assert capsys.readouterr().out == canonical_json(document)
+    assert run(["clique", "--instance", path, "--format", "text"]) == code
+    assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize(
+    "thresholds, budget, message",
+    [
+        ((2, 2, 3), 1, "seed pool clique P1: 0 seeds, |F| = 2"),
+        ((1, 1, 1), 1, "seed pool clique P3: 0 seeds, |F| = 0"),
+        ((0, 1, 3), 1, "seed pool clique P5: 1 seeds, |F| = 0"),
+        ((1, 1, 3), 0, "seed pool clique P5: 0 seeds, |F| = 0"),
+    ],
+    ids=["P1", "P3", "P5-feasible", "P5-infeasible"],
+)
+def test_clique_settled_by_a_rule_logs_its_seed_pool(tmp_path, capsys, caplog, thresholds, budget, message):
+    caplog.set_level(logging.DEBUG, logger="snapshot_lab")
+    run(["clique", "--instance", _clique3_file(tmp_path, thresholds, budget)])
+    capsys.readouterr()
+    assert [
+        (r.name, r.levelname, r.getMessage()) for r in caplog.records if r.levelno == logging.DEBUG
+    ] == [("snapshot_lab", "DEBUG", message)]
+
+
 def test_bench_csv(tmp_path, capsys):
     bench_dir = tmp_path / "instances"
     bench_dir.mkdir()

@@ -251,8 +251,16 @@ def test_slotted_values_pickle_copy_and_replace(star4):
         (lambda g: TargetSetInstance(g, (1, 2, 1), 1), "3 thresholds for 4 nodes"),
         (lambda g: dataclasses.replace(_star4_instance(g), budget=-1), "budget -1 is negative"),
         (lambda g: dataclasses.replace(_star4_instance(g), thresholds=(1, -2, 1, 1)), "threshold of node 1"),
+        (lambda g: SnapshotInstance(g, (1, 2, 1, 1), frozenset({1}), 1, None), "mode must be a DynamicsMode, not NoneType"),
+        (lambda g: SnapshotInstance(g, (1, 2, 1, 1), frozenset({1}), 1, "sequential"), "mode must be a DynamicsMode, not str"),
+        (lambda g: dataclasses.replace(_star4_instance(g), mode="sequential"), "mode must be a DynamicsMode"),
+        (lambda g: SnapshotInstance(g.adj_masks, (1, 2, 1, 1), frozenset({1}), 1, PLAIN_SEQUENTIAL), "graph must be a Graph, not tuple"),
+        (lambda g: TargetSetInstance(None, (1,), 1), "graph must be a Graph, not NoneType"),
     ],
-    ids=["budget", "snapshot", "target-set-budget", "target-set-thresholds", "replace-budget", "replace-threshold"],
+    ids=[
+        "budget", "snapshot", "target-set-budget", "target-set-thresholds", "replace-budget", "replace-threshold",
+        "mode-none", "mode-str", "replace-mode", "graph-masks", "target-set-graph-none",
+    ],
 )
 def test_instances_are_checked_however_they_are_built(star4, build, message):
     with pytest.raises(InvalidInstanceError, match=message):

@@ -486,7 +486,7 @@ def test_simultaneous_memo_holds_exact_responses_of_runs_that_never_match(instan
     table = _node_table(graph.adj_masks, thresholds)
     memo: dict[int, int] = {}
     checked: set[int] = set()
-    for seed_mask in _seed_pool(instance, mask_of(s))[2]:
+    for seed_mask in _seed_pool(instance, mask_of(s))[1]:
         witness, _ = _simultaneous_fate(table, mask_of(s), instance.mode.monotone, memo, seed_mask)
         run = run_simultaneous(graph, thresholds, nodes_of(seed_mask), instance.mode, target=s)
         assert (witness and witness.match_time) == run.trace.match_time
@@ -566,8 +566,9 @@ def _assert_matching_seeds_lie_in_the_pool(instance) -> set[str]:
     Returns the kinds of seeds it covered: kept or dropped, by whether F is
     empty and where the seed node lies."""
     s_mask = instance.snapshot_mask()
-    rule, forced, pool = _seed_pool(instance, s_mask)
+    rule, pool = _seed_pool(instance, s_mask)
     assert rule == "clearing"
+    forced = _forced(instance)
     canonical = list(_seed_masks(range(instance.n), 0, instance.budget))
     assert pool == [m for m in canonical if m in pool]
     kinds = set()
@@ -616,7 +617,7 @@ def test_capped_closures_search_the_seeds_the_pool_dropped():
     inst = SnapshotInstance(
         Graph.from_edges(3, [(0, 2), (2, 1)]), (1, 1, 1), frozenset({0, 1}), 1, PLAIN_SEQUENTIAL
     )
-    assert _seed_pool(inst, inst.snapshot_mask())[2] == [0b100]
+    assert _seed_pool(inst, inst.snapshot_mask())[1] == [0b100]
     out = solve(inst, SearchLimits(max_states=3))
     assert out.verdict == "infeasible"
     assert out.to_dict()["stats"] == {"seeds_tried": 1, "states_expanded": 13}
