@@ -6,7 +6,9 @@ runs with identical flags produce byte-identical files; wall-clock timings
 are only included behind --timings. Exit codes: 0 feasible/pass, 1
 infeasible/fail/cap, 2 usage or input error. ``SNAPSHOT_LAB_LOG`` sets the
 logging level; at INFO every command logs one line with its exit code, and
-``solve`` adds its verdict and search counters.
+``solve`` adds its verdict and search counters. The parser of all seven
+subcommands is built on the first call and reused by every later call in the
+same process.
 """
 
 from __future__ import annotations
@@ -429,34 +431,19 @@ COMMANDS = {
 
 
 @functools.cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser; with a known ``command``, only that subcommand's.
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand, built once per process.
 
-    Building all seven subparsers costs about five times as much as building
-    one, and more than a small solve, so ``main`` builds only the one it
-    needs, and builds it once per process: the parser is cached by
-    ``command``. ``main`` passes ``None`` for any first word that is not a
-    command, so the cache holds at most ``len(COMMANDS) + 1`` parsers. A
-    cached parser carries no state from one call to the next, because each
-    ``parse_args`` fills a fresh ``Namespace``. The one-subcommand parser's
-    usage line still lists every command, so an "unrecognized arguments"
-    error reads as the full parser's; the full parser keeps argparse's own
-    metavar, which "invalid choice" and "required: command" errors print.
+    ``main`` called in a loop parses from this one cached parser. It carries
+    no state from one call to the next, because each ``parse_args`` fills a
+    fresh ``Namespace``.
     """
     parser = argparse.ArgumentParser(
         prog="snapshot-lab",
         description="Feasibility of diffusion snapshots under threshold best-response dynamics.",
     )
-    if command in COMMANDS:
-        sub = parser.add_subparsers(
-            dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}"
-        )
-        names = [command]
-    else:
-        sub = parser.add_subparsers(dest="command", required=True)
-        names = list(COMMANDS)
-    for name in names:
-        help_text, add_arguments, handler = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, handler) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         add_arguments(p)
         p.set_defaults(func=handler)
@@ -466,10 +453,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     level = os.environ.get("SNAPSHOT_LAB_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    if argv is None:
-        argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = build_parser().parse_args(argv)
     args.log_fields = {}
     try:
         code = args.func(args)

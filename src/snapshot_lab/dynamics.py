@@ -35,6 +35,7 @@ from .model import (
     Move,
     Trace,
     TraceStep,
+    is_int,
     iter_bits,
     mask_of,
     nodes_of,
@@ -166,6 +167,8 @@ def run_simultaneous(
     """
     if not mode.simultaneous:
         raise ValueError("run_simultaneous requires simultaneous order dynamics")
+    if max_steps is not None and not is_int(max_steps):
+        raise ValueError(f"max_steps must be an integer, got {max_steps!r}")
     if max_steps is not None and max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     seed = seed_ids(list(seed), graph.n)

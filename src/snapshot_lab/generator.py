@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .model import ALL_MODES, DynamicsMode, Graph, SnapshotInstance, validate_instance
+from .model import ALL_MODES, DynamicsMode, Graph, SnapshotInstance, is_int, validate_instance
 from .solvers import reachable_configs
 
 THRESHOLD_LAWS = ("uniform0", "uniform1", "le2", "mixed")
@@ -37,6 +37,9 @@ class GeneratorParams:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_min", "n_max", "budget_min", "budget_max"):
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (0 < self.n_min <= self.n_max):
             raise ValueError("need 0 < n_min <= n_max")
         if not (0.0 <= self.edge_prob <= 1.0):

@@ -160,12 +160,16 @@ def _witness_int(witness: dict, key: str, default=None) -> int:
 
 def certificate_from_dict(data, n: int) -> Certificate:
     """Parse a certificate document for an instance on n nodes, checked for
-    shape only; other fields (the verdict, the stats) are ignored. Raises
-    ``InvalidInstanceError`` or ``ValueError`` on any JSON value that is not
-    a certificate."""
+    shape only. Other fields (the verdict, the stats) are ignored, except
+    that a document with no witness is rejected naming its verdict; a
+    missing seed is the empty seed. Raises ``InvalidInstanceError`` or
+    ``ValueError`` on any JSON value that is not a certificate."""
     if not isinstance(data, dict):
         raise InvalidInstanceError(["certificate must be a JSON object"])
-    seed, witness = data.get("seed", []), data.get("witness", {})
+    if "witness" not in data:
+        verdict = f" (verdict {data['verdict']!r})" if "verdict" in data else ""
+        raise InvalidInstanceError([f"certificate has no witness{verdict}"])
+    seed, witness = data.get("seed", []), data["witness"]
     if not isinstance(seed, list):
         raise InvalidInstanceError(["certificate 'seed' must be a list of node ids"])
     if not isinstance(witness, dict):

@@ -68,6 +68,7 @@ from .model import (
     SimultaneousWitness,
     SnapshotInstance,
     _closed_neighborhood_mask,
+    is_int,
     iter_bits,
     mask_of,
     nodes_of,
@@ -113,6 +114,8 @@ def feasible_snapshots(
     """The complete set of valid snapshots for budget k under the mode: the
     union over all seeds of size 0..k of the configurations their runs can
     visit."""
+    if not is_int(k):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 0:
         raise ValueError(f"budget must be non-negative, got {k}")
     if graph.n > ORACLE_MAX_N:
@@ -234,6 +237,8 @@ def check_lemma(
     """
     if lemma not in _CHECKS:
         raise ValueError(f"unknown check {lemma!r}; expected one of {CHECK_IDS}")
+    if not is_int(trials):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     check = _CHECKS[lemma]
