@@ -29,6 +29,15 @@ inactive node sees the same active count, so a pruned node never activates
 before a minimum-threshold outside node, and a monotone run is over in the
 sweep its first outside node activates.
 
+The rules read counts, never a node table. One pass over the nodes gives
+the profile every rule reads: the (id, threshold) pairs inside S and outside
+it, and the outside thresholds. ``_rule_chain`` builds it once; each public
+``rule_*`` function builds its own and runs the same implementation. P5's
+closure inside S is a count too: the nodes of S outside the seed switch on
+in ascending threshold order while their threshold is at most the active
+count. P5's seed and every seed ``solve`` tries go through ``solve``'s
+per-seed check, which runs a monotone clique by counts as well.
+
 Rule soundness is validated against the unrestricted brute-force solver in
 the test suite.
 """
@@ -37,11 +46,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .dynamics import _node_table
 from .model import SnapshotInstance, mask_of
-from .solvers import DEFAULT_LIMITS, SolveOutcome, _closure, _solve, solve
+from .solvers import DEFAULT_LIMITS, SolveOutcome, _solve, solve
 
 ACTION_FORCED = "forced_seed"
 ACTION_INFEASIBLE = "infeasible"
@@ -92,17 +100,35 @@ class RuleReport:
         return out
 
 
-def _outside_thresholds(instance: SnapshotInstance) -> list[int]:
-    return [instance.thresholds[v] for v in range(instance.n) if v not in instance.snapshot]
+class _Profile(NamedTuple):
+    """One pass over the nodes of a clique instance: the (id, threshold)
+    pairs inside S and outside it, each in ascending id, and the outside
+    thresholds. Every rule reads one."""
+
+    inside: list[tuple[int, int]]
+    outside: list[tuple[int, int]]
+    outside_thresholds: list[int]
 
 
-def rule_forced_seed(instance: SnapshotInstance) -> RuleReport:
-    """P1: snapshot nodes with threshold >= |S| must be seeded."""
+def _profile(instance: SnapshotInstance) -> _Profile:
     s = instance.snapshot
-    forced = tuple(sorted(u for u in s if instance.thresholds[u] >= len(s)))
+    inside: list[tuple[int, int]] = []
+    outside: list[tuple[int, int]] = []
+    for pair in enumerate(instance.thresholds):
+        (inside if pair[0] in s else outside).append(pair)
+    return _Profile(inside, outside, [t for _, t in outside])
+
+
+def _names(instance: SnapshotInstance, nodes: Iterable[int]) -> str:
+    return ",".join([instance.graph.labels[v] for v in nodes])
+
+
+def _forced_seed(instance: SnapshotInstance, p: _Profile) -> RuleReport:
+    size = len(p.inside)
+    forced = tuple([v for v, t in p.inside if t >= size])
     if not forced:
-        return RuleReport("P1", ACTION_INAPPLICABLE, f"no snapshot threshold reaches |S|={len(s)}")
-    names = ",".join(instance.graph.labels[u] for u in forced)
+        return RuleReport("P1", ACTION_INAPPLICABLE, f"no snapshot threshold reaches |S|={size}")
+    names = _names(instance, forced)
     if len(forced) > instance.budget:
         return RuleReport(
             "P1", ACTION_INFEASIBLE,
@@ -111,40 +137,33 @@ def rule_forced_seed(instance: SnapshotInstance) -> RuleReport:
         )
     return RuleReport(
         "P1", ACTION_FORCED,
-        f"threshold >= |S|={len(s)}: {names} cannot activate by best response",
+        f"threshold >= |S|={size}: {names} cannot activate by best response",
         nodes=forced,
     )
 
 
-def rule_low_threshold_outside(instance: SnapshotInstance) -> RuleReport:
-    """P2: an outside node with threshold <= k rules out seeds of size exactly
-    k whenever |S| > k (they trigger the outside node in round one while a
-    time-0 match is impossible). Smaller seeds stay in play."""
-    k, s = instance.budget, instance.snapshot
-    low = [v for v in range(instance.n) if v not in s and instance.thresholds[v] <= k]
-    if not low or len(s) <= k:
-        why = "no outside threshold <= budget" if not low else f"|S|={len(s)} <= k={k}"
+def _low_threshold_outside(instance: SnapshotInstance, p: _Profile) -> RuleReport:
+    k = instance.budget
+    low = tuple([v for v, t in p.outside if t <= k])
+    if not low or len(p.inside) <= k:
+        why = "no outside threshold <= budget" if not low else f"|S|={len(p.inside)} <= k={k}"
         return RuleReport("P2", ACTION_INAPPLICABLE, why)
-    names = ",".join(instance.graph.labels[v] for v in low)
     return RuleReport(
         "P2", ACTION_EXCLUDED_SIZE,
-        f"outside nodes {names} activate in round one of any size-{k} seed",
-        nodes=tuple(low), size=k,
+        f"outside nodes {_names(instance, low)} activate in round one of any size-{k} seed",
+        nodes=low, size=k,
     )
 
 
-def rule_threshold_collision(
-    instance: SnapshotInstance, already_forced: frozenset[int] = frozenset()
+def _threshold_collision(
+    instance: SnapshotInstance, p: _Profile, already_forced: frozenset[int]
 ) -> RuleReport:
-    """P3: snapshot nodes sharing a threshold with an outside node must be
-    seeded (equal-threshold non-seed nodes activate at the same instant)."""
-    outside = set(_outside_thresholds(instance))
-    forced = tuple(sorted(u for u in instance.snapshot if instance.thresholds[u] in outside))
+    outside = set(p.outside_thresholds)
+    forced = tuple([v for v, t in p.inside if t in outside])
     if not forced:
         return RuleReport("P3", ACTION_INAPPLICABLE, "snapshot and outside threshold values are disjoint")
-    names = ",".join(instance.graph.labels[u] for u in forced)
-    union = set(forced) | already_forced
-    if len(union) > instance.budget:
+    names = _names(instance, forced)
+    if len(already_forced.union(forced)) > instance.budget:
         return RuleReport(
             "P3", ACTION_INFEASIBLE,
             f"forcing {names} exceeds budget {instance.budget} together with earlier forced nodes",
@@ -157,52 +176,78 @@ def rule_threshold_collision(
     )
 
 
-def rule_prune_outside(instance: SnapshotInstance) -> RuleReport:
-    """P4: outside nodes whose threshold exceeds the outside minimum activate
-    weakly later than a minimum-threshold outside node, whose activation
-    already ends a monotone run outside S; they never decide feasibility."""
-    outside = _outside_thresholds(instance)
-    if not outside:
+def _prune_outside(instance: SnapshotInstance, p: _Profile) -> RuleReport:
+    if not p.outside:
         return RuleReport("P4", ACTION_INAPPLICABLE, "snapshot covers the whole clique")
-    tmin = min(outside)
-    pruned = tuple([
-        v for v in range(instance.n) if v not in instance.snapshot and instance.thresholds[v] > tmin
-    ])
+    tmin = min(p.outside_thresholds)
+    pruned = tuple([v for v, t in p.outside if t > tmin])
     if not pruned:
         return RuleReport("P4", ACTION_INAPPLICABLE, f"no outside threshold exceeds the minimum {tmin}")
-    names = ",".join(instance.graph.labels[v] for v in pruned)
     return RuleReport(
         "P4", ACTION_PRUNED,
-        f"outside nodes {names} have threshold > {tmin} and activate weakly later",
+        f"outside nodes {_names(instance, pruned)} have threshold > {tmin} and activate weakly later",
         nodes=pruned,
     )
 
 
-def _k_highest_snapshot_seed(instance: SnapshotInstance) -> tuple[int, ...]:
-    # ties among equal thresholds broken by ascending id
-    ranked = sorted(instance.snapshot, key=lambda v: (-instance.thresholds[v], v))
-    return tuple(sorted(ranked[: min(instance.budget, len(ranked))]))
-
-
-def rule_isolated_snapshot(instance: SnapshotInstance) -> RuleReport:
-    """P5: when |S| is below every outside threshold, over-activation is
-    impossible and S is feasible iff the k highest-threshold snapshot nodes
-    close over S."""
-    outside = _outside_thresholds(instance)
-    tmin = min(outside) if outside else math.inf
-    if len(instance.snapshot) >= tmin:
-        return RuleReport("P5", ACTION_INAPPLICABLE, f"|S|={len(instance.snapshot)} >= outside minimum {tmin}")
-    seed = _k_highest_snapshot_seed(instance)
-    s_mask = instance.snapshot_mask()
-    table = _node_table(instance.graph.adj_masks, instance.thresholds)
-    closes = _closure(table, mask_of(seed), s_mask)[0] == s_mask
-    names = ",".join(instance.graph.labels[v] for v in seed) or "(empty)"
+def _isolated_snapshot(instance: SnapshotInstance, p: _Profile) -> RuleReport:
+    size = len(p.inside)
+    tmin = min(p.outside_thresholds, default=math.inf)
+    if size >= tmin:
+        return RuleReport("P5", ACTION_INAPPLICABLE, f"|S|={size} >= outside minimum {tmin}")
+    # the k highest thresholds of S, ties broken by ascending id; inside S a
+    # node sees every active node, so the rest switch on in ascending
+    # threshold order while the active count reaches their threshold
+    ranked = sorted(p.inside, key=lambda pair: (-pair[1], pair[0]))
+    k = instance.budget
+    seed = tuple(sorted([v for v, _ in ranked[:k]]))
+    active = len(seed)
+    for _, t in reversed(ranked[k:]):
+        if t > active:
+            break
+        active += 1
+    closes = active == size
+    names = _names(instance, seed) or "(empty)"
     return RuleReport(
         "P5", ACTION_REDUCED,
         f"|S| < outside minimum: no over-activation risk; highest-threshold seed {names} "
         + ("closes over S" if closes else "does not close over S"),
         nodes=seed, feasible=closes,
     )
+
+
+def rule_forced_seed(instance: SnapshotInstance) -> RuleReport:
+    """P1: snapshot nodes with threshold >= |S| must be seeded."""
+    return _forced_seed(instance, _profile(instance))
+
+
+def rule_low_threshold_outside(instance: SnapshotInstance) -> RuleReport:
+    """P2: an outside node with threshold <= k rules out seeds of size exactly
+    k whenever |S| > k (they trigger the outside node in round one while a
+    time-0 match is impossible). Smaller seeds stay in play."""
+    return _low_threshold_outside(instance, _profile(instance))
+
+
+def rule_threshold_collision(
+    instance: SnapshotInstance, already_forced: frozenset[int] = frozenset()
+) -> RuleReport:
+    """P3: snapshot nodes sharing a threshold with an outside node must be
+    seeded (equal-threshold non-seed nodes activate at the same instant)."""
+    return _threshold_collision(instance, _profile(instance), already_forced)
+
+
+def rule_prune_outside(instance: SnapshotInstance) -> RuleReport:
+    """P4: outside nodes whose threshold exceeds the outside minimum activate
+    weakly later than a minimum-threshold outside node, whose activation
+    already ends a monotone run outside S; they never decide feasibility."""
+    return _prune_outside(instance, _profile(instance))
+
+
+def rule_isolated_snapshot(instance: SnapshotInstance) -> RuleReport:
+    """P5: when |S| is below every outside threshold, over-activation is
+    impossible and S is feasible iff the k highest-threshold snapshot nodes
+    close over S."""
+    return _isolated_snapshot(instance, _profile(instance))
 
 
 @dataclass(frozen=True)
@@ -216,12 +261,13 @@ class CliqueAnalysis:
 def _rule_chain(instance: SnapshotInstance) -> Iterator[RuleReport]:
     """The reports of P1 to P5 in order; P3 counts P1's forced nodes (P1
     over budget settles the instance, so the chain never gets to P3)."""
-    r1 = rule_forced_seed(instance)
+    p = _profile(instance)
+    r1 = _forced_seed(instance, p)
     yield r1
-    yield rule_low_threshold_outside(instance)
-    yield rule_threshold_collision(instance, already_forced=frozenset(r1.nodes))
-    yield rule_prune_outside(instance)
-    yield rule_isolated_snapshot(instance)
+    yield _low_threshold_outside(instance, p)
+    yield _threshold_collision(instance, p, frozenset(r1.nodes))
+    yield _prune_outside(instance, p)
+    yield _isolated_snapshot(instance, p)
 
 
 def clique_analysis(instance: SnapshotInstance) -> CliqueAnalysis:

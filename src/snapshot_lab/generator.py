@@ -42,6 +42,8 @@ class GeneratorParams:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (0 < self.n_min <= self.n_max):
             raise ValueError("need 0 < n_min <= n_max")
+        if isinstance(self.edge_prob, bool) or not isinstance(self.edge_prob, (int, float)):
+            raise ValueError(f"edge_prob must be a number, got {self.edge_prob!r}")
         if not (0.0 <= self.edge_prob <= 1.0):
             raise ValueError("edge_prob must be in [0, 1]")
         if self.threshold_law not in THRESHOLD_LAWS:

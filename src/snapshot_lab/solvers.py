@@ -64,6 +64,14 @@ Per-seed checks:
   hit. Later sweeps use the full kernel. The configuration space is
   finite, so exact repeat detection settles every run and no step cap is
   needed. A ``Trace`` is built only when a certificate is replayed;
+* monotone simultaneous on a clique: the same run by counts
+  (``_clique_fate``), with the same stops, memo and state count. An
+  inactive node sees all |c| active nodes, so the sweep from c adds
+  ``steps[|c|]``, the nodes of threshold <= |c|, and no node table is
+  built. The clique test compares adjacency rows, the first row first, so
+  a graph that is not a clique nearly always pays one comparison.
+  ``run_simultaneous``, certificate replay and the oracles keep the node
+  table as the reference;
 * monotone sequential, and a non-monotone sequential seed of at most one
   node: ``_direct_check``, closures and no search (below), unless they cap;
 * a non-monotone sequential seed of two or more nodes: ``_bfs``, the one
@@ -156,9 +164,9 @@ proves it for every seed); if any check capped first, the verdict
 degrades to "resource_cap_hit" instead of risking a silent false
 negative.
 
-Every check reads the node table of ``dynamics._node_table``, built once
-per solve by ``_seed_check`` at its first seed (once per enumeration or
-check elsewhere): the
+Every check but the clique count run reads the node table of
+``dynamics._node_table``, built once per solve by ``_seed_check`` at its
+first seed (once per enumeration or check elsewhere): the
 step map, ``_closure`` and the neighbour-only response update that ``_bfs``
 and the simultaneous first sweep share read the same rows, and
 ``dynamics._response_mask`` is the one full response kernel.
@@ -176,7 +184,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
-from itertools import chain, combinations, islice
+from itertools import accumulate, chain, combinations, islice
+from operator import or_
 from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Sequence
 
 from .dynamics import NodeTable, _node_table, _response_after_flip, _response_mask, _step_mask
@@ -557,6 +566,47 @@ def _simultaneous_fate(
     return SimultaneousWitness(len(path)), len(path)
 
 
+def _is_clique(adj_masks: Sequence[int]) -> bool:
+    """Whether every node neighbours every other; the first row is tested
+    first, so most graphs that are not cliques cost one comparison."""
+    full, bit = (1 << len(adj_masks)) - 1, 1
+    for adj in adj_masks:
+        if adj != full ^ bit:
+            return False
+        bit <<= 1
+    return True
+
+
+def _count_steps(thresholds: Sequence[int]) -> list[int]:
+    """``steps[x]``, for x in 0..n, is the mask of the nodes of threshold <= x;
+    a threshold above n never fires."""
+    n = len(thresholds)
+    steps = [0] * (n + 1)
+    for v, threshold in enumerate(thresholds):
+        if threshold <= n:
+            steps[threshold] |= 1 << v
+    return list(accumulate(steps, or_))
+
+
+def _clique_fate(
+    steps: Sequence[int], s_mask: int, memo: set[int], start: int
+) -> tuple[Optional[SimultaneousWitness], int]:
+    """``_simultaneous_fate`` of a monotone run on a clique, by counting: an
+    inactive node sees every active one, so the sweep from c adds the nodes
+    of threshold <= |c|, ``steps[|c|]``. Its stops, its memo of masks that
+    never match and its state count are those of the node-table run. No
+    active node can lose its support, since |c| only grows."""
+    path: set[int] = set()
+    cur = start
+    while cur != s_mask:
+        if cur in memo or cur in path or cur & ~s_mask:
+            memo.update(path)
+            return None, len(path)
+        path.add(cur)
+        cur |= steps[cur.bit_count()]
+    return SimultaneousWitness(len(path)), len(path)
+
+
 def _seed_pool(instance: SnapshotInstance, s_mask: int) -> tuple[str, Iterable[int]]:
     """The name of the rule that draws the candidate seed masks of the
     instance's mode, and those masks in canonical order (the module
@@ -630,16 +680,19 @@ def _seed_check(
     limits: SearchLimits,
     replay: Optional[Iterable[int]] = None,
 ) -> SeedCheck:
-    """The per-seed check of the instance's mode: the simultaneous run,
-    closures (monotone sequential) or ``_plain_sequential_check``, whose
-    searches after a cap replay ``replay`` (by default every seed of size
-    <= budget, in canonical order). One memo serves all its seeds: the
-    response masks of runs that never match (simultaneous), or the states
-    that cannot reach S (the BFS)."""
-    table = _node_table(instance.graph.adj_masks, instance.thresholds)
-    if instance.mode.simultaneous:
-        return partial(_simultaneous_fate, table, s_mask, instance.mode.monotone, {})
-    if instance.mode.monotone:
+    """The per-seed check of the instance's mode: the simultaneous run (by
+    counts on a monotone clique), closures (monotone sequential) or
+    ``_plain_sequential_check``, whose searches after a cap replay
+    ``replay`` (by default every seed of size <= budget, in canonical
+    order). One memo serves all its seeds: the masks of runs that never
+    match (simultaneous), or the states that cannot reach S (the BFS)."""
+    adj_masks, mode = instance.graph.adj_masks, instance.mode
+    if mode.simultaneous and mode.monotone and _is_clique(adj_masks):
+        return partial(_clique_fate, _count_steps(instance.thresholds), s_mask, set())
+    table = _node_table(adj_masks, instance.thresholds)
+    if mode.simultaneous:
+        return partial(_simultaneous_fate, table, s_mask, mode.monotone, {})
+    if mode.monotone:
         return partial(_direct_check, table, s_mask, limits.max_states)
     if replay is None:
         replay = _seed_masks(range(instance.n), 0, instance.budget)

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from functools import partial
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +16,26 @@ from snapshot_lab import (
     SnapshotInstance,
     assert_clique,
     clique_analysis,
+    monotone_closure,
     rule_forced_seed,
     rule_isolated_snapshot,
     rule_low_threshold_outside,
     rule_prune_outside,
     rule_threshold_collision,
     solve,
+)
+
+from snapshot_lab.cliques import _rule_chain
+from snapshot_lab.dynamics import _node_table
+from snapshot_lab.model import nodes_of
+from snapshot_lab.solvers import (
+    DEFAULT_LIMITS,
+    _clique_fate,
+    _is_clique,
+    _search,
+    _seed_check,
+    _seed_pool,
+    _simultaneous_fate,
 )
 
 from conftest import assert_certificate_replays
@@ -142,12 +157,14 @@ def test_rule_soundness_against_brute_force(clique):
 
 
 @st.composite
-def clique_instances(draw, max_n=8, max_budget=3):
+def clique_instances(draw, max_n=8, max_budget=3, excess=0):
+    """Monotone simultaneous cliques with thresholds in 0..n + excess and a
+    budget up to ``max_budget`` (None: up to n)."""
     n = draw(st.integers(min_value=1, max_value=max_n))
     graph = Graph.from_edges(n, list(combinations(range(n), 2)))
-    thresholds = tuple(draw(st.integers(min_value=0, max_value=n)) for _ in range(n))
+    thresholds = tuple(draw(st.integers(min_value=0, max_value=n + excess)) for _ in range(n))
     snapshot = frozenset(v for v in range(n) if draw(st.booleans()))
-    budget = draw(st.integers(min_value=0, max_value=max_budget))
+    budget = draw(st.integers(min_value=0, max_value=n if max_budget is None else max_budget))
     return SnapshotInstance(graph, thresholds, snapshot, budget, MONOTONE_SIMULTANEOUS)
 
 
@@ -163,3 +180,88 @@ def test_a_clique_no_rule_decides_is_solved_by_solve(instance):
     elif decided[0].rule == "P5" and decided[0].feasible:
         assert analysis.outcome.certificate.seed == frozenset(decided[0].nodes)
         assert_certificate_replays(instance, analysis.outcome)
+
+
+def _every_small_clique():
+    """Every monotone simultaneous clique with n <= 4: thresholds in 0..n+1,
+    every S and every budget k <= n (107,884 instances)."""
+    for n in range(1, 5):
+        graph = Graph.from_edges(n, list(combinations(range(n), 2)))
+        for thresholds in product(range(n + 2), repeat=n):
+            for s_mask in range(1 << n):
+                for budget in range(n + 1):
+                    yield SnapshotInstance(graph, thresholds, nodes_of(s_mask), budget, MONOTONE_SIMULTANEOUS)
+
+
+def _node_table_solve(instance):
+    """``solve``'s seed search with the node-table run as the per-seed check."""
+    s_mask = instance.snapshot_mask()
+    table = _node_table(instance.graph.adj_masks, instance.thresholds)
+    _, pool = _seed_pool(instance, s_mask)
+    return _search(pool, lambda: partial(_simultaneous_fate, table, s_mask, True, {}))
+
+
+def _assert_count_run_is_the_node_table_run(instance):
+    assert solve(instance).to_dict() == _node_table_solve(instance).to_dict()
+
+
+def _assert_profile_reads_as_the_rules_alone(instance):
+    chain = []
+    for report in _rule_chain(instance):
+        chain.append(report)
+        if report.feasible is not None:
+            break
+    p1 = rule_forced_seed(instance)
+    alone = [
+        p1,
+        rule_low_threshold_outside(instance),
+        rule_threshold_collision(instance, already_forced=frozenset(p1.nodes)),
+        rule_prune_outside(instance),
+        rule_isolated_snapshot(instance),
+    ]
+    assert chain == alone[: len(chain)]
+    p5 = alone[-1]
+    if p5.feasible is not None:
+        closure = monotone_closure(instance.graph, instance.thresholds, p5.nodes, restrict_to=instance.snapshot)
+        assert p5.feasible == (closure == instance.snapshot)
+
+
+def test_clique_count_run_matches_the_node_table_run_on_every_small_clique():
+    for instance in _every_small_clique():
+        _assert_count_run_is_the_node_table_run(instance)
+
+
+@given(clique_instances(max_n=9, max_budget=None, excess=1))
+@settings(max_examples=200, deadline=None)
+def test_clique_count_run_matches_the_node_table_run(instance):
+    _assert_count_run_is_the_node_table_run(instance)
+
+
+def test_clique_profile_matches_the_rules_alone_on_every_small_clique():
+    for instance in _every_small_clique():
+        _assert_profile_reads_as_the_rules_alone(instance)
+
+
+@given(clique_instances(max_n=9, max_budget=None, excess=1))
+@settings(max_examples=200, deadline=None)
+def test_clique_profile_matches_the_rules_alone(instance):
+    _assert_profile_reads_as_the_rules_alone(instance)
+
+
+def test_only_a_monotone_simultaneous_clique_runs_by_counts(clique, star4_instance):
+    inst = clique(4, (1, 2, 2, 9), {0, 1, 2}, 1, MONOTONE_SIMULTANEOUS)
+    assert _seed_check(inst, inst.snapshot_mask(), DEFAULT_LIMITS).func is _clique_fate
+    for other in (
+        clique(4, (1, 2, 2, 9), {0, 1, 2}, 1, PLAIN_SIMULTANEOUS),
+        star4_instance({0, 1}, 1, MONOTONE_SIMULTANEOUS),
+    ):
+        assert _seed_check(other, other.snapshot_mask(), DEFAULT_LIMITS).func is not _clique_fate
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_a_clique_less_any_edge_is_not_a_clique(n):
+    edges = list(combinations(range(n), 2))
+    assert _is_clique(Graph.from_edges(n, edges).adj_masks)
+    for missing in edges:
+        graph = Graph.from_edges(n, [e for e in edges if e != missing])
+        assert not _is_clique(graph.adj_masks)

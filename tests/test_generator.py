@@ -85,3 +85,14 @@ def test_bad_params_rejected():
         GeneratorParams(threshold_law="gaussian")
     with pytest.raises(ValueError):
         GeneratorParams(snapshot_mode="biased")
+
+
+@pytest.mark.parametrize("edge_prob", ["0.5", None, True, False])
+def test_edge_prob_must_be_a_number(edge_prob):
+    with pytest.raises(ValueError, match="edge_prob"):
+        GeneratorParams(edge_prob=edge_prob)
+
+
+@pytest.mark.parametrize("edge_prob", [0, 1, 0.25])
+def test_edge_prob_takes_ints_and_floats(edge_prob):
+    assert GeneratorParams(edge_prob=edge_prob).edge_prob == edge_prob
