@@ -17,7 +17,6 @@ import argparse
 import csv
 import functools
 import io
-import json
 import logging
 import os
 import sys
@@ -36,11 +35,11 @@ from .reductions import (
 )
 from .serialize import (
     canonical_json,
-    instance_digest,
-    instance_from_dict,
+    document_digest,
     instance_to_dict,
     load_instance_file,
     mode_to_dict,
+    read_document,
     seed_ids,
     trace_jsonl,
 )
@@ -117,7 +116,8 @@ def _cmd_simulate(args) -> int:
     if args.ordering is not None and not instance.mode.sequential:
         raise InvalidInstanceError(["--ordering applies only to sequential dynamics"])
     if args.replay:
-        document = json.loads(Path(args.replay).read_text(encoding="utf-8"))
+        # check_certificate reports the certificate's shape in its own words
+        document = read_document(args.replay, lambda certificate: certificate)
         result, problems = check_certificate(instance, document, args.max_steps)
         seed = result.trace.seed
     else:
@@ -184,27 +184,24 @@ def _cmd_enumerate(args) -> int:
 def _cmd_reduce(args) -> int:
     if args.order is not None and args.gadget != "embed":
         raise InvalidInstanceError(["--order applies only to --gadget embed"])
-    data = json.loads(Path(args.instance).read_text(encoding="utf-8"))
     mode = None
     if args.gadget == "dummy":
-        source = instance_from_dict(data)
+        source = load_instance_file(args.instance)
         reduced = gadget_deactivation_robust(source)
     else:
-        source = target_set_from_dict(data)
+        source = read_document(args.instance, target_set_from_dict)
         if args.gadget == "embed":
             mode = DynamicsMode(order=args.order or "simultaneous", monotone=True)
             reduced = embed_target_set(source, mode)
         else:
             reduced = gadget_sequential_k1(source)
-    if args.out:
+    if args.out or not args.check:
         _emit(canonical_json(instance_to_dict(reduced)), args.out)
-    if args.check:
-        verdict = check_equivalence(args.gadget, source, mode=mode)
-        sys.stdout.write(canonical_json(verdict.to_dict()))
-        return EXIT_OK if verdict.agree else EXIT_FAIL
-    if not args.out:
-        _emit(canonical_json(instance_to_dict(reduced)), None)
-    return EXIT_OK
+    if not args.check:
+        return EXIT_OK
+    verdict = check_equivalence(args.gadget, source, mode=mode)
+    sys.stdout.write(canonical_json(verdict.to_dict()))
+    return EXIT_OK if verdict.agree else EXIT_FAIL
 
 
 # The flags only a --lemma check reads, with the values it takes when a flag
@@ -267,7 +264,8 @@ def _cmd_verify(args) -> int:
     root = Path(args.violations_dir) / args.lemma
     grouped: dict[str, dict] = {}
     for violation in verdict.violations:
-        digest = instance_digest(instance_from_dict(violation["instance"]))
+        # the document is instance_to_dict's canonical output
+        digest = document_digest(violation["instance"])
         doc = grouped.setdefault(digest, dict(violation["instance"], witnesses=[]))
         doc["witnesses"].append(violation["witness"])
     paths = [root / f"{digest}.json" for digest in sorted(grouped)]
@@ -314,7 +312,7 @@ def _cmd_bench(args) -> int:
         instance = load_instance_file(path)
         outcome = solve(instance, _limits(args))
         row = {
-            "digest": instance_digest(instance),
+            "digest": document_digest(instance_to_dict(instance)),
             "mode": instance.mode.describe(),
             "n": instance.n,
             "k": instance.budget,

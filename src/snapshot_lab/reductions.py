@@ -17,6 +17,10 @@ Three builders:
   budget-k whole-graph instance to a budget-1 non-monotone sequential
   snapshot instance.
 
+Both gadgets fan out from thresholds clamped to deg(v) + 1: above its degree
+a node can only be active by seeding, at either value, so the source's
+verdict holds, and a gadget stays linear in the source's size.
+
 ``check_equivalence`` computes both sides with exhaustive oracles and, on
 disagreement, greedily shrinks the source instance by single-node deletion
 (a debugging aid, with no minimality guarantee).
@@ -31,18 +35,21 @@ from .dynamics import _node_table
 from .model import (
     DynamicsMode,
     Graph,
-    InvalidInstanceError,
     MONOTONE_SIMULTANEOUS,
     PLAIN_SEQUENTIAL,
     PLAIN_SIMULTANEOUS,
     SnapshotInstance,
     induced_subgraph,
-    validate_instance,
-    value_violations,
     _checked_values,
     _Slotted,
 )
-from .serialize import document_digest, edge_pairs, instance_to_dict, label_list
+from .serialize import (
+    TARGET_SET_FIELDS,
+    document_digest,
+    graph_fields_from_dict,
+    graph_fields_to_dict,
+    instance_to_dict,
+)
 from .solvers import (
     VERDICT_CAP,
     SearchCapExceeded,
@@ -70,35 +77,13 @@ class TargetSetInstance(_Slotted):
 
 
 def target_set_to_dict(ts: TargetSetInstance) -> dict:
-    return {
-        "labels": list(ts.graph.labels),
-        "edges": [list(e) for e in sorted(ts.graph.edges())],
-        "thresholds": list(ts.thresholds),
-        "budget": ts.budget,
-    }
+    return graph_fields_to_dict(ts)
 
 
 def target_set_from_dict(data: dict) -> TargetSetInstance:
-    """Read a target-set document, rejecting keys it has no place for."""
-    if not isinstance(data, dict):
-        raise InvalidInstanceError(["target-set document must be a JSON object"])
-    fields = ("labels", "edges", "thresholds", "budget")
-    problems = [f"missing field {key!r}" for key in fields if key not in data]
-    problems += [f"unknown field {key!r}" for key in data if key not in fields]
-    if problems:
-        raise InvalidInstanceError(problems)
-    labels, budget = label_list(data["labels"]), data["budget"]
-    edges = edge_pairs(data["edges"])
-    try:
-        thresholds = tuple(data["thresholds"])
-    except TypeError:
-        raise InvalidInstanceError(["'thresholds' must be a list"]) from None
-    try:
-        graph = Graph.from_edges(len(labels), edges, labels)
-    except InvalidInstanceError as exc:
-        violations = exc.violations + value_violations(len(labels), thresholds, (), budget)
-        raise InvalidInstanceError(violations) from None
-    return TargetSetInstance(graph, thresholds, budget)
+    """Read a target-set document: the instance fields without 'snapshot'
+    and 'dynamics', and no other key."""
+    return graph_fields_from_dict(data, "target-set", TARGET_SET_FIELDS, TargetSetInstance)
 
 
 def has_target_set(ts: TargetSetInstance) -> bool:
@@ -115,13 +100,12 @@ def embed_target_set(ts: TargetSetInstance, mode: DynamicsMode) -> SnapshotInsta
     """S=V(G) embedding; graph, thresholds and budget carry over unchanged."""
     if not mode.monotone:
         raise ValueError("the identity embedding is meaningful for monotone modes only")
-    return validate_instance(
-        graph=ts.graph,
-        thresholds=ts.thresholds,
-        snapshot=frozenset(range(ts.graph.n)),
-        budget=ts.budget,
-        mode=mode,
-    )
+    return SnapshotInstance(ts.graph, ts.thresholds, frozenset(range(ts.graph.n)), ts.budget, mode)
+
+
+def _clamped_thresholds(source) -> list[int]:
+    """Each threshold of ``source``, capped at its node's degree + 1."""
+    return [min(t, source.graph.degree(v) + 1) for v, t in enumerate(source.thresholds)]
 
 
 def _add_fan(labels: list, thresholds: list, edges: list, v: int, prefix: str, tip: str) -> int:
@@ -141,32 +125,28 @@ def _add_fan(labels: list, thresholds: list, edges: list, v: int, prefix: str, t
 
 
 def gadget_deactivation_robust(inst: SnapshotInstance) -> SnapshotInstance:
-    """Attach to every node v: thresholds[v] dummies adjacent only to v, plus
+    """Attach to every node v: t(v) dummies adjacent only to v, plus
     one extra dummy adjacent to v and to those dummies; all new thresholds 1.
     Snapshot and budget are unchanged; the output runs non-monotone
     simultaneous dynamics. Labels are namespaced d:<v>:<i> / e:<v> so outputs
-    are diffable."""
+    are diffable. Here and in ``gadget_sequential_k1``, t(v) is v's
+    threshold clamped to deg(v) + 1, which v keeps in the gadget."""
     if not (inst.mode.simultaneous and inst.mode.monotone):
         raise ValueError("source instance must use monotone simultaneous dynamics")
     labels = list(inst.graph.labels)
     edges = list(inst.graph.edges())
-    thresholds = list(inst.thresholds)
+    thresholds = _clamped_thresholds(inst)
     for v, label in enumerate(inst.graph.labels):
         edges.append((v, _add_fan(labels, thresholds, edges, v, f"d:{label}", f"e:{label}")))
-    return validate_instance(
-        graph=Graph.from_edges(len(labels), edges, labels),
-        thresholds=thresholds,
-        snapshot=inst.snapshot,
-        budget=inst.budget,
-        mode=PLAIN_SIMULTANEOUS,
-    )
+    graph = Graph.from_edges(len(labels), edges, labels)
+    return SnapshotInstance(graph, thresholds, inst.snapshot, inst.budget, PLAIN_SIMULTANEOUS)
 
 
 def gadget_sequential_k1(ts: TargetSetInstance) -> SnapshotInstance:
     """Map a budget-k whole-graph instance to a budget-1 non-monotone
     sequential snapshot instance.
 
-    Every original node u_i gets thresholds[i] relay nodes v:<u_i>:<j>
+    Every original node u_i gets t(u_i) relay nodes v:<u_i>:<j>
     adjacent to u_i, one collector u':<u_i> adjacent to those relays, and a
     hub v0 with threshold budget+1 adjacent to every collector; all other new
     thresholds are 1. The snapshot is everything except the hub.
@@ -176,7 +156,7 @@ def gadget_sequential_k1(ts: TargetSetInstance) -> SnapshotInstance:
             raise ValueError(f"t_i = 0 unsupported by gadget: node {v}")
     labels = list(ts.graph.labels)
     edges = list(ts.graph.edges())
-    thresholds = list(ts.thresholds)
+    thresholds = _clamped_thresholds(ts)
     collectors = [
         _add_fan(labels, thresholds, edges, i, f"v:{label}", f"u':{label}")
         for i, label in enumerate(ts.graph.labels)
@@ -185,16 +165,13 @@ def gadget_sequential_k1(ts: TargetSetInstance) -> SnapshotInstance:
     labels.append("v0")
     thresholds.append(ts.budget + 1)
     edges.extend((c, hub) for c in collectors)
-    return validate_instance(
-        graph=Graph.from_edges(hub + 1, edges, labels),
-        thresholds=thresholds,
-        snapshot=frozenset(range(hub)),
-        budget=1,
-        mode=PLAIN_SEQUENTIAL,
-    )
+    graph = Graph.from_edges(hub + 1, edges, labels)
+    return SnapshotInstance(graph, thresholds, frozenset(range(hub)), 1, PLAIN_SEQUENTIAL)
 
 
-GADGET_IDS = ("embed", "dummy", "seqk1")
+# gadget id -> the source type it takes
+_GADGET_SOURCES = {"embed": TargetSetInstance, "dummy": SnapshotInstance, "seqk1": TargetSetInstance}
+GADGET_IDS = tuple(_GADGET_SOURCES)
 
 Source = Union[TargetSetInstance, SnapshotInstance]
 
@@ -252,19 +229,17 @@ def _feasible(outcome: SolveOutcome) -> bool:
 
 
 def _sides(gadget: str, source: Source, mode: Optional[DynamicsMode]):
+    if gadget not in _GADGET_SOURCES:
+        raise ValueError(f"unknown gadget {gadget!r}; expected one of {GADGET_IDS}")
+    takes = _GADGET_SOURCES[gadget]
+    if not isinstance(source, takes):
+        raise ValueError(f"gadget {gadget!r} takes a {takes.__name__}, not a {type(source).__name__}")
     if gadget == "embed":
-        assert isinstance(source, TargetSetInstance)
         embedded = embed_target_set(source, mode or MONOTONE_SIMULTANEOUS)
         return has_target_set(source), _feasible(solve(embedded))
     if gadget == "seqk1":
-        assert isinstance(source, TargetSetInstance)
-        reduced = gadget_sequential_k1(source)
-        return has_target_set(source), _feasible(solve(reduced))
-    if gadget == "dummy":
-        assert isinstance(source, SnapshotInstance)
-        reduced = gadget_deactivation_robust(source)
-        return _feasible(solve(source)), _feasible(solve(reduced))
-    raise ValueError(f"unknown gadget {gadget!r}; expected one of {GADGET_IDS}")
+        return has_target_set(source), _feasible(solve(gadget_sequential_k1(source)))
+    return _feasible(solve(source)), _feasible(solve(gadget_deactivation_robust(source)))
 
 
 def check_equivalence(
@@ -295,7 +270,7 @@ def _shrink(gadget: str, source: Source, mode: Optional[DynamicsMode]) -> Source
     def disagrees(candidate: Source) -> bool:
         try:
             left, right = _sides(gadget, candidate, mode)
-        except (ValueError, InvalidInstanceError, SearchCapExceeded):
+        except (ValueError, SearchCapExceeded):  # InvalidInstanceError included
             return False
         return left != right
 

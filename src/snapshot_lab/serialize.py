@@ -4,6 +4,14 @@ lines, canonical dumps.
 Canonical form is what makes outputs diffable: sorted keys, sorted id lists,
 edges as i<j pairs in lexicographic order, two-space indent, trailing newline.
 
+``read_document`` is the one loader of every document file the CLI is given
+(instance, target set, certificate): every ``InvalidInstanceError`` it
+raises, "not valid JSON" included, names the file. The instance and
+target-set documents share one field rule, ``graph_fields_from_dict``, and
+one writer of their four shared fields, ``graph_fields_to_dict``: every
+missing field and every violation of the graph, thresholds, snapshot and
+budget is listed at once.
+
 The certificate document has its one home here, in both directions:
 ``certificate_to_dict`` writes what ``solve`` emits, and
 ``certificate_from_dict`` reads it back with every shape rule (a list of
@@ -30,7 +38,7 @@ from .model import (
     SnapshotInstance,
     is_int,
     seed_ids,
-    validate_instance,
+    value_violations,
 )
 
 
@@ -46,95 +54,119 @@ def mode_to_dict(mode: DynamicsMode) -> dict:
     return {"order": mode.order, "monotone": mode.monotone}
 
 
-def mode_from_dict(data: dict) -> DynamicsMode:
-    if not isinstance(data, dict):
-        raise InvalidInstanceError(["'dynamics' must be an object"])
-    missing = [key for key in ("order", "monotone") if key not in data]
-    if missing:
-        raise InvalidInstanceError([f"'dynamics' missing field {k!r}" for k in missing])
-    if not isinstance(data["monotone"], bool):
-        raise InvalidInstanceError(["'dynamics.monotone' must be a boolean"])
-    return DynamicsMode(order=data["order"], monotone=data["monotone"])
+INSTANCE_FIELDS = ("labels", "edges", "thresholds", "snapshot", "budget")
+TARGET_SET_FIELDS = ("labels", "edges", "thresholds", "budget")
 
 
-def edge_pairs(raw) -> list[tuple[int, int]]:
-    """The [i, j] pairs of an 'edges' field. ``Graph.from_edges`` checks the
-    endpoints: booleans, strings and floats are rejected, not coerced."""
-    try:
-        return [(u, v) for u, v in raw]
-    except (TypeError, ValueError):
-        raise InvalidInstanceError(["'edges' must be a list of [i, j] pairs"]) from None
-
-
-def label_list(raw) -> list[str]:
-    """The 'labels' field of an instance or target-set document: a list of
-    strings, never coerced."""
-    if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
-        raise InvalidInstanceError(["'labels' must be a list of strings"])
-    return raw
-
-
-def instance_to_dict(instance: SnapshotInstance) -> dict:
+def graph_fields_to_dict(source) -> dict:
+    """The four fields an instance and a target-set document share."""
     return {
-        "labels": list(instance.graph.labels),
-        "edges": [list(e) for e in sorted(instance.graph.edges())],
-        "thresholds": list(instance.thresholds),
-        "snapshot": sorted(instance.snapshot),
-        "budget": instance.budget,
-        "dynamics": mode_to_dict(instance.mode),
+        "labels": list(source.graph.labels),
+        "edges": [list(e) for e in sorted(source.graph.edges())],
+        "thresholds": list(source.thresholds),
+        "budget": source.budget,
     }
 
 
-def instance_from_dict(
-    data: dict, mode_override: Optional[DynamicsMode] = None
-) -> SnapshotInstance:
-    """Parse and validate the documented instance document.
-
-    ``mode_override`` is legal only when the document omits "dynamics".
+def graph_fields_from_dict(data, kind: str, fields: tuple[str, ...], make, tail=None):
+    """The field rule of the instance and target-set documents: returns
+    ``make(graph, *values, *extra)``, the values being those of ``fields``
+    after 'labels' and 'edges'. ``tail(data)`` gives ``extra`` and its own
+    violations (an instance's mode); with no tail, keys outside ``fields``
+    are violations. Every missing field is listed at once, and once the
+    fields have their shapes, the graph's violations are listed with those
+    of the thresholds, snapshot and budget.
     """
     if not isinstance(data, dict):
-        raise InvalidInstanceError(["instance document must be a JSON object"])
-    for key in ("labels", "edges", "thresholds", "snapshot", "budget"):
-        if key not in data:
-            raise InvalidInstanceError([f"missing field {key!r}"])
-    labels = label_list(data["labels"])
-    n = len(labels)
-    graph = Graph.from_edges(n, edge_pairs(data["edges"]), labels=labels)
-    if "dynamics" in data and data["dynamics"] is not None:
-        if mode_override is not None:
-            raise InvalidInstanceError(
-                ["mode override given but the document already fixes 'dynamics'"]
-            )
-        mode = mode_from_dict(data["dynamics"])
-    elif mode_override is not None:
-        mode = mode_override
+        raise InvalidInstanceError([f"{kind} document must be a JSON object"])
+    violations = [f"missing field {key!r}" for key in fields if key not in data]
+    if tail is None:
+        extra, problems = (), [f"unknown field {key!r}" for key in data if key not in fields]
     else:
-        raise InvalidInstanceError(["missing field 'dynamics' (and no mode override)"])
+        extra, problems = tail(data)
+    if violations:
+        raise InvalidInstanceError(violations + problems)
+    labels = data["labels"]
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        violations.append("'labels' must be a list of strings")
     for key in ("thresholds", "snapshot"):
-        if not isinstance(data[key], list):
-            raise InvalidInstanceError([f"{key!r} must be a list of integers"])
-    return validate_instance(
-        graph=graph,
-        thresholds=data["thresholds"],
-        snapshot=data["snapshot"],
-        budget=data["budget"],
-        mode=mode,
+        if key in fields and not isinstance(data[key], list):
+            violations.append(f"{key!r} must be a list of integers")
+    if not violations:
+        try:
+            graph = Graph.from_edges(len(labels), data["edges"], labels)
+        except InvalidInstanceError as exc:
+            violations = exc.violations
+        except (TypeError, ValueError):
+            violations = ["'edges' must be a list of [i, j] pairs"]
+        else:
+            if not problems:
+                return make(graph, *[data[key] for key in fields[2:]], *extra)
+        snapshot = data["snapshot"] if "snapshot" in fields else ()
+        violations += value_violations(len(labels), data["thresholds"], snapshot, data["budget"])
+    raise InvalidInstanceError(violations + problems)
+
+
+def _document_mode(data: dict, mode_override: Optional[DynamicsMode]):
+    """An instance document's mode and its violations, as the tail of
+    ``graph_fields_from_dict``: its 'dynamics', or ``mode_override`` when it
+    has none."""
+    dynamics = data.get("dynamics")
+    if dynamics is None:
+        if mode_override is None:
+            return (), ["missing field 'dynamics' (and no mode override)"]
+        return (mode_override,), []
+    if mode_override is not None:
+        return (), ["mode override given but the document already fixes 'dynamics'"]
+    if not isinstance(dynamics, dict):
+        return (), ["'dynamics' must be an object"]
+    missing = [f"'dynamics' missing field {key!r}" for key in ("order", "monotone") if key not in dynamics]
+    if missing or not isinstance(dynamics["monotone"], bool):
+        return (), missing or ["'dynamics.monotone' must be a boolean"]
+    try:
+        return (DynamicsMode(dynamics["order"], dynamics["monotone"]),), []
+    except ValueError as exc:  # an unknown order
+        return (), [str(exc)]
+
+
+def instance_to_dict(instance: SnapshotInstance) -> dict:
+    doc = graph_fields_to_dict(instance)
+    return dict(doc, snapshot=sorted(instance.snapshot), dynamics=mode_to_dict(instance.mode))
+
+
+def instance_from_dict(data: dict, mode_override: Optional[DynamicsMode] = None) -> SnapshotInstance:
+    """Parse and validate the documented instance document; keys outside its
+    fields are ignored (violation files carry ``witnesses``).
+    ``mode_override`` is legal only when the document omits "dynamics".
+    """
+    return graph_fields_from_dict(
+        data, "instance", INSTANCE_FIELDS, SnapshotInstance, lambda doc: _document_mode(doc, mode_override)
     )
 
 
-def load_instance_file(
-    path, mode_override: Optional[DynamicsMode] = None
-) -> SnapshotInstance:
-    """The instance document at ``path``; every ``InvalidInstanceError`` it
-    raises names the file."""
+def read_document(path, reader, *args):
+    """``reader(document, *args)`` on the JSON document in the file at
+    ``path``: the one loader of every document file the CLI is given. Every
+    ``InvalidInstanceError`` it raises, "not valid JSON" included, names
+    the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return instance_from_dict(json.load(fh), mode_override=mode_override)
+            return reader(json.load(fh), *args)
+        except UnicodeDecodeError as exc:
+            violations = [f"not valid UTF-8 ({exc.reason} at byte {exc.start})"]
         except json.JSONDecodeError as exc:
             violations = [f"not valid JSON (line {exc.lineno}: {exc.msg})"]
+        except RecursionError:
+            violations = ["not valid JSON (nested too deeply)"]
         except InvalidInstanceError as exc:
             violations = exc.violations
     raise InvalidInstanceError([f"{path}: {v}" for v in violations])
+
+
+def load_instance_file(path, mode_override: Optional[DynamicsMode] = None) -> SnapshotInstance:
+    """The instance document at ``path``; every ``InvalidInstanceError`` it
+    raises names the file."""
+    return read_document(path, instance_from_dict, mode_override)
 
 
 def certificate_to_dict(certificate: Certificate) -> dict:
@@ -199,11 +231,6 @@ def certificate_from_dict(data, n: int) -> Certificate:
 def document_digest(doc: dict) -> str:
     """Stable 12-hex-char content digest of a canonical document."""
     return hashlib.sha256(compact_json(doc).encode("utf-8")).hexdigest()[:12]
-
-
-def instance_digest(instance: SnapshotInstance) -> str:
-    """Stable content digest of the canonical instance document."""
-    return document_digest(instance_to_dict(instance))
 
 
 def trace_jsonl(result) -> str:

@@ -470,7 +470,8 @@ def test_reduce_rejects_a_snapshot_instance_as_a_target_set(gadget, document, ca
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: unknown field 'dynamics'; unknown field 'snapshot'\n"
+    path = corpus_path(document)
+    assert captured.err == f"error: {path}: unknown field 'dynamics'; {path}: unknown field 'snapshot'\n"
 
 
 @pytest.mark.parametrize("gadget, document", [("seqk1", "clique10.json"), ("dummy", "star4.json")])
@@ -795,7 +796,38 @@ def test_bench_error_names_the_file(tmp_path, capsys):
     assert run(["bench", "--dir", str(bench_dir)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {bench_dir / 'b.json'}: missing field 'labels'\n"
+    fields = ["labels", "edges", "thresholds", "snapshot", "budget"]
+    missing = [f"{bench_dir / 'b.json'}: missing field {key!r}" for key in fields]
+    missing.append(f"{bench_dir / 'b.json'}: missing field 'dynamics' (and no mode override)")
+    assert captured.err == f"error: {'; '.join(missing)}\n"
+
+
+@pytest.mark.parametrize(
+    "text, violation",
+    [
+        ("{'labels': []}", "not valid JSON (line 1: Expecting property name enclosed in double quotes)"),
+        ("[" * 100_000, "not valid JSON (nested too deeply)"),
+        (b"\xff".decode("latin-1"), "not valid UTF-8 (invalid start byte at byte 0)"),
+    ],
+    ids=["not-json", "too-deep", "not-utf8"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--gadget", "seqk1", "--instance", "{}"],
+        ["reduce", "--gadget", "dummy", "--instance", "{}"],
+        ["simulate", "--instance", corpus_path("star4.json"), "--replay", "{}"],
+        ["solve", "--instance", "{}"],
+    ],
+    ids=["reduce-target-set", "reduce-instance", "simulate-replay", "solve"],
+)
+def test_every_file_that_is_not_a_json_document_is_named(tmp_path, capsys, argv, text, violation):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="latin-1")
+    assert run([arg.format(bad) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: {violation}\n"
 
 
 def test_bench_writes_a_capped_instance_as_resource_cap_hit(tmp_path, capsys):

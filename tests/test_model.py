@@ -277,6 +277,47 @@ def test_instances_store_thresholds_as_a_tuple_and_the_snapshot_as_a_frozenset(s
         instance_from_dict(document)
 
 
+def test_an_instance_document_lists_its_graph_and_value_violations_together(star4):
+    document = dict(instance_to_dict(_star4_instance(star4)), edges=[[0, 5]], thresholds=[-1, 1, 1, 1])
+    with pytest.raises(InvalidInstanceError) as info:
+        instance_from_dict(document)
+    assert info.value.violations == [
+        "edge (0,5) outside node range 0..3",
+        "threshold of node 0 is -1, must be a non-negative integer",
+    ]
+
+
+def test_an_instance_document_lists_every_missing_field(star4):
+    document = instance_to_dict(_star4_instance(star4))
+    for key in ("labels", "snapshot", "dynamics"):
+        del document[key]
+    with pytest.raises(InvalidInstanceError) as info:
+        instance_from_dict(document)
+    assert info.value.violations == [
+        "missing field 'labels'",
+        "missing field 'snapshot'",
+        "missing field 'dynamics' (and no mode override)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "fields, violations",
+    [
+        ({"thresholds": {"a": 1}}, ["'thresholds' must be a list of integers"]),
+        ({"labels": "abcd", "thresholds": 1}, ["'labels' must be a list of strings", "'thresholds' must be a list of integers"]),
+        ({"edges": [[1, 1]], "budget": -1}, ["self-loop at node 1", "budget -1 is negative"]),
+    ],
+    ids=["thresholds-object", "labels-and-thresholds", "graph-and-budget"],
+)
+def test_both_graph_documents_share_one_field_rule(star4, fields, violations):
+    instance_doc = dict(instance_to_dict(_star4_instance(star4)), **fields)
+    target_set_doc = dict(target_set_to_dict(TargetSetInstance(star4, (1, 2, 1, 1), 1)), **fields)
+    for read, document in ((instance_from_dict, instance_doc), (target_set_from_dict, target_set_doc)):
+        with pytest.raises(InvalidInstanceError) as info:
+            read(document)
+        assert info.value.violations == violations
+
+
 @pytest.fixture
 def graph_builds(monkeypatch):
     """Counts the graphs built, through ``from_edges`` or the constructor."""

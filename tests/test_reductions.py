@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from importlib import resources
@@ -20,6 +21,7 @@ from snapshot_lab import (
     gadget_deactivation_robust,
     gadget_sequential_k1,
     has_target_set,
+    reductions,
     solve,
 )
 from snapshot_lab.reductions import target_set_from_dict, target_set_to_dict
@@ -92,7 +94,73 @@ def test_seqk1_gadget_node_count_formula():
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
         t = tuple(rng.choice((1, 2)) for _ in range(n))
         ts = TargetSetInstance(Graph.from_edges(n, edges), t, rng.choice((1, 2)))
-        assert gadget_sequential_k1(ts).n == n + sum(t) + n + 1
+        fans = sum(min(t[v], ts.graph.degree(v) + 1) for v in range(n))
+        assert gadget_sequential_k1(ts).n == n + fans + n + 1
+
+
+def _graphs(n: int):
+    """Every labelled graph on n nodes."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for bits in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [p for b, p in enumerate(pairs) if bits >> b & 1])
+
+
+def _unclamped_dummy(inst: SnapshotInstance) -> SnapshotInstance:
+    """The dummy gadget with a fan of t(v) nodes at every threshold t(v)."""
+    labels, edges, thresholds = list(inst.graph.labels), list(inst.graph.edges()), list(inst.thresholds)
+    for v, label in enumerate(inst.graph.labels):
+        edges.append((v, reductions._add_fan(labels, thresholds, edges, v, f"d:{label}", f"e:{label}")))
+    graph = Graph.from_edges(len(labels), edges, labels)
+    return SnapshotInstance(graph, thresholds, inst.snapshot, inst.budget, PLAIN_SIMULTANEOUS)
+
+
+def test_gadgets_clamp_a_threshold_above_degree_plus_one(star4):
+    # node 0 of the star has degree 1
+    big, clamped = (10**6, 2, 1, 1), (2, 2, 1, 1)
+    ts_big, ts_clamped = TargetSetInstance(star4, big, 1), TargetSetInstance(star4, clamped, 1)
+    assert gadget_sequential_k1(ts_big) == gadget_sequential_k1(ts_clamped)
+    verdict = check_equivalence("seqk1", ts_big)
+    assert verdict.agree and verdict.left_feasible == check_equivalence("seqk1", ts_clamped).left_feasible
+    inst_big, inst_clamped = (
+        SnapshotInstance(star4, t, frozenset({0, 1, 2}), 2, MONOTONE_SIMULTANEOUS) for t in (big, clamped)
+    )
+    assert gadget_deactivation_robust(inst_big) == gadget_deactivation_robust(inst_clamped)
+    a, b = (check_equivalence("dummy", inst) for inst in (inst_big, inst_clamped))
+    assert (a.left_feasible, a.right_feasible) == (b.left_feasible, b.right_feasible)
+
+
+def test_seqk1_agrees_on_every_small_source_with_thresholds_up_to_degree_plus_three():
+    # budget 0 is left out: the gadget's budget is 1 whatever the source's is
+    cases = 0
+    for n in (1, 2, 3):
+        for graph in _graphs(n):
+            ranges = [range(1, graph.degree(v) + 4) for v in range(n)]
+            for thresholds in itertools.product(*ranges):
+                for budget in range(1, n + 1):
+                    verdict = check_equivalence("seqk1", TargetSetInstance(graph, thresholds, budget))
+                    assert verdict.agree, (graph.edges(), thresholds, budget)
+                    cases += 1
+    assert cases == 1661
+
+
+def test_dummy_gadget_keeps_the_verdict_of_its_unclamped_form():
+    cases = 0
+    for n in (1, 2, 3):
+        for graph in _graphs(n):
+            ranges = [range(0, graph.degree(v) + 4) for v in range(n)]
+            for thresholds in itertools.product(*ranges):
+                if all(t <= graph.degree(v) + 1 for v, t in enumerate(thresholds)):
+                    continue  # no threshold is clamped
+                for budget, snapshot in itertools.product(range(n + 1), range(1 << n)):
+                    if snapshot.bit_count() <= budget:
+                        continue  # seeding the snapshot itself matches at time 0
+                    inst = SnapshotInstance(
+                        graph, thresholds, {v for v in range(n) if snapshot >> v & 1}, budget, MONOTONE_SIMULTANEOUS
+                    )
+                    expected = solve(_unclamped_dummy(inst)).verdict
+                    assert solve(gadget_deactivation_robust(inst)).verdict == expected, inst
+                    cases += 1
+    assert cases == 9666
 
 
 def test_seqk1_gadget_rejects_zero_thresholds():
@@ -136,6 +204,23 @@ def test_check_equivalence_dummy_edge_discrepancy(edge_ab):
     assert not again.agree
 
 
+@pytest.mark.parametrize(
+    "gadget, source, takes, given",
+    [
+        ("embed", "instance", "TargetSetInstance", "SnapshotInstance"),
+        ("seqk1", "instance", "TargetSetInstance", "SnapshotInstance"),
+        ("dummy", "target_set", "SnapshotInstance", "TargetSetInstance"),
+    ],
+)
+def test_check_equivalence_rejects_the_wrong_source_type(star4_ts, gadget, source, takes, given):
+    sources = {
+        "instance": SnapshotInstance(star4_ts.graph, star4_ts.thresholds, frozenset({0, 1}), 1, MONOTONE_SIMULTANEOUS),
+        "target_set": star4_ts,
+    }
+    with pytest.raises(ValueError, match=f"^gadget '{gadget}' takes a {takes}, not a {given}$"):
+        check_equivalence(gadget, sources[source])
+
+
 def test_check_equivalence_unknown_gadget(star4_ts):
     with pytest.raises(ValueError):
         check_equivalence("mystery", star4_ts)
@@ -164,6 +249,13 @@ def test_target_set_document_rejects_unknown_fields(star4_ts):
     doc = dict(target_set_to_dict(star4_ts), bogus=1)
     with pytest.raises(InvalidInstanceError, match="unknown field 'bogus'"):
         target_set_from_dict(doc)
+
+
+def test_target_set_document_lists_an_unknown_snapshot_with_its_graph_violations(star4_ts):
+    doc = dict(target_set_to_dict(star4_ts), snapshot=True, edges=[[0, 9]])
+    with pytest.raises(InvalidInstanceError) as info:
+        target_set_from_dict(doc)
+    assert info.value.violations == ["edge (0,9) outside node range 0..3", "unknown field 'snapshot'"]
 
 
 @pytest.mark.parametrize("name", ["clique10", "star4"])
