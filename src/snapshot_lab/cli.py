@@ -113,12 +113,14 @@ def _cmd_simulate(args) -> int:
         raise InvalidInstanceError(["--max-steps applies only to simultaneous dynamics"])
     if args.replay and (args.seed is not None or args.ordering is not None):
         raise InvalidInstanceError(["--replay takes its seed and ordering from the certificate"])
+    if args.replay and args.max_steps is not None:
+        raise InvalidInstanceError(["--max-steps applies only to --seed runs"])
     if args.ordering is not None and not instance.mode.sequential:
         raise InvalidInstanceError(["--ordering applies only to sequential dynamics"])
     if args.replay:
         # check_certificate reports the certificate's shape in its own words
         document = read_document(args.replay, lambda certificate: certificate)
-        result, problems = check_certificate(instance, document, args.max_steps)
+        result, problems = check_certificate(instance, document)
         seed = result.trace.seed
     else:
         if args.seed is None:
@@ -204,21 +206,13 @@ def _cmd_reduce(args) -> int:
     return EXIT_OK if verdict.agree else EXIT_FAIL
 
 
-# The flags only a --lemma check reads, with the values it takes when a flag
-# is not given; the parser leaves them unset, so --corpus can reject them.
-_LEMMA_DEFAULTS = {
-    "trials": 100,
-    "min_n": 3,
-    "max_n": 7,
-    "edge_prob": 0.5,
-    "law": "mixed",
-    "budget_min": 1,
-    "budget_max": 2,
-    "rng_seed": 0,
-    "violations_dir": "violations",
-    "max_states": None,
-    "timings": False,
-}
+# generator flag -> the GeneratorParams field it sets; a flag not given
+# leaves the field at its GeneratorParams default
+_GENERATOR_FLAGS = {"min_n": "n_min", "max_n": "n_max", "edge_prob": "edge_prob", "law": "threshold_law",
+                    "budget_min": "budget_min", "budget_max": "budget_max", "rng_seed": "rng_seed"}
+# The flags only a --lemma check reads; the parser leaves them unset, so
+# --corpus can reject them.
+_LEMMA_FLAGS = ("trials", *_GENERATOR_FLAGS, "violations_dir", "max_states", "timings")
 
 
 def _lemma_text(payload: dict) -> str:
@@ -235,7 +229,7 @@ def _lemma_text(payload: dict) -> str:
 
 def _cmd_verify(args) -> int:
     if args.corpus:
-        given = [dest for dest in _LEMMA_DEFAULTS if getattr(args, dest) is not None]
+        given = [dest for dest in _LEMMA_FLAGS if getattr(args, dest) is not None]
         if given:
             raise InvalidInstanceError(
                 [f"--{dest.replace('_', '-')} applies only to --lemma checks" for dest in given]
@@ -248,20 +242,11 @@ def _cmd_verify(args) -> int:
         return EXIT_OK if report.all_passed else EXIT_FAIL
     if not args.lemma:
         raise InvalidInstanceError(["verify needs --lemma ID or --corpus"])
-    for dest, default in _LEMMA_DEFAULTS.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-    params = GeneratorParams(
-        n_min=args.min_n,
-        n_max=args.max_n,
-        edge_prob=args.edge_prob,
-        threshold_law=args.law,
-        budget_min=args.budget_min,
-        budget_max=args.budget_max,
-        rng_seed=args.rng_seed,
-    )
-    verdict = check_lemma(args.lemma, instance_stream(params), args.trials, _limits(args))
-    root = Path(args.violations_dir) / args.lemma
+    fields = {field: getattr(args, flag) for flag, field in _GENERATOR_FLAGS.items()}
+    params = GeneratorParams(**{field: v for field, v in fields.items() if v is not None})
+    trials = 100 if args.trials is None else args.trials
+    verdict = check_lemma(args.lemma, instance_stream(params), trials, _limits(args))
+    root = Path("violations" if args.violations_dir is None else args.violations_dir) / args.lemma
     grouped: dict[str, dict] = {}
     for violation in verdict.violations:
         # the document is instance_to_dict's canonical output
@@ -381,7 +366,7 @@ def _add_reduce(p: argparse.ArgumentParser) -> None:
 def _add_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lemma", choices=list(CHECK_IDS))
     p.add_argument("--corpus", action="store_true")
-    # lemma-only flags default to unset (see _LEMMA_DEFAULTS)
+    # lemma-only flags default to unset (see _LEMMA_FLAGS)
     p.add_argument("--trials", type=int)
     p.add_argument("--min-n", type=int)
     p.add_argument("--max-n", type=int)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .model import SnapshotInstance, mask_of
-from .solvers import DEFAULT_LIMITS, SolveOutcome, _solve, solve
+from .solvers import DEFAULT_LIMITS, SolveOutcome, _missing_edge, _solve, solve
 
 ACTION_FORCED = "forced_seed"
 ACTION_INFEASIBLE = "infeasible"
@@ -66,12 +66,11 @@ class NotACliqueError(ValueError):
 
 
 def assert_clique(instance: SnapshotInstance) -> None:
-    """Verify every pair of distinct nodes is adjacent; names a missing edge."""
-    full = instance.graph.full_mask()
-    for u, adj in enumerate(instance.graph.adj_masks):
-        missing = full & ~adj & ~(1 << u)
-        if missing:
-            raise NotACliqueError(u, (missing & -missing).bit_length() - 1)
+    """Verify every pair of distinct nodes is adjacent; names the first
+    missing edge."""
+    missing = _missing_edge(instance.graph.adj_masks)
+    if missing is not None:
+        raise NotACliqueError(*missing)
 
 
 @dataclass(frozen=True)

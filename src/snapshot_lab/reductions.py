@@ -14,8 +14,8 @@ Three builders:
   the checker reports empirical verdicts instead of asserting agreement; the
   two-node edge instance is the canonical disagreement witness.
 * ``gadget_sequential_k1``: relay fans plus a budget-counting hub that map a
-  budget-k whole-graph instance to a budget-1 non-monotone sequential
-  snapshot instance.
+  budget-k whole-graph instance, k >= 1, to a budget-1 non-monotone
+  sequential snapshot instance.
 
 Both gadgets fan out from thresholds clamped to deg(v) + 1: above its degree
 a node can only be active by seeding, at either value, so the source's
@@ -149,8 +149,11 @@ def gadget_sequential_k1(ts: TargetSetInstance) -> SnapshotInstance:
     Every original node u_i gets t(u_i) relay nodes v:<u_i>:<j>
     adjacent to u_i, one collector u':<u_i> adjacent to those relays, and a
     hub v0 with threshold budget+1 adjacent to every collector; all other new
-    thresholds are 1. The snapshot is everything except the hub.
+    thresholds are 1. The snapshot is everything except the hub. The
+    gadget's own budget is 1, so a source of budget 0 has no gadget.
     """
+    if ts.budget == 0:
+        raise ValueError("budget = 0 unsupported by gadget: its own budget is 1")
     for v, t in enumerate(ts.thresholds):
         if t == 0:
             raise ValueError(f"t_i = 0 unsupported by gadget: node {v}")

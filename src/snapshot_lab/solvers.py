@@ -68,10 +68,12 @@ Per-seed checks:
   (``_clique_fate``), with the same stops, memo and state count. An
   inactive node sees all |c| active nodes, so the sweep from c adds
   ``steps[|c|]``, the nodes of threshold <= |c|, and no node table is
-  built. The clique test compares adjacency rows, the first row first, so
-  a graph that is not a clique nearly always pays one comparison.
-  ``run_simultaneous``, certificate replay and the oracles keep the node
-  table as the reference;
+  built. The clique test, ``_missing_edge`` (``assert_clique`` reads it
+  too), reads adjacency rows from the first, so a graph that is not a
+  clique nearly always costs one row. ``run_simultaneous``, certificate
+  replay and the oracles keep the node table as the reference. The two
+  fates stay two loops: one loop taking the response as a function costs
+  a call per sweep, measured at +2.5-7% sim-search p50;
 * monotone sequential, and a non-monotone sequential seed of at most one
   node: ``_direct_check``, closures and no search (below), unless they cap;
 * a non-monotone sequential seed of two or more nodes: ``_bfs``, the one
@@ -566,15 +568,17 @@ def _simultaneous_fate(
     return SimultaneousWitness(len(path)), len(path)
 
 
-def _is_clique(adj_masks: Sequence[int]) -> bool:
-    """Whether every node neighbours every other; the first row is tested
-    first, so most graphs that are not cliques cost one comparison."""
+def _missing_edge(adj_masks: Sequence[int]) -> Optional[tuple[int, int]]:
+    """The first pair of distinct nodes that are not adjacent, lowest u then
+    lowest v, or None on a clique. Rows are read from the first, so most
+    graphs that are not cliques cost one row."""
     full, bit = (1 << len(adj_masks)) - 1, 1
-    for adj in adj_masks:
-        if adj != full ^ bit:
-            return False
+    for u, adj in enumerate(adj_masks):
+        missing = full & ~adj & ~bit
+        if missing:
+            return u, (missing & -missing).bit_length() - 1
         bit <<= 1
-    return True
+    return None
 
 
 def _count_steps(thresholds: Sequence[int]) -> list[int]:
@@ -687,7 +691,7 @@ def _seed_check(
     order). One memo serves all its seeds: the masks of runs that never
     match (simultaneous), or the states that cannot reach S (the BFS)."""
     adj_masks, mode = instance.graph.adj_masks, instance.mode
-    if mode.simultaneous and mode.monotone and _is_clique(adj_masks):
+    if mode.simultaneous and mode.monotone and _missing_edge(adj_masks) is None:
         return partial(_clique_fate, _count_steps(instance.thresholds), s_mask, set())
     table = _node_table(adj_masks, instance.thresholds)
     if mode.simultaneous:

@@ -4,7 +4,10 @@ seed-to-snapshot distance probe.
 
 ``check_certificate`` is the only replay of a certificate document:
 ``simulate --replay``, the corpus (for every feasible entry) and the tests
-all call it.
+all call it. As a certifying algorithm's checker should, it answers from
+the instance and the certificate alone (McConnell, Mehlhorn, Naher and
+Schweitzer, *Certifying algorithms*, 2011): it takes no step cap, so no
+caller can fail a valid certificate by capping its replay.
 
 Each structural check compares solver-level verdicts computed by independent
 routes (full search on one side, a pruned or restricted search on the other).
@@ -52,7 +55,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from importlib import resources
 from itertools import islice
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .cliques import clique_analysis
 from .dynamics import RunResult, _node_table, apply_ordering, run_simultaneous
@@ -261,9 +264,7 @@ def check_lemma(
     return verdict
 
 
-def check_certificate(
-    instance: SnapshotInstance, document, max_steps: Optional[int] = None
-) -> tuple[RunResult, list[str]]:
+def check_certificate(instance: SnapshotInstance, document) -> tuple[RunResult, list[str]]:
     """Replay a certificate document on the instance: the run its witness
     replays, and every way the certificate fails to prove the snapshot
     feasible (empty when it proves it).
@@ -271,10 +272,11 @@ def check_certificate(
     The document is read by ``serialize.certificate_from_dict``, which
     raises on a malformed one. The seed must fit the budget, and the replay
     must first match the snapshot at the certified time (simultaneous, run
-    with at most ``max_steps`` sweeps) or prefix (sequential). Every recorded
+    to its first match or repeat) or prefix (sequential). Every recorded
     move must change its node's state, in the recorded direction. A witness
     of the other order than the instance's raises ``InvalidInstanceError``
-    before any replay.
+    before any replay. The answer depends on the instance and the document
+    alone: no caller's cap can fail a valid certificate.
     """
     cert = certificate_from_dict(document, instance.n)
     witness = cert.witness
@@ -291,7 +293,7 @@ def check_certificate(
     if isinstance(witness, SimultaneousWitness):
         result = run_simultaneous(
             instance.graph, instance.thresholds, cert.seed, instance.mode,
-            target=instance.snapshot, max_steps=max_steps,
+            target=instance.snapshot,
         )
         if result.trace.match_time != witness.match_time:
             problems.append("replay does not first match the snapshot at the certified time")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snapshot_lab import Certificate, InvalidInstanceError, SimultaneousWitness, reductions
+from snapshot_lab import Certificate, GeneratorParams, InvalidInstanceError, SimultaneousWitness, reductions
 from snapshot_lab.cli import COMMANDS, build_parser, main
 from snapshot_lab.serialize import canonical_json, certificate_from_dict
 from snapshot_lab.solvers import SolveOutcome, SolveStats
@@ -646,6 +646,25 @@ def test_verify_lemma_formats(tmp_path, capsys):
     assert capsys.readouterr().out == "lemma: serial\ntrials: 2\nskipped: 0\nviolations: 0\nok: true\n"
 
 
+def test_verify_lemma_defaults_are_those_of_generator_params(tmp_path, capsys, monkeypatch):
+    import snapshot_lab.cli as cli_mod
+
+    streams, stream = [], cli_mod.instance_stream
+    monkeypatch.setattr(cli_mod, "instance_stream", lambda params: streams.append(params) or stream(params))
+    p = GeneratorParams()
+    argv = ["verify", "--lemma", "serial", "--trials", "5", "--violations-dir", str(tmp_path / "v")]
+    assert run(argv) == 0
+    default = capsys.readouterr().out
+    given = [
+        "--min-n", str(p.n_min), "--max-n", str(p.n_max), "--edge-prob", str(p.edge_prob),
+        "--law", p.threshold_law, "--budget-min", str(p.budget_min), "--budget-max", str(p.budget_max),
+        "--rng-seed", str(p.rng_seed),
+    ]
+    assert run(argv + given) == 0
+    assert capsys.readouterr().out == default
+    assert streams == [p, p]
+
+
 def test_verify_lemma_skipped_trials_fail(tmp_path, capsys):
     argv = [
         "verify", "--lemma", "clearing", "--trials", "3", "--max-states", "1",
@@ -1012,10 +1031,14 @@ REPLAY_ERROR = "error: --replay takes its seed and ordering from the certificate
         ("simultaneous", ["--replay", "{cert}", "--ordering", "1,3"], REPLAY_ERROR),
         ("sequential", ["--replay", "{cert}", "--seed", "1"], REPLAY_ERROR),
         ("sequential", ["--replay", "{cert}", "--ordering", "2"], REPLAY_ERROR),
+        # the replay runs to the certified time, whatever cap a caller would set
+        ("simultaneous", ["--replay", "{cert}", "--max-steps", "1"],
+         "error: --max-steps applies only to --seed runs\n"),
     ],
     ids=[
         "max-steps-sequential", "max-steps-sequential-replay", "ordering-simultaneous",
         "replay-seed", "replay-ordering", "replay-seed-sequential", "replay-ordering-sequential",
+        "max-steps-replay",
     ],
 )
 def test_simulate_rejects_flags_it_would_ignore(tmp_path, capsys, dynamics, argv, error):

@@ -26,12 +26,13 @@ from snapshot_lab import (
 )
 
 from snapshot_lab.cliques import _rule_chain
-from snapshot_lab.dynamics import _node_table
+from snapshot_lab.dynamics import _node_table, _step_mask
 from snapshot_lab.model import nodes_of
 from snapshot_lab.solvers import (
     DEFAULT_LIMITS,
     _clique_fate,
-    _is_clique,
+    _count_steps,
+    _missing_edge,
     _search,
     _seed_check,
     _seed_pool,
@@ -261,7 +262,21 @@ def test_only_a_monotone_simultaneous_clique_runs_by_counts(clique, star4_instan
 @pytest.mark.parametrize("n", range(2, 7))
 def test_a_clique_less_any_edge_is_not_a_clique(n):
     edges = list(combinations(range(n), 2))
-    assert _is_clique(Graph.from_edges(n, edges).adj_masks)
+    assert _missing_edge(Graph.from_edges(n, edges).adj_masks) is None
     for missing in edges:
         graph = Graph.from_edges(n, [e for e in edges if e != missing])
-        assert not _is_clique(graph.adj_masks)
+        assert _missing_edge(graph.adj_masks) == missing
+
+
+def test_the_count_step_is_the_node_table_step_on_every_small_clique():
+    # _clique_fate and _simultaneous_fate stay two loops, so their step maps
+    # are compared on every configuration, not only those some solve visits
+    cases = 0
+    for n in range(6):
+        adj_masks = Graph.from_edges(n, list(combinations(range(n), 2))).adj_masks
+        for thresholds in product(range(n + 2), repeat=n):
+            table, steps = _node_table(adj_masks, thresholds), _count_steps(thresholds)
+            for c in range(1 << n):
+                assert c | steps[c.bit_count()] == _step_mask(table, c, c, True), (thresholds, c)
+                cases += 1
+    assert cases == 559_631

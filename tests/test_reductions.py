@@ -130,17 +130,20 @@ def test_gadgets_clamp_a_threshold_above_degree_plus_one(star4):
 
 
 def test_seqk1_agrees_on_every_small_source_with_thresholds_up_to_degree_plus_three():
-    # budget 0 is left out: the gadget's budget is 1 whatever the source's is
-    cases = 0
+    # the gadget's budget is 1 whatever the source's is, so budget 0 is rejected
+    cases = rejected = 0
     for n in (1, 2, 3):
         for graph in _graphs(n):
             ranges = [range(1, graph.degree(v) + 4) for v in range(n)]
             for thresholds in itertools.product(*ranges):
+                with pytest.raises(ValueError, match="^budget = 0 unsupported by gadget"):
+                    check_equivalence("seqk1", TargetSetInstance(graph, thresholds, 0))
+                rejected += 1
                 for budget in range(1, n + 1):
                     verdict = check_equivalence("seqk1", TargetSetInstance(graph, thresholds, budget))
                     assert verdict.agree, (graph.edges(), thresholds, budget)
                     cases += 1
-    assert cases == 1661
+    assert (cases, rejected) == (1661, 564)
 
 
 def test_dummy_gadget_keeps_the_verdict_of_its_unclamped_form():

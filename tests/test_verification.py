@@ -21,7 +21,6 @@ from snapshot_lab import (
     PLAIN_SIMULTANEOUS,
     SearchCapExceeded,
     SnapshotInstance,
-    check_certificate,
     check_lemma,
     closed_neighborhood,
     feasible_snapshots,
@@ -290,9 +289,6 @@ _COUNT_ARGUMENTS = [
     ("k", lambda star4, v: feasible_snapshots(star4, (1, 2, 1, 1), v, PLAIN_SIMULTANEOUS)),
     ("max_steps", lambda star4, v: run_simultaneous(
         star4, (1, 2, 1, 1), frozenset({0}), PLAIN_SIMULTANEOUS, max_steps=v)),
-    ("max_steps", lambda star4, v: check_certificate(
-        SnapshotInstance(star4, (1, 2, 1, 1), frozenset({0, 1, 2}), 2, MONOTONE_SIMULTANEOUS),
-        {"seed": [0, 2], "witness": {"type": "simultaneous", "match_time": 1}}, v)),
     ("trials", lambda star4, v: check_lemma("serial", instance_stream(GeneratorParams()), v)),
     *[(name, lambda star4, v, name=name: GeneratorParams(**{name: v}))
       for name in ("n_min", "n_max", "budget_min", "budget_max")],
@@ -302,7 +298,7 @@ _COUNT_ARGUMENTS = [
 @pytest.mark.parametrize("value", [True, 1.5, "1"], ids=repr)
 @pytest.mark.parametrize(
     "name, call", _COUNT_ARGUMENTS,
-    ids=["feasible_snapshots", "run_simultaneous", "check_certificate", "check_lemma",
+    ids=["feasible_snapshots", "run_simultaneous", "check_lemma",
          "n_min", "n_max", "budget_min", "budget_max"],
 )
 def test_count_arguments_follow_the_integer_rule(star4, name, call, value):
