@@ -45,11 +45,6 @@ from .cliques import (
     RuleReport,
     assert_clique,
     clique_analysis,
-    rule_forced_seed,
-    rule_isolated_snapshot,
-    rule_low_threshold_outside,
-    rule_prune_outside,
-    rule_threshold_collision,
 )
 from .reductions import (
     EquivalenceVerdict,
@@ -63,7 +58,6 @@ from .reductions import (
 from .generator import GeneratorParams, instance_stream
 from .verification import (
     CHECK_IDS,
-    CorpusError,
     CorpusReport,
     LemmaVerdict,
     check_certificate,

@@ -47,7 +47,6 @@ from .solvers import SearchCapExceeded, SearchLimits, solve
 from .dynamics import apply_ordering, run_simultaneous
 from .verification import (
     CHECK_IDS,
-    CorpusError,
     check_certificate,
     check_lemma,
     feasible_snapshots,
@@ -440,7 +439,7 @@ def main(argv=None) -> int:
     args.log_fields = {}
     try:
         code = args.func(args)
-    except (CorpusError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_USAGE
     except SearchCapExceeded as exc:

@@ -29,10 +29,14 @@ inactive node sees the same active count, so a pruned node never activates
 before a minimum-threshold outside node, and a monotone run is over in the
 sweep its first outside node activates.
 
+The rules hold only on a clique under monotone simultaneous dynamics, so
+``clique_analysis`` is their one entry: it checks both, and only then runs
+``_rule_chain``, the one code that runs a rule. Its reports are
+``clique_analysis(...).reports``.
+
 The rules read counts, never a node table. One pass over the nodes gives
 the profile every rule reads: the (id, threshold) pairs inside S and outside
-it, and the outside thresholds. ``_rule_chain`` builds it once; each public
-``rule_*`` function builds its own and runs the same implementation. P5's
+it, and the outside thresholds; ``_rule_chain`` builds it once. P5's
 closure inside S is a count too: the nodes of S outside the seed switch on
 in ascending threshold order while their threshold is at most the active
 count. P5's seed and every seed ``solve`` tries go through ``solve``'s
@@ -213,40 +217,6 @@ def _isolated_snapshot(instance: SnapshotInstance, p: _Profile) -> RuleReport:
         + ("closes over S" if closes else "does not close over S"),
         nodes=seed, feasible=closes,
     )
-
-
-def rule_forced_seed(instance: SnapshotInstance) -> RuleReport:
-    """P1: snapshot nodes with threshold >= |S| must be seeded."""
-    return _forced_seed(instance, _profile(instance))
-
-
-def rule_low_threshold_outside(instance: SnapshotInstance) -> RuleReport:
-    """P2: an outside node with threshold <= k rules out seeds of size exactly
-    k whenever |S| > k (they trigger the outside node in round one while a
-    time-0 match is impossible). Smaller seeds stay in play."""
-    return _low_threshold_outside(instance, _profile(instance))
-
-
-def rule_threshold_collision(
-    instance: SnapshotInstance, already_forced: frozenset[int] = frozenset()
-) -> RuleReport:
-    """P3: snapshot nodes sharing a threshold with an outside node must be
-    seeded (equal-threshold non-seed nodes activate at the same instant)."""
-    return _threshold_collision(instance, _profile(instance), already_forced)
-
-
-def rule_prune_outside(instance: SnapshotInstance) -> RuleReport:
-    """P4: outside nodes whose threshold exceeds the outside minimum activate
-    weakly later than a minimum-threshold outside node, whose activation
-    already ends a monotone run outside S; they never decide feasibility."""
-    return _prune_outside(instance, _profile(instance))
-
-
-def rule_isolated_snapshot(instance: SnapshotInstance) -> RuleReport:
-    """P5: when |S| is below every outside threshold, over-activation is
-    impossible and S is feasible iff the k highest-threshold snapshot nodes
-    close over S."""
-    return _isolated_snapshot(instance, _profile(instance))
 
 
 @dataclass(frozen=True)

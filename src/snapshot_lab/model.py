@@ -128,8 +128,8 @@ class Graph(_Slotted):
     ) -> "Graph":
         """Build a graph from an edge list, enforcing all structural invariants:
         ``int`` endpoints in 0..n-1, no self-loops, no duplicates, n labels."""
-        if n < 0:
-            raise InvalidInstanceError([f"node count {n} is negative"])
+        if not is_int(n) or n < 0:
+            raise InvalidInstanceError([f"node count {n!r} must be a non-negative integer"])
         masks = [0] * n
         violations: list[str] = []
         for u, v in edges:

@@ -98,9 +98,11 @@ def has_target_set(ts: TargetSetInstance) -> bool:
 
 def embed_target_set(ts: TargetSetInstance, mode: DynamicsMode) -> SnapshotInstance:
     """S=V(G) embedding; graph, thresholds and budget carry over unchanged."""
+    # built first, so its own check rejects a mode that is not a DynamicsMode
+    embedded = SnapshotInstance(ts.graph, ts.thresholds, frozenset(range(ts.graph.n)), ts.budget, mode)
     if not mode.monotone:
         raise ValueError("the identity embedding is meaningful for monotone modes only")
-    return SnapshotInstance(ts.graph, ts.thresholds, frozenset(range(ts.graph.n)), ts.budget, mode)
+    return embedded
 
 
 def _clamped_thresholds(source) -> list[int]:

@@ -9,6 +9,11 @@ the instance and the certificate alone (McConnell, Mehlhorn, Naher and
 Schweitzer, *Certifying algorithms*, 2011): it takes no step cap, so no
 caller can fail a valid certificate by capping its replay.
 
+``replay_corpus`` reads the corpus manifest and every document it names
+through ``serialize.read_document``, the one loader of every JSON file the
+CLI reads, so every corpus file error names its file; an entry's
+``overrides`` are applied inside that read.
+
 Each structural check compares solver-level verdicts computed by independent
 routes (full search on one side, a pruned or restricted search on the other).
 Zero violations is the expected outcome for every check; any violation is a
@@ -48,13 +53,12 @@ form is checked.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from importlib import resources
 from itertools import islice
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from .cliques import clique_analysis
@@ -76,7 +80,7 @@ from .model import (
     mask_of,
     nodes_of,
 )
-from .serialize import certificate_from_dict, instance_from_dict, instance_to_dict, seed_ids
+from .serialize import certificate_from_dict, instance_from_dict, instance_to_dict, read_document, seed_ids
 from .solvers import (
     DEFAULT_LIMITS,
     SearchCapExceeded,
@@ -354,10 +358,6 @@ def seed_distance(
     return max(per_seed) if aggregate == "max" else min(per_seed)
 
 
-class CorpusError(RuntimeError):
-    """The bundled worked-example corpus is missing or unreadable."""
-
-
 @dataclass(frozen=True)
 class CorpusRow:
     name: str
@@ -396,40 +396,35 @@ class CorpusReport:
         return "\n".join(lines)
 
 
-def _load_corpus_dir(corpus_dir) -> dict:
-    """Read expectations.json and the instance documents it references."""
-    if corpus_dir is None:
-        root = resources.files("snapshot_lab").joinpath("corpus")
-    else:
-        from pathlib import Path
-
-        root = Path(corpus_dir)
-    try:
-        manifest = json.loads(root.joinpath("expectations.json").read_text(encoding="utf-8"))
-    except (FileNotFoundError, OSError) as exc:
-        raise CorpusError(f"corpus missing: {exc}") from None
-    entries = manifest.get("entries", [])
-    if not entries:
-        raise CorpusError("corpus missing: no entries in expectations.json")
-    documents = {}
-    for entry in entries:
-        fname = entry["file"]
-        if fname not in documents:
-            try:
-                documents[fname] = json.loads(root.joinpath(fname).read_text(encoding="utf-8"))
-            except (FileNotFoundError, OSError) as exc:
-                raise CorpusError(f"corpus missing: {exc}") from None
-    return {"entries": entries, "documents": documents}
+def _manifest_entries(manifest) -> list:
+    """The entries of ``expectations.json``: each needs a 'name', a 'file'
+    and an 'expect' object with a 'verdict'. Every malformed entry is listed
+    at once."""
+    entries = manifest.get("entries") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list) or not entries:
+        raise InvalidInstanceError(["manifest must be an object with a non-empty 'entries' list"])
+    violations = []
+    for i, entry in enumerate(entries):
+        entry = entry if isinstance(entry, dict) else {}
+        needs = {
+            "a 'name'": isinstance(entry.get("name"), str),
+            "a 'file' name": isinstance(entry.get("file"), str),
+            "an 'expect' object with a 'verdict'": isinstance(entry.get("expect"), dict)
+            and "verdict" in entry["expect"],
+            "its 'overrides', if any, as an object": isinstance(entry.get("overrides", {}), dict),
+        }
+        violations += [f"entry {i} needs {what}" for what, ok in needs.items() if not ok]
+    if violations:
+        raise InvalidInstanceError(violations)
+    return entries
 
 
-def corpus_entry_instance(entry: dict, documents: dict) -> SnapshotInstance:
-    doc = dict(documents[entry["file"]])
-    doc.update(entry.get("overrides", {}))
-    return instance_from_dict(doc)
+def _entry_instance(document, overrides: dict) -> SnapshotInstance:
+    """A corpus document with its entry's overrides applied."""
+    return instance_from_dict(dict(document, **overrides) if isinstance(document, dict) else document)
 
 
-def _run_corpus_entry(entry: dict, documents: dict) -> CorpusRow:
-    instance = corpus_entry_instance(entry, documents)
+def _run_corpus_entry(entry: dict, instance: SnapshotInstance) -> CorpusRow:
     expect = entry["expect"]
     diffs: list[str] = []
     outcome = solve(instance)
@@ -474,11 +469,15 @@ def _run_corpus_entry(entry: dict, documents: dict) -> CorpusRow:
 
 
 def replay_corpus(corpus_dir=None) -> CorpusReport:
-    """Run every bundled worked example and compare against its expected
-    verdicts. Any mismatch fails the entry with a diff of expected vs
-    computed."""
-    loaded = _load_corpus_dir(corpus_dir)
-    rows = [
-        _run_corpus_entry(entry, loaded["documents"]) for entry in loaded["entries"]
-    ]
+    """Run every worked example of the corpus (the bundled one by default)
+    and compare against its expected verdicts. Any mismatch fails the entry
+    with a diff of expected vs computed. The manifest and every document
+    are read by ``serialize.read_document``, so a file that is missing
+    raises ``FileNotFoundError`` and every other file error names its
+    file."""
+    root = Path(__file__).with_name("corpus") if corpus_dir is None else Path(corpus_dir)
+    rows = []
+    for entry in read_document(root / "expectations.json", _manifest_entries):
+        instance = read_document(root / entry["file"], _entry_instance, entry.get("overrides", {}))
+        rows.append(_run_corpus_entry(entry, instance))
     return CorpusReport(tuple(rows))

@@ -17,14 +17,10 @@ from snapshot_lab import (
     assert_clique,
     clique_analysis,
     monotone_closure,
-    rule_forced_seed,
-    rule_isolated_snapshot,
-    rule_low_threshold_outside,
-    rule_prune_outside,
-    rule_threshold_collision,
     solve,
 )
 
+from snapshot_lab import cliques
 from snapshot_lab.cliques import _rule_chain
 from snapshot_lab.dynamics import _node_table, _step_mask
 from snapshot_lab.model import nodes_of
@@ -50,62 +46,67 @@ def test_assert_clique(clique, star4_instance):
     assert err.value.missing_edge == (0, 2)
 
 
+def _report(instance, rule):
+    """One rule's report, read from the chain ``clique_analysis`` runs."""
+    return next(r for r in _rule_chain(instance) if r.rule == rule)
+
+
 def test_rule_forced_seed(clique, clique10):
-    r = rule_forced_seed(clique(2, (1, 5), {0, 1}, 1, MONOTONE_SIMULTANEOUS))
+    r = _report(clique(2, (1, 5), {0, 1}, 1, MONOTONE_SIMULTANEOUS), "P1")
     assert r.action == "forced_seed" and r.nodes == (1,)
 
-    r = rule_forced_seed(clique10(range(7), 2, MONOTONE_SIMULTANEOUS))
+    r = _report(clique10(range(7), 2, MONOTONE_SIMULTANEOUS), "P1")
     assert r.action == "inapplicable"
 
-    r = rule_forced_seed(clique(3, (3, 3, 1), {0, 1, 2}, 1, MONOTONE_SIMULTANEOUS))
+    r = _report(clique(3, (3, 3, 1), {0, 1, 2}, 1, MONOTONE_SIMULTANEOUS), "P1")
     assert r.action == "infeasible" and r.nodes == (0, 1)
 
 
 def test_rule_low_threshold_outside(clique, clique10):
     inst = clique(4, (1, 1, 1, 2), {0, 1, 2}, 2, MONOTONE_SIMULTANEOUS)
-    r = rule_low_threshold_outside(inst)
+    r = _report(inst, "P2")
     assert r.action == "excluded_seed_size" and r.size == 2
     # the excluded size leaves the smaller feasible seed in play
     assert clique_analysis(inst).outcome.feasible
 
-    r = rule_low_threshold_outside(clique10(range(7), 2, MONOTONE_SIMULTANEOUS))
+    r = _report(clique10(range(7), 2, MONOTONE_SIMULTANEOUS), "P2")
     assert r.action == "inapplicable"
 
-    r = rule_low_threshold_outside(clique(3, (1, 1, 1), {0, 1}, 2, MONOTONE_SIMULTANEOUS))
+    r = _report(clique(3, (1, 1, 1), {0, 1}, 2, MONOTONE_SIMULTANEOUS), "P2")
     assert r.action == "inapplicable"  # |S| <= k: S itself is a time-0 seed
 
 
 def test_rule_threshold_collision(clique, clique10):
-    r = rule_threshold_collision(clique(4, (1, 2, 2, 3), {0, 1}, 1, MONOTONE_SIMULTANEOUS))
+    r = _report(clique(4, (1, 2, 2, 3), {0, 1}, 1, MONOTONE_SIMULTANEOUS), "P3")
     assert r.action == "forced_seed" and r.nodes == (1,)
 
-    r = rule_threshold_collision(clique10(range(7), 2, MONOTONE_SIMULTANEOUS))
+    r = _report(clique10(range(7), 2, MONOTONE_SIMULTANEOUS), "P3")
     assert r.action == "inapplicable"
 
-    r = rule_threshold_collision(clique(3, (1, 1, 2), {0, 1, 2}, 1, MONOTONE_SIMULTANEOUS))
+    r = _report(clique(3, (1, 1, 2), {0, 1, 2}, 1, MONOTONE_SIMULTANEOUS), "P3")
     assert r.action == "inapplicable"  # no outside nodes
 
 
 def test_rule_prune_outside(clique10, clique):
-    r = rule_prune_outside(clique10(range(7), 2, MONOTONE_SIMULTANEOUS))
+    r = _report(clique10(range(7), 2, MONOTONE_SIMULTANEOUS), "P4")
     assert r.action == "pruned_nodes" and r.nodes == (8, 9)
 
-    r = rule_prune_outside(clique(3, (1, 1, 1), {0, 1, 2}, 1, MONOTONE_SIMULTANEOUS))
+    r = _report(clique(3, (1, 1, 1), {0, 1, 2}, 1, MONOTONE_SIMULTANEOUS), "P4")
     assert r.action == "inapplicable"
 
-    r = rule_prune_outside(clique(4, (1, 1, 2, 2), {0, 1}, 1, MONOTONE_SIMULTANEOUS))
+    r = _report(clique(4, (1, 1, 2, 2), {0, 1}, 1, MONOTONE_SIMULTANEOUS), "P4")
     assert r.action == "inapplicable"  # outside thresholds all equal
 
 
 def test_rule_isolated_snapshot(clique, clique10):
-    r = rule_isolated_snapshot(clique(4, (1, 2, 2, 9), {0, 1, 2}, 1, MONOTONE_SIMULTANEOUS))
+    r = _report(clique(4, (1, 2, 2, 9), {0, 1, 2}, 1, MONOTONE_SIMULTANEOUS), "P5")
     assert r.action == "reduced_to_target_set" and r.feasible is True
     assert r.nodes == (1,)  # highest threshold in S, tie broken by ascending id
 
-    r = rule_isolated_snapshot(clique10(range(7), 2, MONOTONE_SIMULTANEOUS))
+    r = _report(clique10(range(7), 2, MONOTONE_SIMULTANEOUS), "P5")
     assert r.action == "inapplicable"
 
-    r = rule_isolated_snapshot(clique(3, (1, 1, 2), set(), 1, MONOTONE_SIMULTANEOUS))
+    r = _report(clique(3, (1, 1, 2), set(), 1, MONOTONE_SIMULTANEOUS), "P5")
     assert r.action == "reduced_to_target_set" and r.feasible is True  # empty S is vacuous
 
 
@@ -135,6 +136,15 @@ def test_solve_clique_match_at_time_zero(clique):
     inst = clique(2, (1, 1), {0}, 1, MONOTONE_SIMULTANEOUS)
     out = clique_analysis(inst).outcome
     assert out.feasible and out.certificate.witness.match_time == 0
+
+
+def test_the_rules_run_only_behind_clique_analysis():
+    # P5 alone would call S = V feasible here; the rules hold on cliques only
+    inst = SnapshotInstance(Graph.from_edges(3, [(0, 2)]), (1, 0, 2), frozenset(range(3)), 0, MONOTONE_SIMULTANEOUS)
+    assert _report(inst, "P5").feasible and solve(inst).verdict == "infeasible"
+    with pytest.raises(NotACliqueError):
+        clique_analysis(inst)
+    assert not [name for name in dir(cliques) if name.startswith("rule_")]
 
 
 def test_solve_clique_rejects_non_monotone(clique):
@@ -207,21 +217,8 @@ def _assert_count_run_is_the_node_table_run(instance):
 
 
 def _assert_profile_reads_as_the_rules_alone(instance):
-    chain = []
-    for report in _rule_chain(instance):
-        chain.append(report)
-        if report.feasible is not None:
-            break
-    p1 = rule_forced_seed(instance)
-    alone = [
-        p1,
-        rule_low_threshold_outside(instance),
-        rule_threshold_collision(instance, already_forced=frozenset(p1.nodes)),
-        rule_prune_outside(instance),
-        rule_isolated_snapshot(instance),
-    ]
-    assert chain == alone[: len(chain)]
-    p5 = alone[-1]
+    """P5's count closure inside S is ``monotone_closure`` restricted to S."""
+    p5 = _report(instance, "P5")
     if p5.feasible is not None:
         closure = monotone_closure(instance.graph, instance.thresholds, p5.nodes, restrict_to=instance.snapshot)
         assert p5.feasible == (closure == instance.snapshot)

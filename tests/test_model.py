@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +60,14 @@ def test_duplicate_and_out_of_range_edges_rejected():
 def test_edge_endpoints_follow_the_integer_rule(endpoint):
     with pytest.raises(InvalidInstanceError, match="endpoints must be integers"):
         Graph.from_edges(2, [(0, endpoint)])
+
+
+@pytest.mark.parametrize("n", [True, 2.0, "3", None, -1], ids=repr)
+def test_node_count_follows_the_integer_rule(n):
+    with pytest.raises(InvalidInstanceError, match=f"^node count {re.escape(repr(n))} must be a non-negative integer$"):
+        Graph.from_edges(n, [])
+    with pytest.raises(InvalidInstanceError, match=f"^0 adjacency masks for {re.escape(repr(n))} nodes;"):
+        Graph(n, (), ())
 
 
 def test_negative_threshold_and_budget_rejected(star4):

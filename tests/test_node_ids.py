@@ -71,9 +71,7 @@ ID_ARGUMENTS = [
 NO_ID_ARGUMENTS = {
     "assert_clique", "check_equivalence", "check_lemma", "clique_analysis", "embed_target_set",
     "feasible_snapshots", "gadget_deactivation_robust", "gadget_sequential_k1", "has_target_set",
-    "instance_stream", "replay_corpus", "rule_forced_seed",
-    "rule_isolated_snapshot", "rule_low_threshold_outside", "rule_prune_outside",
-    "rule_threshold_collision", "solve",
+    "instance_stream", "replay_corpus", "solve",
 }
 
 

@@ -54,6 +54,16 @@ def test_embed_target_set(star4_ts):
         embed_target_set(star4_ts, PLAIN_SIMULTANEOUS)
 
 
+@pytest.mark.parametrize(
+    "call", [lambda ts: embed_target_set(ts, "sequential"),
+             lambda ts: check_equivalence("embed", ts, mode="sequential")],
+    ids=["embed_target_set", "check_equivalence"],
+)
+def test_embed_rejects_a_mode_that_is_not_a_dynamics_mode(star4_ts, call):
+    with pytest.raises(InvalidInstanceError, match="^mode must be a DynamicsMode, not str$"):
+        call(star4_ts)
+
+
 def test_dummy_gadget_structure(star4):
     inst = SnapshotInstance(star4, (1, 2, 1, 1), frozenset({0, 1, 2}), 2, MONOTONE_SIMULTANEOUS)
     out = gadget_deactivation_robust(inst)

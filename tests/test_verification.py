@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snapshot_lab import (
-    CorpusError,
     GeneratorParams,
     InvalidInstanceError,
     MONOTONE_SEQUENTIAL,
@@ -35,9 +34,9 @@ from snapshot_lab import (
 from snapshot_lab import verification
 from snapshot_lab.dynamics import _node_table
 from snapshot_lab.model import nodes_of
-from snapshot_lab.serialize import instance_from_dict
+from snapshot_lab.serialize import instance_from_dict, read_document
 from snapshot_lab.solvers import DEFAULT_LIMITS, SearchLimits, _reachable_mask_set
-from snapshot_lab.verification import CHECK_IDS, _check_clearing, corpus_entry_instance, _load_corpus_dir
+from snapshot_lab.verification import CHECK_IDS, _check_clearing, _entry_instance, _manifest_entries
 
 from conftest import restricted_path, small_instances
 
@@ -253,9 +252,7 @@ def test_replay_corpus_all_pass():
 
 
 def test_replay_corpus_negative_control(tmp_path):
-    src = Path(str(_corpus_src()))
-    work = tmp_path / "corpus"
-    shutil.copytree(src, work)
+    work = _corpus_copy(tmp_path)
     doc = json.loads((work / "star4.json").read_text())
     doc["thresholds"][1] = 1  # corrupt the center threshold
     (work / "star4.json").write_text(json.dumps(doc))
@@ -272,16 +269,43 @@ def _corpus_src():
 
 
 def test_replay_corpus_missing_directory(tmp_path):
-    with pytest.raises(CorpusError, match="corpus missing"):
-        replay_corpus(corpus_dir=tmp_path / "nowhere")
+    missing = tmp_path / "nowhere"
+    with pytest.raises(FileNotFoundError, match=re.escape(str(missing / "expectations.json"))):
+        replay_corpus(corpus_dir=missing)
+
+
+def _corpus_copy(tmp_path) -> Path:
+    work = tmp_path / "corpus"
+    shutil.copytree(Path(str(_corpus_src())), work)
+    return work
+
+
+def test_a_manifest_entry_without_a_file_names_the_manifest(tmp_path):
+    work = _corpus_copy(tmp_path)
+    manifest = json.loads((work / "expectations.json").read_text())
+    del manifest["entries"][1]["file"]
+    del manifest["entries"][2]["expect"]["verdict"]
+    (work / "expectations.json").write_text(json.dumps(manifest))
+    # every malformed entry is listed at once
+    message = (f"{work / 'expectations.json'}: entry 1 needs a 'file' name; "
+               f"{work / 'expectations.json'}: entry 2 needs an 'expect' object with a 'verdict'")
+    with pytest.raises(InvalidInstanceError, match=f"^{re.escape(message)}$"):
+        replay_corpus(corpus_dir=work)
+
+
+def test_a_corpus_file_that_is_not_json_names_the_file(tmp_path):
+    work = _corpus_copy(tmp_path)
+    (work / "star4.json").write_text("{not json")
+    with pytest.raises(InvalidInstanceError, match=re.escape(f"{work / 'star4.json'}: not valid JSON (line 1:")):
+        replay_corpus(corpus_dir=work)
 
 
 def test_corpus_entries_revalidate():
     from snapshot_lab.serialize import instance_to_dict
 
-    loaded = _load_corpus_dir(None)
-    for entry in loaded["entries"]:
-        instance = corpus_entry_instance(entry, loaded["documents"])
+    root = Path(str(_corpus_src()))
+    for entry in read_document(root / "expectations.json", _manifest_entries):
+        instance = read_document(root / entry["file"], _entry_instance, entry.get("overrides", {}))
         assert instance_from_dict(json.loads(json.dumps(instance_to_dict(instance)))) == instance
 
 
