@@ -15,7 +15,8 @@ over-activation never invalidates an earlier exact hit.
 All functions are pure over immutable inputs. Hot paths work on int bitmasks
 and read one node table, a ``(neighbour mask, threshold, node bit)`` row per
 node (``_node_table``), built once per run, solve, enumeration or check and
-never per step. ``_response_mask`` is the one response kernel over it,
+never per step, with no call per node: its bit column is one cached tuple per
+node count. ``_response_mask`` is the one response kernel over it,
 ``_response_after_flip`` re-reads the rows of one node's neighbours for the
 sequential BFS and the first sweep of the simultaneous seed loop, and
 ``_step_mask`` is the one simultaneous step map. The public surface speaks
@@ -26,6 +27,7 @@ step carries its own time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count
 from typing import Optional, Sequence
 
@@ -87,10 +89,18 @@ def best_response(
 NodeTable = tuple[tuple[int, int, int], ...]
 
 
+@lru_cache(maxsize=256)
+def _node_bits(n: int) -> tuple[int, ...]:
+    """The node bits 1 << v for v in 0..n-1: one shared tuple per node count."""
+    return tuple([1 << v for v in range(n)])
+
+
 def _node_table(adj_masks: Sequence[int], thresholds: Sequence[int]) -> NodeTable:
     """The rows the response kernel reads, built once per solve, run,
-    enumeration or check and never per step. A threshold count other than
-    the node count raises ValueError.
+    enumeration or check and never per step: the rows zip the adjacency and
+    the thresholds with the shared bit tuple of the node count, so building
+    them calls nothing per node. A threshold count other than the node count
+    raises ValueError naming both.
 
     The rows go through a list. ``tuple()`` of an iterator without a length
     takes a ten-slot tuple and shrinks it, so CPython (3.10 to 3.12) draws it
@@ -98,8 +108,10 @@ def _node_table(adj_masks: Sequence[int], thresholds: Sequence[int]) -> NodeTabl
     its final size: every call would leave one more block there, up to 2,000
     per size. Each per-call tuple of the package is built from a list for
     this reason."""
-    bits = map((1).__lshift__, range(len(adj_masks)))
-    return tuple([*zip(adj_masks, thresholds, bits, strict=True)])
+    n = len(adj_masks)
+    if len(thresholds) != n:
+        raise ValueError(f"{len(thresholds)} thresholds for {n} nodes")
+    return tuple([*zip(adj_masks, thresholds, _node_bits(n))])
 
 
 def _response_mask(table: NodeTable, active: int) -> int:

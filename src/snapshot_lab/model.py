@@ -232,6 +232,8 @@ class DynamicsMode:
     def __post_init__(self):
         if self.order not in (SIMULTANEOUS, SEQUENTIAL):
             raise ValueError(f"unknown order dynamics {self.order!r}")
+        if not isinstance(self.monotone, bool):
+            raise ValueError(f"monotone must be a bool, not {self.monotone!r}")
 
     @property
     def simultaneous(self) -> bool:

@@ -18,9 +18,11 @@ loop that counts seeds and states.
 
 Seed pools are the load-bearing prunes. ``_seed_pool`` draws the solve's
 from S's mask and the forced set F = {v in S : |N(v) & S| < t(v)} before the
-node table exists, and the table is built only once a seed is tried;
-``_seed_masks``, the one seed enumerator (the exhaustive oracles draw from it
-too), lists the supersets of a forced mask drawn from a pool. Every pool is a
+node table exists, and the table is built only once a seed is tried. Every
+pool is a lazy stream of masks, so a solve settled at its first seeds draws
+no other; ``_seed_masks``, the one seed enumerator (the exhaustive oracles
+draw from it too), lists the supersets of a forced mask drawn from a pool,
+summing node bits rather than packing ids per seed. Every pool is a
 subsequence of the canonical order, and every seed it drops is proved to
 fail, so the reported seed and witness do not depend on it:
 
@@ -282,12 +284,13 @@ def _seed_masks(pool: Iterable[int], forced: int, budget: int) -> Iterator[int]:
 
     Enumerating by the free part keeps the canonical order of the full space:
     same size, and the least element of a symmetric difference is never a
-    forced node. A forced mask over budget yields nothing.
+    forced node. A forced mask over budget yields nothing. The free part is
+    combined as node bits, distinct powers of two, so its sum is its mask.
     """
-    free_pool = sorted(v for v in pool if not forced >> v & 1)
-    for size in range(min(budget - forced.bit_count(), len(free_pool)) + 1):
-        for free in combinations(free_pool, size):
-            yield forced | mask_of(free)
+    free_bits = sorted(1 << v for v in pool if not forced >> v & 1)
+    for size in range(min(budget - forced.bit_count(), len(free_bits)) + 1):
+        for free in combinations(free_bits, size):
+            yield forced | sum(free)
 
 
 def _search(seeds: Iterable[int], make_check: Callable[[], SeedCheck]) -> SolveOutcome:
@@ -611,10 +614,11 @@ def _clique_fate(
     return SimultaneousWitness(len(path)), len(path)
 
 
-def _seed_pool(instance: SnapshotInstance, s_mask: int) -> tuple[str, Iterable[int]]:
+def _seed_pool(instance: SnapshotInstance, s_mask: int) -> tuple[str, Iterator[int]]:
     """The name of the rule that draws the candidate seed masks of the
-    instance's mode, and those masks in canonical order (the module
-    docstring has the rules)."""
+    instance's mode, and those masks in canonical order as a lazy stream, so
+    a solve settled at its first seeds draws no other (the module docstring
+    has the rules)."""
     n, budget, mode = instance.n, instance.budget, instance.mode
     if mode.simultaneous and not mode.monotone:
         return "all of V", _seed_masks(range(n), 0, budget)
@@ -622,13 +626,13 @@ def _seed_pool(instance: SnapshotInstance, s_mask: int) -> tuple[str, Iterable[i
     forced, common = _forced(instance.graph.adj_masks, thresholds, s_mask)
     if mode.monotone:
         return "supersets of F in S", _seed_masks(instance.snapshot, forced, budget)
-    seeds = [] if forced else [0]
+    singles: Iterable[int] = ()
     if budget:
         # u0 in S needs F inside {u0}; u0 outside S must be able to switch off
         inside = s_mask if not forced else 0 if forced & (forced - 1) else forced
         outside = common & instance.graph.full_mask() & ~s_mask
-        outside = mask_of(v for v in iter_bits(outside) if thresholds[v])
-        seeds += [1 << v for v in iter_bits(inside | outside)]
+        singles = (1 << v for v in iter_bits(inside | outside) if inside >> v & 1 or thresholds[v])
+    seeds = chain(() if forced else (0,), singles)
     if budget < 2:
         return "clearing", seeds
     # every seed of two or more nodes: the canonical masks after {} and the n singletons

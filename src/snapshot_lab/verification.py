@@ -12,7 +12,8 @@ caller can fail a valid certificate by capping its replay.
 ``replay_corpus`` reads the corpus manifest and every document it names
 through ``serialize.read_document``, the one loader of every JSON file the
 CLI reads, so every corpus file error names its file; an entry's
-``overrides`` are applied inside that read.
+``overrides`` are applied, and the node ids its expectations name checked
+against the instance, inside that read.
 
 Each structural check compares solver-level verdicts computed by independent
 routes (full search on one side, a pruned or restricted search on the other).
@@ -59,7 +60,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cliques import clique_analysis
 from .dynamics import RunResult, _node_table, apply_ordering, run_simultaneous
@@ -396,32 +397,84 @@ class CorpusReport:
         return "\n".join(lines)
 
 
+def _is_ids(value) -> bool:
+    return isinstance(value, list) and all(map(is_int, value))
+
+
+def _is_id_lists(value) -> bool:
+    return isinstance(value, list) and all(map(_is_ids, value))
+
+
+def _is_distance(value) -> bool:
+    return isinstance(value, dict) and _is_ids(value.get("seed")) and type(value.get("value")) in (int, float)
+
+
+# the optional 'expect' keys of a corpus entry: the shape each needs, and its check
+_EXPECT_SHAPES = {
+    "seed": ("a list of node ids", _is_ids),
+    "match_time": ("an int", is_int),
+    "accepted_seeds": ("a list of node id lists", _is_id_lists),
+    "rejected_seeds": ("a list of node id lists", _is_id_lists),
+    "seed_distance": ("an object with a 'seed' id list and a numeric 'value'", _is_distance),
+    "clique_agrees": ("a bool", lambda value: isinstance(value, bool)),
+}
+
+
 def _manifest_entries(manifest) -> list:
     """The entries of ``expectations.json``: each needs a 'name', a 'file'
-    and an 'expect' object with a 'verdict'. Every malformed entry is listed
-    at once."""
+    and an 'expect' object with a 'verdict', and each optional key its
+    shape (``_EXPECT_SHAPES``, and a 'note' is a string). Every malformed
+    entry is listed at once."""
     entries = manifest.get("entries") if isinstance(manifest, dict) else None
     if not isinstance(entries, list) or not entries:
         raise InvalidInstanceError(["manifest must be an object with a non-empty 'entries' list"])
     violations = []
     for i, entry in enumerate(entries):
         entry = entry if isinstance(entry, dict) else {}
+        expect = entry.get("expect")
         needs = {
             "a 'name'": isinstance(entry.get("name"), str),
             "a 'file' name": isinstance(entry.get("file"), str),
-            "an 'expect' object with a 'verdict'": isinstance(entry.get("expect"), dict)
-            and "verdict" in entry["expect"],
+            "an 'expect' object with a 'verdict'": isinstance(expect, dict) and "verdict" in expect,
             "its 'overrides', if any, as an object": isinstance(entry.get("overrides", {}), dict),
+            "its 'note', if any, as a string": isinstance(entry.get("note", ""), str),
         }
+        if isinstance(expect, dict):
+            needs.update(
+                (f"its 'expect.{key}', if any, as {shape}", key not in expect or ok(expect[key]))
+                for key, (shape, ok) in _EXPECT_SHAPES.items()
+            )
         violations += [f"entry {i} needs {what}" for what, ok in needs.items() if not ok]
     if violations:
         raise InvalidInstanceError(violations)
     return entries
 
 
-def _entry_instance(document, overrides: dict) -> SnapshotInstance:
-    """A corpus document with its entry's overrides applied."""
-    return instance_from_dict(dict(document, **overrides) if isinstance(document, dict) else document)
+def _expected_ids(expect: dict) -> Iterator[tuple[str, list]]:
+    """Each node id list an entry's expectations name, with its key."""
+    if "seed" in expect:
+        yield "seed", expect["seed"]
+    for key in ("accepted_seeds", "rejected_seeds"):
+        for ids in expect.get(key, []):
+            yield key, ids
+    if "seed_distance" in expect:
+        yield "seed_distance.seed", expect["seed_distance"]["seed"]
+
+
+def _entry_instance(document, entry: dict) -> SnapshotInstance:
+    """A corpus document with its entry's overrides applied. A node id of
+    the entry's expectations outside the instance is rejected here, so the
+    error names the document's file."""
+    overrides = entry.get("overrides", {})
+    instance = instance_from_dict(dict(document, **overrides) if isinstance(document, dict) else document)
+    n, violations = instance.n, []
+    for key, ids in _expected_ids(entry["expect"]):
+        outside = [v for v in ids if not 0 <= v < n]
+        if outside:
+            violations.append(f"entry {entry['name']!r}: expect.{key} ids {outside} outside 0..{n - 1}")
+    if violations:
+        raise InvalidInstanceError(violations)
+    return instance
 
 
 def _run_corpus_entry(entry: dict, instance: SnapshotInstance) -> CorpusRow:
@@ -478,6 +531,6 @@ def replay_corpus(corpus_dir=None) -> CorpusReport:
     root = Path(__file__).with_name("corpus") if corpus_dir is None else Path(corpus_dir)
     rows = []
     for entry in read_document(root / "expectations.json", _manifest_entries):
-        instance = read_document(root / entry["file"], _entry_instance, entry.get("overrides", {}))
+        instance = read_document(root / entry["file"], _entry_instance, entry)
         rows.append(_run_corpus_entry(entry, instance))
     return CorpusReport(tuple(rows))

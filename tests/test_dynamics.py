@@ -90,6 +90,13 @@ def test_table_response_and_step_equal_best_response(instance, data):
     assert nodes_of(stepped) == active | responders
 
 
+def test_node_table_names_both_counts_when_they_differ():
+    adj_masks = Graph.from_edges(3, [(0, 1), (1, 2)]).adj_masks
+    for thresholds in ((1, 1), (1, 1, 1, 1)):
+        with pytest.raises(ValueError, match=rf"^{len(thresholds)} thresholds for 3 nodes$"):
+            _node_table(adj_masks, thresholds)
+
+
 def test_node_table_of_a_graph_past_64_nodes():
     n = 70
     path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])

@@ -92,6 +92,13 @@ def test_unknown_order_rejected():
         DynamicsMode(order="diagonal", monotone=True)
 
 
+@pytest.mark.parametrize("monotone", ["false", 0, 1, None])
+def test_monotone_that_is_not_a_bool_rejected(monotone):
+    # "false" is truthy: unchecked, it ran as monotone and named itself so
+    with pytest.raises(ValueError, match=re.escape(f"monotone must be a bool, not {monotone!r}")):
+        DynamicsMode("sequential", monotone)
+
+
 def test_closed_neighborhood_star4(star4):
     assert closed_neighborhood(star4, {1}) == frozenset({0, 1, 2, 3})
     assert closed_neighborhood(star4, {0}) == frozenset({0, 1})

@@ -71,6 +71,26 @@ def test_canonical_seed_order():
     ]
 
 
+@given(
+    st.lists(st.integers(0, 9), unique=True, max_size=8),
+    st.sets(st.integers(0, 9), max_size=4),
+    st.integers(0, 4),
+)
+def test_seed_masks_match_a_mask_of_reference(pool, forced_nodes, budget):
+    # pools arrive unsorted, and may hold forced nodes or not
+    forced = mask_of(forced_nodes)
+    supersets = {
+        forced | mask_of(free)
+        for size in range(len(pool) + 1)
+        for free in itertools.combinations(pool, size)
+    }
+    reference = sorted(
+        (m for m in supersets if m.bit_count() <= budget),
+        key=lambda m: (m.bit_count(), sorted(nodes_of(m))),
+    )
+    assert list(_seed_masks(pool, forced, budget)) == reference
+
+
 def test_monotone_closure_star4(star4):
     assert monotone_closure(star4, T4, {1}) == frozenset(range(4))
     assert monotone_closure(star4, T4, set()) == frozenset()
@@ -567,6 +587,7 @@ def _assert_matching_seeds_lie_in_the_pool(instance) -> set[str]:
     empty and where the seed node lies."""
     s_mask = instance.snapshot_mask()
     rule, pool = _seed_pool(instance, s_mask)
+    pool = list(pool)
     assert rule == "clearing"
     forced = _forced(instance)
     canonical = list(_seed_masks(range(instance.n), 0, instance.budget))
@@ -609,6 +630,44 @@ def test_every_matching_budget_one_seed_lies_in_the_clearing_pool_on_stream():
         assert kind in kinds
 
 
+def _clearing_pool_reference(instance) -> list[int]:
+    """The plain sequential pool as one list, node by node from the module
+    docstring's rules: {} if F is empty; a node u0 of S if F lies inside
+    {u0}; a node u0 outside S with t(u0) >= 1 that neighbours every node of
+    F when each lacks exactly one neighbour in S; then, from budget 2 on,
+    every canonical seed of two or more nodes."""
+    s, adj, thresholds = instance.snapshot, instance.graph.adj, instance.thresholds
+    deficit = {v: thresholds[v] - len(set(adj[v]) & s) for v in s}
+    forced = {v for v in s if deficit[v] > 0}
+    pool = [] if forced else [frozenset()]
+    if instance.budget:
+        for u in range(instance.n):
+            if u in s:
+                keep = forced <= {u}
+            else:
+                keep = thresholds[u] >= 1 and all(deficit[v] == 1 and u in adj[v] for v in forced)
+            if keep:
+                pool.append(frozenset({u}))
+    canonical = map(nodes_of, _seed_masks(range(instance.n), 0, instance.budget))
+    pool += [seed for seed in canonical if len(seed) >= 2]
+    return list(map(mask_of, pool))
+
+
+def test_the_clearing_pool_stream_lists_the_reference_pool():
+    budgets = set()
+    for snapshot_mode in ("arbitrary", "reachable"):
+        params = GeneratorParams(
+            n_min=2, n_max=8, edge_prob=0.35, threshold_law="mixed", budget_min=0,
+            budget_max=3, snapshot_mode=snapshot_mode, mode=PLAIN_SEQUENTIAL, rng_seed=29,
+        )
+        for instance in itertools.islice(instance_stream(params), 200):
+            rule, pool = _seed_pool(instance, instance.snapshot_mask())
+            assert rule == ("clearing" if instance.budget < 2 else "clearing, then all of V")
+            assert list(pool) == _clearing_pool_reference(instance)
+            budgets.add(instance.budget)
+    assert budgets == {0, 1, 2, 3}
+
+
 def test_capped_closures_search_the_seeds_the_pool_dropped():
     # path 0 - 2 - 1, S = {0, 1}: both lack their one neighbour, so the pool
     # is {2}, whose closures cap at 3. The search that takes over runs {},
@@ -617,7 +676,7 @@ def test_capped_closures_search_the_seeds_the_pool_dropped():
     inst = SnapshotInstance(
         Graph.from_edges(3, [(0, 2), (2, 1)]), (1, 1, 1), frozenset({0, 1}), 1, PLAIN_SEQUENTIAL
     )
-    assert _seed_pool(inst, inst.snapshot_mask())[1] == [0b100]
+    assert list(_seed_pool(inst, inst.snapshot_mask())[1]) == [0b100]
     out = solve(inst, SearchLimits(max_states=3))
     assert out.verdict == "infeasible"
     assert out.to_dict()["stats"] == {"seeds_tried": 1, "states_expanded": 13}

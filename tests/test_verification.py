@@ -293,6 +293,53 @@ def test_a_manifest_entry_without_a_file_names_the_manifest(tmp_path):
         replay_corpus(corpus_dir=work)
 
 
+@pytest.mark.parametrize(
+    "key, value, shape",
+    [
+        ("seed", [0, "1"], "'expect.seed', if any, as a list of node ids"),
+        ("match_time", 1.0, "'expect.match_time', if any, as an int"),
+        ("accepted_seeds", 5, "'expect.accepted_seeds', if any, as a list of node id lists"),
+        ("rejected_seeds", [0], "'expect.rejected_seeds', if any, as a list of node id lists"),
+        ("seed_distance", {}, "'expect.seed_distance', if any, as an object with a 'seed' id list and a numeric 'value'"),
+        ("clique_agrees", "yes", "'expect.clique_agrees', if any, as a bool"),
+        ("note", 3, "'note', if any, as a string"),
+    ],
+    ids=["seed", "match_time", "accepted_seeds", "rejected_seeds", "seed_distance", "clique_agrees", "note"],
+)
+def test_a_malformed_expectation_names_the_manifest(tmp_path, key, value, shape):
+    work = _corpus_copy(tmp_path)
+    manifest = json.loads((work / "expectations.json").read_text())
+    for i in (0, 3):
+        entry = manifest["entries"][i]
+        (entry if key == "note" else entry["expect"])[key] = value
+    (work / "expectations.json").write_text(json.dumps(manifest))
+    # both malformed entries are listed at once
+    message = "; ".join(f"{work / 'expectations.json'}: entry {i} needs its {shape}" for i in (0, 3))
+    with pytest.raises(InvalidInstanceError, match=f"^{re.escape(message)}$"):
+        replay_corpus(corpus_dir=work)
+
+
+@pytest.mark.parametrize(
+    "key, value, ids",
+    [
+        ("seed", [9], "expect.seed ids [9]"),
+        ("accepted_seeds", [[1], [9]], "expect.accepted_seeds ids [9]"),
+        ("rejected_seeds", [[-1, 2]], "expect.rejected_seeds ids [-1]"),
+        ("seed_distance", {"seed": [4], "value": 1}, "expect.seed_distance.seed ids [4]"),
+    ],
+    ids=["seed", "accepted_seeds", "rejected_seeds", "seed_distance"],
+)
+def test_an_expected_id_outside_the_instance_names_the_file(tmp_path, key, value, ids):
+    work = _corpus_copy(tmp_path)
+    manifest = json.loads((work / "expectations.json").read_text())
+    entry = manifest["entries"][0]
+    entry["expect"][key] = value
+    (work / "expectations.json").write_text(json.dumps(manifest))
+    message = f"{work / entry['file']}: entry {entry['name']!r}: {ids} outside 0..3"
+    with pytest.raises(InvalidInstanceError, match=f"^{re.escape(message)}$"):
+        replay_corpus(corpus_dir=work)
+
+
 def test_a_corpus_file_that_is_not_json_names_the_file(tmp_path):
     work = _corpus_copy(tmp_path)
     (work / "star4.json").write_text("{not json")
@@ -305,7 +352,7 @@ def test_corpus_entries_revalidate():
 
     root = Path(str(_corpus_src()))
     for entry in read_document(root / "expectations.json", _manifest_entries):
-        instance = read_document(root / entry["file"], _entry_instance, entry.get("overrides", {}))
+        instance = read_document(root / entry["file"], _entry_instance, entry)
         assert instance_from_dict(json.loads(json.dumps(instance_to_dict(instance)))) == instance
 
 
